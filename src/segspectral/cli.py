@@ -30,7 +30,7 @@ from .graph import (
 from .kmeans import INIT_EVEN_ROWS, INIT_KMEANS_PP
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import CorpusEncodingError, ingest_corpus, iter_corpus_lines
-from .pipeline import SegmenterConfig, prepare_sentence, segment_document, segment_prepared
+from .pipeline import DATA_ERRORS, SegmenterConfig, prepare_sentence, segment_document, segment_prepared
 from .spectral import LaplacianForm
 
 DEFAULT_CONFIG = {
@@ -110,12 +110,11 @@ def load_config(path: str | None) -> dict:
 
 def _read_lines(path: str) -> list[str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return list(iter_corpus_lines(path))
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not valid UTF-8: {exc}") from None
-    return text.splitlines()
+    except CorpusEncodingError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _open_out(path: str | None):
@@ -241,7 +240,7 @@ def cmd_segment(args) -> int:
                 continue
             try:
                 trace = segment_prepared(prepare_sentence(line, model, scfg), scfg)
-            except Exception as exc:  # noqa: BLE001 - mirror segment_document
+            except DATA_ERRORS as exc:
                 errors.append((lineno, str(exc)))
                 segs.append([line])
                 continue
@@ -306,7 +305,7 @@ def cmd_sweep(args) -> int:
             continue
         try:
             preps[lineno] = prepare_sentence(line, model, scfg)
-        except Exception as exc:  # noqa: BLE001 - per-line isolation
+        except DATA_ERRORS as exc:
             errors.append((lineno, str(exc)))
 
     header = ["eig_cut", "mean_k", "mean_words"]

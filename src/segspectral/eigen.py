@@ -1,11 +1,10 @@
 """Dense symmetric eigendecomposition.
 
-Two classic stages: Householder similarity transformations reduce the
-matrix to symmetric tridiagonal form, then implicit-shift QL iterations
-diagonalize it while the accumulated orthogonal transform turns into the
-eigenvector matrix. Sentence graphs are small (n well under a few
-hundred), so a dense O(n^3) routine is the right tool and keeps the
-package dependency-light and bit-deterministic.
+A thin wrapper around LAPACK's symmetric eigensolver through
+numpy.linalg.eigh. Sentence graphs are small (n well under a few
+hundred), so a dense O(n^3) routine is the right tool. Results are
+deterministic for a given numpy/LAPACK build; within a degenerate
+eigenspace the basis is whatever that build's LAPACK returns.
 
 Output convention: eigenvalues ascending, eigenvectors as matching
 columns, and the sign of each column fixed so that its entry of largest
@@ -20,12 +19,10 @@ import numpy as np
 
 # Absolute tolerance for accepting the input as symmetric.
 SYMMETRY_TOL = 1e-12
-# QL sweeps allowed per eigenvalue before giving up.
-MAX_SWEEPS = 50
 
 
 class EigenConvergenceError(RuntimeError):
-    """QL iteration failed to isolate an eigenvalue within the sweep cap."""
+    """LAPACK failed to converge on the eigendecomposition."""
 
 
 @dataclass
@@ -40,111 +37,12 @@ class EigenDecomposition:
         return self.values.size
 
 
-def _tridiagonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce symmetric a to tridiagonal T = Q^T a Q via Householder reflectors.
-
-    Returns (d, e, q): diagonal, subdiagonal (e[i] couples rows i and i+1),
-    and the accumulated orthogonal q with a = q T q^T.
-    """
-    n = a.shape[0]
-    t = a.astype(float, copy=True)
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = t[k + 1 :, k]
-        tail_norm = np.linalg.norm(x[1:])
-        if tail_norm == 0.0:
-            continue
-        # Reflect x onto -sign(x0)*|x| e1; adding the norm into the leading
-        # component avoids cancellation.
-        alpha = -np.copysign(np.hypot(x[0], tail_norm), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        t[k + 1 :, :] -= 2.0 * np.outer(v, v @ t[k + 1 :, :])
-        t[:, k + 1 :] -= 2.0 * np.outer(t[:, k + 1 :] @ v, v)
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v)
-    d = np.diag(t).copy()
-    e = np.diag(t, -1).copy() if n > 1 else np.zeros(0)
-    return d, e, q
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, max_sweeps: int) -> None:
-    """Implicit-shift QL on a symmetric tridiagonal matrix, in place.
-
-    d holds the diagonal and becomes the eigenvalues; e[i] couples d[i] and
-    d[i+1]; the columns of z accumulate the rotations. Standard Wilkinson
-    shift; rotations are applied to full columns of z.
-    """
-    n = d.size
-    if n <= 1:
-        return
-    eps = np.finfo(float).eps
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    for l in range(n - 1):
-        sweeps = 0
-        while True:
-            # Find the first negligible coupling at or after l.
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise EigenConvergenceError(
-                    f"eigenvalue {l} not isolated after {max_sweeps} QL sweeps"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + np.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = np.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    # Rotation annihilated early; drop the shift and retry.
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m] = 0.0
-
-
-def _fix_signs(vectors: np.ndarray) -> None:
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            np.negative(col, out=col)
-
-
-def eigh_symmetric(a, *, sym_tol: float = SYMMETRY_TOL, max_sweeps: int = MAX_SWEEPS) -> EigenDecomposition:
+def eigh_symmetric(a, *, sym_tol: float = SYMMETRY_TOL) -> EigenDecomposition:
     """Full eigendecomposition of a dense symmetric matrix.
 
     Raises ValueError when the input is not square, not finite, or not
-    symmetric within sym_tol, and EigenConvergenceError when QL exceeds
-    the sweep cap (essentially unreachable for well-scaled input).
+    symmetric within sym_tol, and EigenConvergenceError when LAPACK does
+    not converge (essentially unreachable for well-scaled input).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -158,10 +56,11 @@ def eigh_symmetric(a, *, sym_tol: float = SYMMETRY_TOL, max_sweeps: int = MAX_SW
         if asym > sym_tol:
             raise ValueError(f"matrix is not symmetric: max|a - a^T| = {asym:g}")
     a = 0.5 * (a + a.T)
-    d, e, q = _tridiagonalize(a)
-    _ql_implicit(d, e, q, max_sweeps)
-    order = np.argsort(d, kind="stable")
-    values = d[order]
-    vectors = q[:, order]
-    _fix_signs(vectors)
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
+    # argmax returns the first index on ties, which is the sign rule's tie-break.
+    peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, peak < 0.0] *= -1.0
     return EigenDecomposition(values=values, vectors=vectors)

@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .ngram import NGramModel
+from .ngram import NGramModel, iter_corpus_lines
 
 # Characters that often stand alone as one-character words; bonds touching
 # them get weakened when building the ehr-style matrix.
@@ -296,7 +295,7 @@ def build_w_trainwords(s: str, model: NGramModel, stats: WordStats) -> Connectio
 def load_lexicon(path, **kwargs) -> Lexicon:
     """Read a "word<TAB>rank" file into a Lexicon."""
     entries: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(iter_corpus_lines(path), 1):
         if not line.strip():
             continue
         try:
@@ -310,7 +309,7 @@ def load_lexicon(path, **kwargs) -> Lexicon:
 def load_word_stats(path, **kwargs) -> WordStats:
     """Read a "word<TAB>count" file into WordStats."""
     words: dict[str, int] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(iter_corpus_lines(path), 1):
         if not line.strip():
             continue
         try:

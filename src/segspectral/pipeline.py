@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import ConnectionMatrix, EhrParams, Lexicon, WordStats, build_w_ehr, build_w_lexicon, build_w_trainwords
-from .eigen import EigenDecomposition, eigh_symmetric
+from .eigen import EigenConvergenceError, EigenDecomposition, eigh_symmetric
 from .kmeans import INIT_KMEANS_PP, kmeans_cluster
 from .spectral import LaplacianForm, build_laplacian, choose_k, spectral_embed
 
@@ -26,6 +26,10 @@ Recipe = EhrParams | Lexicon | WordStats
 # followed by one date/time/percent unit character.
 DIGIT_CHARS = frozenset("0123456789０１２３４５６７８９")
 UNIT_CHARS = frozenset("年月日时分秒%％")
+
+# What a line's data can raise anywhere in the pipeline. Callers that
+# isolate failures per line catch exactly these; anything else is a bug.
+DATA_ERRORS = (ValueError, EigenConvergenceError)
 
 _RECIPE_DEFAULTS = {
     EhrParams: (LaplacianForm.UNNORMALIZED, 0.15),
@@ -173,8 +177,9 @@ def segment_document(
     """Segment each line independently.
 
     Returns one word list per input line plus (line number, message) pairs
-    for lines that failed; a failed line is passed through unsegmented so
-    the output stays aligned with the input.
+    for lines that failed on their data (DATA_ERRORS); a failed line is
+    passed through unsegmented so the output stays aligned with the input.
+    Any other exception propagates.
     """
     results: list[list[str]] = []
     errors: list[tuple[int, str]] = []
@@ -184,7 +189,7 @@ def segment_document(
             continue
         try:
             results.append(segment_sentence(line, model, cfg))
-        except Exception as exc:  # noqa: BLE001 - per-line isolation is the contract
+        except DATA_ERRORS as exc:
             errors.append((lineno, str(exc)))
             results.append([line])
     return results, errors

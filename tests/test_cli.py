@@ -107,6 +107,28 @@ def test_segment_to_stdout_preserves_line_count(workdir, tmp_path, capsys):
     assert out[1] == ""  # empty input line stays empty
 
 
+def test_unicode_line_separators_stay_inside_lines(workdir, tmp_path):
+    # Only "\n" ends a line (a trailing "\r" is dropped); the other
+    # characters str.splitlines() breaks on are ordinary line content.
+    base = (workdir / "lines.txt").read_text(encoding="utf-8").split("\n")[:4]
+    lines = [
+        base[0][:3] + "\x1c" + base[0][3:],
+        base[1][:2] + "\u2028" + base[1][2:] + "\u2029",
+        "\x0b\x0c" + base[2] + "\x1d\x1e\x85",
+        base[3],
+    ]
+    src = tmp_path / "seps.txt"
+    src.write_bytes(("\n".join(lines[:3]) + "\n" + lines[3] + "\r\n").encode("utf-8"))
+    out = tmp_path / "out.txt"
+    rc = main(["segment", "--model", str(workdir / "model.bin"), "--input", str(src), "--output", str(out)])
+    assert rc == 0
+    seg_lines = out.read_text(encoding="utf-8").split("\n")
+    assert seg_lines[-1] == ""
+    assert len(seg_lines[:-1]) == len(lines)
+    for raw, seg in zip(lines, seg_lines):
+        assert seg.replace(" ", "") == raw
+
+
 def test_segment_missing_files(workdir, capsys):
     rc = main(["segment", "--model", str(workdir / "nope.bin"), "--input", str(workdir / "lines.txt")])
     assert rc == 2

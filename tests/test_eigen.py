@@ -100,6 +100,20 @@ def test_tiny_asymmetry_is_symmetrized():
     assert dec.values == pytest.approx([0.5, 1.5], abs=1e-12)
 
 
-def test_sweep_cap():
-    with pytest.raises(EigenConvergenceError, match="0 QL sweeps"):
-        eigh_symmetric([[0.0, 1.0], [1.0, 0.0]], max_sweeps=0)
+def test_lapack_failure_is_convergence_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenConvergenceError, match="did not converge"):
+        eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_sign_tie_makes_first_peak_positive(monkeypatch):
+    # Column 0 peaks at rows 0 and 2 with opposite signs, negative first;
+    # exact ties are forced by handing back a fixed basis.
+    s = 1 / math.sqrt(2)
+    basis = np.array([[-s, 0.0, s], [0.0, -1.0, 0.0], [s, 0.0, s]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(3.0), basis.copy()))
+    dec = eigh_symmetric(np.eye(3))
+    assert np.array_equal(dec.vectors, [[s, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, s]])

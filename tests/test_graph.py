@@ -224,6 +224,13 @@ def test_load_lexicon(tmp_path):
         load_lexicon(bad)
 
 
+def test_loaders_split_on_newline_only(tmp_path):
+    p = tmp_path / "lex.tsv"
+    p.write_text("天\u2028安\t5\r\n门\x1c\t6\n", encoding="utf-8", newline="")
+    assert load_lexicon(p).entries == {"天\u2028安": 5, "门\x1c": 6}
+    assert load_word_stats(p).words == {"天\u2028安": 5, "门\x1c": 6}
+
+
 def test_load_word_stats(tmp_path):
     p = tmp_path / "words.tsv"
     p.write_text("天安门\t7\n的\t9000\n", encoding="utf-8")

@@ -175,11 +175,20 @@ class TestSegmentDocument:
         assert segs[0] == [] and segs[2] == []
         assert "".join(segs[1]) == lines[0]
 
-    def test_failed_line_is_reported_and_passed_through(self, synth_model):
+    def test_failed_line_is_reported_and_passed_through(self, synth_model, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        cfg = SegmenterConfig.for_recipe(EhrParams())
+        segs, errors = segment_document(["天安", ""], synth_model, cfg)
+        assert segs == [["天安"], []]
+        assert len(errors) == 1
+        assert errors[0][0] == 1 and "did not converge" in errors[0][1]
+
+    def test_programming_error_propagates(self, synth_model):
         bad_cfg = SegmenterConfig(
             recipe=None, form=LaplacianForm.UNNORMALIZED, eig_cut=0.15
         )
-        segs, errors = segment_document(["天安", ""], synth_model, bad_cfg)
-        assert segs == [["天安"], []]
-        assert len(errors) == 1
-        assert errors[0][0] == 1 and "recipe" in errors[0][1]
+        with pytest.raises(TypeError, match="recipe"):
+            segment_document(["天安", ""], synth_model, bad_cfg)
