@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +29,7 @@ from .graph import (
 from .kmeans import INIT_EVEN_ROWS, INIT_KMEANS_PP
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import CorpusEncodingError, ingest_corpus, iter_corpus_lines
-from .pipeline import DATA_ERRORS, SegmenterConfig, prepare_sentence, segment_document, segment_prepared
+from .pipeline import SegmenterConfig, trace_document
 from .spectral import LaplacianForm
 
 DEFAULT_CONFIG = {
@@ -229,33 +228,18 @@ def cmd_segment(args) -> int:
     model = _load_model(args.model)
     lines = _read_lines(args.input)
 
-    if args.dump_eigen is None:
-        segs, errors = segment_document(lines, model, scfg)
-    else:
-        segs, errors = [], []
-        dumps = []
-        for lineno, line in enumerate(lines, 1):
-            if line == "":
-                segs.append([])
-                continue
-            try:
-                trace = segment_prepared(prepare_sentence(line, model, scfg), scfg)
-            except DATA_ERRORS as exc:
-                errors.append((lineno, str(exc)))
-                segs.append([line])
-                continue
-            segs.append(trace.words)
-            dumps.append(
-                {
-                    "line": lineno,
-                    "n": len(line),
-                    "k": trace.k,
-                    "eigenvalues": [float(v) for v in trace.eigenvalues],
-                }
-            )
-        _write_lines(
-            args.dump_eigen, (json.dumps(d, ensure_ascii=False) for d in dumps)
-        )
+    segs, errors, dumps = [], [], []
+    for lineno, words, traces, error in trace_document(lines, model, scfg):
+        segs.append(words[0])
+        if error is not None:
+            errors.append((lineno, error))
+        if args.dump_eigen is not None:
+            for trace in traces:
+                row = {"line": lineno, "n": len(trace.text), "k": trace.k}
+                row["eigenvalues"] = trace.eigenvalues.tolist()
+                dumps.append(json.dumps(row))
+    if args.dump_eigen is not None:
+        _write_lines(args.dump_eigen, dumps)
 
     _write_lines(args.output, (" ".join(words) for words in segs))
     for lineno, msg in errors:
@@ -298,38 +282,26 @@ def cmd_sweep(args) -> int:
                 f"gold has {len(gold)} lines but input has {len(lines)}"
             )
 
-    preps = {}
-    errors = []
-    for lineno, line in enumerate(lines, 1):
-        if line == "":
-            continue
-        try:
-            preps[lineno] = prepare_sentence(line, model, scfg)
-        except DATA_ERRORS as exc:
-            errors.append((lineno, str(exc)))
+    segs, ks, errors = [], [], []
+    for lineno, words, traces, error in trace_document(lines, model, scfg, cuts):
+        segs.append(words)
+        if traces:
+            ks.append([trace.k for trace in traces])
+        if error is not None:
+            errors.append((lineno, error))
 
     header = ["eig_cut", "mean_k", "mean_words"]
     if gold is not None:
         header.append("F")
     print("\t".join(header))
-    for cut in cuts:
-        cut_cfg = replace(scfg, eig_cut=cut)
-        segs = []
-        ks = []
-        for lineno, line in enumerate(lines, 1):
-            prep = preps.get(lineno)
-            if prep is None:
-                segs.append([] if line == "" else [line])
-                continue
-            trace = segment_prepared(prep, cut_cfg)
-            segs.append(trace.words)
-            ks.append(trace.k)
-        mean_k = sum(ks) / len(ks) if ks else 0.0
-        nwords = [len(s) for s in segs if s]
+    for i, cut in enumerate(cuts):
+        cut_segs = [words[i] for words in segs]
+        mean_k = sum(line_ks[i] for line_ks in ks) / len(ks) if ks else 0.0
+        nwords = [len(s) for s in cut_segs if s]
         mean_words = sum(nwords) / len(nwords) if nwords else 0.0
         row = [f"{cut:g}", f"{mean_k:.3f}", f"{mean_words:.3f}"]
         if gold is not None:
-            row.append(f"{score_corpus(gold, segs).f1:.4f}")
+            row.append(f"{score_corpus(gold, cut_segs).f1:.4f}")
         print("\t".join(row))
 
     for lineno, msg in errors:

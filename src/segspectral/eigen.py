@@ -37,12 +37,12 @@ class EigenDecomposition:
         return self.values.size
 
 
-def eigh_symmetric(a, *, sym_tol: float = SYMMETRY_TOL) -> EigenDecomposition:
+def eigh_symmetric(a) -> EigenDecomposition:
     """Full eigendecomposition of a dense symmetric matrix.
 
     Raises ValueError when the input is not square, not finite, or not
-    symmetric within sym_tol, and EigenConvergenceError when LAPACK does
-    not converge (essentially unreachable for well-scaled input).
+    symmetric within SYMMETRY_TOL, and EigenConvergenceError when LAPACK
+    does not converge (essentially unreachable for well-scaled input).
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -53,7 +53,7 @@ def eigh_symmetric(a, *, sym_tol: float = SYMMETRY_TOL) -> EigenDecomposition:
         raise ValueError("matrix entries must be finite")
     if a.shape[0] > 1:
         asym = np.max(np.abs(a - a.T))
-        if asym > sym_tol:
+        if asym > SYMMETRY_TOL:
             raise ValueError(f"matrix is not symmetric: max|a - a^T| = {asym:g}")
     a = 0.5 * (a + a.T)
     try:

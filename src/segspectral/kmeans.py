@@ -51,12 +51,11 @@ def kmeans_cluster(
     init: str = INIT_KMEANS_PP,
     seed: int = 0,
     jitter_sd: float = 0.001,
-    max_iter: int = _MAX_ITER,
 ) -> np.ndarray:
     """Cluster rows into k groups; returns an integer label per row.
 
     Accepts a plain array or anything with a `.u` row matrix (a spectral
-    embedding). Runs until labels stop changing or max_iter is hit. Empty
+    embedding). Runs until labels stop changing or _MAX_ITER is hit. Empty
     clusters are reseeded from the point farthest from its own center.
     """
     x = np.asarray(getattr(points, "u", points), dtype=float)
@@ -78,7 +77,7 @@ def kmeans_cluster(
         raise ValueError(f"unknown init {init!r}")
 
     prev = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         d2 = _pairwise_sq(x, centers)
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)

@@ -153,8 +153,10 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
 def iter_corpus_lines(path):
     """Yield decoded lines from a UTF-8 corpus file.
 
-    Raises CorpusEncodingError naming the absolute byte offset of the first
-    invalid byte.
+    Only a line feed ends a line. It is dropped together with at most one
+    carriage return right before it; any other carriage return is line
+    content. Raises CorpusEncodingError naming the absolute byte offset of
+    the first invalid byte.
     """
     offset = 0
     with open(path, "rb") as fh:
@@ -166,4 +168,6 @@ def iter_corpus_lines(path):
                     f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
                 ) from exc
             offset += len(raw)
-            yield text.rstrip("\r\n")
+            if text.endswith("\n"):
+                text = text[:-2] if text.endswith("\r\n") else text[:-1]
+            yield text

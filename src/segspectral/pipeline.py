@@ -171,25 +171,41 @@ def segment_sentence(s: str, model, cfg: SegmenterConfig) -> list[str]:
     return trace_sentence(s, model, cfg).words
 
 
+def trace_document(lines, model, cfg: SegmenterConfig, cuts=None):
+    """Yield (line number, words, traces, error) for each line, in order.
+
+    Each line is prepared once and segmented at every cut (cfg.eig_cut when
+    cuts is None), giving one word list and one SentenceTrace per cut. An
+    empty line gives [] per cut; a line that fails on its data (DATA_ERRORS)
+    is passed through as [line] per cut with its error message. Neither has
+    traces. Any other exception propagates.
+    """
+    cut_cfgs = [cfg] if cuts is None else [replace(cfg, eig_cut=cut) for cut in cuts]
+    for lineno, line in enumerate(lines, 1):
+        if line == "":
+            yield lineno, [[] for _ in cut_cfgs], [], None
+            continue
+        try:
+            prep = prepare_sentence(line, model, cfg)
+            traces = [segment_prepared(prep, cut_cfg) for cut_cfg in cut_cfgs]
+        except DATA_ERRORS as exc:
+            yield lineno, [[line] for _ in cut_cfgs], [], str(exc)
+            continue
+        yield lineno, [trace.words for trace in traces], traces, None
+
+
 def segment_document(
     lines, model, cfg: SegmenterConfig
 ) -> tuple[list[list[str]], list[tuple[int, str]]]:
     """Segment each line independently.
 
     Returns one word list per input line plus (line number, message) pairs
-    for lines that failed on their data (DATA_ERRORS); a failed line is
-    passed through unsegmented so the output stays aligned with the input.
-    Any other exception propagates.
+    for lines that failed on their data; see trace_document for how empty
+    and failed lines are passed through.
     """
-    results: list[list[str]] = []
-    errors: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, 1):
-        if line == "":
-            results.append([])
-            continue
-        try:
-            results.append(segment_sentence(line, model, cfg))
-        except DATA_ERRORS as exc:
-            errors.append((lineno, str(exc)))
-            results.append([line])
+    results, errors = [], []
+    for lineno, words, _, error in trace_document(lines, model, cfg):
+        results.append(words[0])
+        if error is not None:
+            errors.append((lineno, error))
     return results, errors

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .eigen import EigenDecomposition, eigh_symmetric
+from .eigen import EigenDecomposition
 from .graph import ConnectionMatrix
 
 # Eigenvalues within this distance of 0 count as the zero eigenspace.
@@ -203,8 +203,6 @@ __all__ = [
     "LaplacianForm",
     "CutKind",
     "SpectralEmbedding",
-    "EigenDecomposition",
-    "eigh_symmetric",
     "build_laplacian",
     "choose_k",
     "spectral_embed",

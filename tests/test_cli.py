@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from segspectral import load_model
+from segspectral import EhrParams, Lexicon, SegmenterConfig, WordStats, load_model
 from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
 
 
@@ -108,7 +109,7 @@ def test_segment_to_stdout_preserves_line_count(workdir, tmp_path, capsys):
 
 
 def test_unicode_line_separators_stay_inside_lines(workdir, tmp_path):
-    # Only "\n" ends a line (a trailing "\r" is dropped); the other
+    # Only "\n" ends a line (one "\r" right before it is dropped); the other
     # characters str.splitlines() breaks on are ordinary line content.
     base = (workdir / "lines.txt").read_text(encoding="utf-8").split("\n")[:4]
     lines = [
@@ -189,6 +190,61 @@ def test_dump_eigen(workdir, tmp_path):
         assert r["k"] >= 1
 
 
+def _fail_eigh_for_size(monkeypatch, n):
+    """Make every n x n eigendecomposition fail as a non-converging LAPACK
+    call would; other sizes solve normally."""
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        if a.shape[0] == n:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def _unique_length_index(lines) -> int:
+    """Index of the first line whose length no other line has."""
+    lengths = [len(line) for line in lines]
+    return next(i for i, n in enumerate(lengths) if lengths.count(n) == 1)
+
+
+def test_dump_eigen_skips_empty_and_failed_lines(workdir, tmp_path, monkeypatch, capsys):
+    corpus = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:8]
+    bad = _unique_length_index(corpus)
+    ok = [line for i, line in enumerate(corpus) if i != bad]
+    lines = [ok[0], "", corpus[bad], ok[1]]
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    dump = tmp_path / "eig.jsonl"
+    _fail_eigh_for_size(monkeypatch, len(corpus[bad]))
+    rc = main(
+        [
+            "segment",
+            "--model",
+            str(workdir / "model.bin"),
+            "--input",
+            str(src),
+            "--output",
+            str(out),
+            "--dump-eigen",
+            str(dump),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("line 3: ") and "did not converge" in err[0]
+    rows = [json.loads(line) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert [r["line"] for r in rows] == [1, 4]
+    for r in rows:
+        assert r["n"] == len(lines[r["line"] - 1]) == len(r["eigenvalues"])
+    seg = out.read_text(encoding="utf-8").split("\n")
+    assert seg[-1] == "" and len(seg) == len(lines) + 1
+    assert seg[1] == "" and seg[2] == corpus[bad]  # empty stays empty, failed passes through
+    assert [s.replace(" ", "") for s in seg[:-1]] == lines
+
+
 def test_eval_errors(workdir, tmp_path, capsys):
     gold = tmp_path / "g.txt"
     pred = tmp_path / "p.txt"
@@ -239,6 +295,56 @@ def test_sweep_bad_cuts(workdir, capsys):
     assert main(base + ["--cuts", ""]) == 2
 
 
+def test_sweep_reports_failed_line_and_prints_every_cut(workdir, tmp_path, monkeypatch, capsys):
+    lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:8]
+    gold = (workdir / "gold.txt").read_text(encoding="utf-8").splitlines()[:8]
+    bad = _unique_length_index(lines)
+    src = tmp_path / "in.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gold_path = tmp_path / "gold.txt"
+    gold_path.write_text("\n".join(gold) + "\n", encoding="utf-8")
+    _fail_eigh_for_size(monkeypatch, len(lines[bad]))
+    rc = main(
+        [
+            "sweep",
+            "--model",
+            str(workdir / "model.bin"),
+            "--input",
+            str(src),
+            "--gold",
+            str(gold_path),
+            "--cuts",
+            "0.1,1.5,8.0",
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    rows = [r.split("\t") for r in captured.out.strip().splitlines()]
+    assert [r[0] for r in rows] == ["eig_cut", "0.1", "1.5", "8"]
+    assert all(len(r) == 4 for r in rows)
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"line {bad + 1}: ") and "did not converge" in err[0]
+
+
+def test_sweep_f_matches_segment_then_eval(workdir, tmp_path, capsys):
+    model = str(workdir / "model.bin")
+    lines = str(workdir / "lines.txt")
+    gold = str(workdir / "gold.txt")
+    # Every line is right at 1.5 on this corpus (F = 1); at 0.15 F is well below 1.
+    cuts = ["0.15", "1.5"]
+    eval_f = []
+    for cut in cuts:
+        pred = tmp_path / f"pred_{cut}.txt"
+        rc = main(["segment", "--model", model, "--input", lines, "--output", str(pred), "--eig-cut", cut])
+        assert rc == 0
+        assert main(["eval", "--gold", gold, "--pred", str(pred)]) == 0
+        eval_f.append(re.search(r"F=(\S+)", capsys.readouterr().out).group(1))
+    assert main(["sweep", "--model", model, "--input", lines, "--gold", gold, "--cuts", ",".join(cuts)]) == 0
+    rows = [r.split("\t") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(r[0], r[3]) for r in rows] == list(zip(cuts, eval_f))
+
+
 def test_lexicon_recipe_flags(workdir, tmp_path, capsys):
     args = [
         "segment",
@@ -285,6 +391,37 @@ class TestConfig:
         assert cfg == DEFAULT_CONFIG
         cfg["seed"] = 99
         assert DEFAULT_CONFIG["seed"] == 0
+
+    def test_defaults_match_dataclasses(self):
+        # DEFAULT_CONFIG repeats the dataclass and per-recipe defaults;
+        # this keeps the copies from drifting apart.
+        ehr, lex, ws = EhrParams(), Lexicon(entries={}), WordStats(words={})
+        seg = SegmenterConfig.for_recipe(ehr)
+        expect = {
+            "factor_1": ehr.factor_1,
+            "factor_2": ehr.factor_2,
+            "weaken_set_1": ehr.weaken_set_1,
+            "weaken_set_2": ehr.weaken_set_2,
+            "boost": lex.boost,
+            "rank_threshold": lex.rank_threshold,
+            "rank_scale": lex.rank_scale,
+            "rank_floor": lex.rank_floor,
+            "single_char_set": lex.single_char_set,
+            "damp_divisor": ws.damp_divisor,
+            "eig_cut_ehr": seg.eig_cut,
+            "eig_cut_lexicon": SegmenterConfig.for_recipe(lex).eig_cut,
+            "eig_cut_train_words": SegmenterConfig.for_recipe(ws).eig_cut,
+            "jitter_sd": seg.jitter_sd,
+            "kmeans_init": seg.init,
+            "seed": seg.seed,
+            "postprocess": seg.postprocess,
+        }
+        assert sorted(DEFAULT_CONFIG) == sorted(expect)
+        for key, value in DEFAULT_CONFIG.items():
+            if isinstance(expect[key], frozenset):
+                value = frozenset(value)
+            assert value == expect[key], key
+        assert DEFAULT_CONFIG["boost"] == ws.boost
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.json"

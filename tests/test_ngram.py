@@ -95,6 +95,12 @@ def test_iter_corpus_lines(tmp_path):
     assert list(iter_corpus_lines(p)) == ["天安门", "广场", "最后"]
 
 
+def test_iter_corpus_lines_drops_one_cr_before_lf(tmp_path):
+    p = tmp_path / "corpus.txt"
+    p.write_bytes(b"ab\r\r\ncd\r\n\r\nef\r")
+    assert list(iter_corpus_lines(p)) == ["ab\r", "cd", "", "ef\r"]
+
+
 def test_iter_corpus_lines_reports_byte_offset(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes("天\n".encode("utf-8") + b"\xffrest\n")  # first line is 4 bytes

@@ -1,6 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from segspectral import (
     EhrParams,
@@ -12,6 +15,7 @@ from segspectral import (
     build_w_ehr,
     build_w_lexicon,
     ingest_corpus,
+    iter_corpus_lines,
     labels_to_words,
     postprocess_merge,
     prepare_sentence,
@@ -192,3 +196,25 @@ class TestSegmentDocument:
         )
         with pytest.raises(TypeError, match="recipe"):
             segment_document(["天安", ""], synth_model, bad_cfg)
+
+
+# Everything str.splitlines() breaks on except "\n", some whitespace, two
+# non-BMP characters, characters of the synthetic corpus, and any other
+# encodable character.
+_LINE_CHARS = st.one_of(
+    st.sampled_from("\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 \t\xa0\u3000\U00020000\U0001F600"),
+    st.characters(min_codepoint=0x4E00, max_codepoint=0x4E3F),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.text(alphabet=_LINE_CHARS, max_size=12), max_size=5))
+def test_lines_survive_reader_and_segmenter(synth_model, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lines.txt"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        assert list(iter_corpus_lines(path)) == lines
+    segs, _ = segment_document(lines, synth_model, SegmenterConfig.for_recipe(EhrParams()))
+    assert len(segs) == len(lines)
+    assert ["".join(words) for words in segs] == lines
