@@ -14,43 +14,39 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
 from .evaluation import SynthSpec, generate_synthetic, parse_segmented, score_corpus
-from .graph import (
-    SINGLE_CHAR_WORDS,
-    WEAKEN_SET_1,
-    WEAKEN_SET_2,
-    EhrParams,
-    load_lexicon,
-    load_word_stats,
-)
+from .graph import Lexicon, WordStats, load_lexicon, load_word_stats
 from .kmeans import INIT_EVEN_ROWS, INIT_KMEANS_PP
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import CorpusEncodingError, ingest_corpus, iter_corpus_lines
-from .pipeline import SegmenterConfig, trace_document
+from .pipeline import RECIPES, SegmenterConfig, trace_document
 from .spectral import LaplacianForm
 
+_RECIPE_BY_NAME = {name: cls for cls, (name, _, _) in RECIPES.items()}
+
+# The recipes that read a resource file: its command-line flag and loader.
+_RESOURCES = {Lexicon: ("--lexicon", load_lexicon), WordStats: ("--word-stats", load_word_stats)}
+
+
+def _cut_key(recipe_name: str) -> str:
+    return "eig_cut_" + recipe_name.replace("-", "_")
+
+
+# One key per defaulted field of the recipe classes and SegmenterConfig
+# (whose `init` is spelled `kmeans_init`; recipes that share a field name
+# share its key), plus each recipe's `eig_cut_<name>`. Set-valued fields
+# default to strings, so every default here is a str, bool, int or float.
 DEFAULT_CONFIG = {
-    "factor_1": 4.0,
-    "factor_2": 80.0,
-    "weaken_set_1": WEAKEN_SET_1,
-    "weaken_set_2": WEAKEN_SET_2,
-    "boost": 20.0,
-    "rank_threshold": 25000,
-    "rank_scale": 1e6,
-    "rank_floor": 20.0,
-    "single_char_set": SINGLE_CHAR_WORDS,
-    "damp_divisor": 250.0,
-    "eig_cut_ehr": 0.15,
-    "eig_cut_lexicon": 0.00035,
-    "eig_cut_train_words": 0.001,
-    "jitter_sd": 0.001,
-    "kmeans_init": INIT_KMEANS_PP,
-    "seed": 0,
-    "postprocess": True,
+    {"init": "kmeans_init"}.get(f.name, f.name): f.default
+    for cls in (*RECIPES, SegmenterConfig)
+    for f in fields(cls)
+    if f.default is not MISSING
 }
+DEFAULT_CONFIG.update({_cut_key(name): cut for name, _, cut in RECIPES.values()})
 
 _FORMS = {
     "unnorm": LaplacianForm.UNNORMALIZED,
@@ -142,55 +138,27 @@ def _load_model(path: str):
 
 
 def _build_recipe(args, cfg: dict):
-    if args.recipe == "ehr":
-        return EhrParams(
-            weaken_set_1=frozenset(cfg["weaken_set_1"]),
-            weaken_set_2=frozenset(cfg["weaken_set_2"]),
-            factor_1=cfg["factor_1"],
-            factor_2=cfg["factor_2"],
-        )
-    if args.recipe == "lexicon":
-        if args.lexicon is None:
-            raise UsageError("--recipe lexicon requires --lexicon PATH")
-        if not Path(args.lexicon).exists():
-            raise UsageError(f"lexicon file not found: {args.lexicon}")
-        try:
-            return load_lexicon(
-                args.lexicon,
-                rank_threshold=cfg["rank_threshold"],
-                single_char_set=frozenset(cfg["single_char_set"]),
-                boost=cfg["boost"],
-                rank_floor=cfg["rank_floor"],
-                rank_scale=cfg["rank_scale"],
-            )
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    if args.recipe == "train-words":
-        if args.word_stats is None:
-            raise UsageError("--recipe train-words requires --word-stats PATH")
-        if not Path(args.word_stats).exists():
-            raise UsageError(f"word-stats file not found: {args.word_stats}")
-        try:
-            return load_word_stats(
-                args.word_stats, boost=cfg["boost"], damp_divisor=cfg["damp_divisor"]
-            )
-        except ValueError as exc:
-            raise DataError(str(exc)) from None
-    raise UsageError(f"unknown recipe: {args.recipe}")
-
-
-_CONFIG_CUT_KEY = {
-    "ehr": "eig_cut_ehr",
-    "lexicon": "eig_cut_lexicon",
-    "train-words": "eig_cut_train_words",
-}
+    cls = _RECIPE_BY_NAME[args.recipe]
+    kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+    if cls not in _RESOURCES:
+        return cls(**kwargs)
+    flag, load = _RESOURCES[cls]
+    path = getattr(args, flag[2:].replace("-", "_"))
+    if path is None:
+        raise UsageError(f"--recipe {args.recipe} requires {flag} PATH")
+    if not Path(path).exists():
+        raise UsageError(f"{flag[2:]} file not found: {path}")
+    try:
+        return load(path, **kwargs)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
     recipe = _build_recipe(args, cfg)
     base = SegmenterConfig.for_recipe(recipe)
     form = _FORMS[args.form] if args.form else base.form
-    eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_CONFIG_CUT_KEY[args.recipe]]
+    eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
     if eig_cut <= 0.0:
         raise UsageError("eig_cut must be positive")
     seed = args.seed if args.seed is not None else cfg["seed"]
@@ -327,7 +295,7 @@ def cmd_synth(args) -> int:
 
 
 def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--recipe", choices=("ehr", "lexicon", "train-words"), default="ehr")
+    p.add_argument("--recipe", choices=tuple(_RECIPE_BY_NAME), default="ehr")
     p.add_argument("--lexicon", help="word<TAB>rank file (recipe: lexicon)")
     p.add_argument("--word-stats", help="word<TAB>count file (recipe: train-words)")
     p.add_argument("--eig-cut", type=float, help="granularity threshold override")

@@ -23,7 +23,7 @@ All builders are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -104,8 +104,8 @@ class ConnectionMatrix:
 class EhrParams:
     """Knobs for the dictionary-free recipe."""
 
-    weaken_set_1: frozenset = field(default_factory=lambda: frozenset(WEAKEN_SET_1))
-    weaken_set_2: frozenset = field(default_factory=lambda: frozenset(WEAKEN_SET_2))
+    weaken_set_1: frozenset = WEAKEN_SET_1
+    weaken_set_2: frozenset = WEAKEN_SET_2
     factor_1: float = 4.0
     factor_2: float = 80.0
 
@@ -122,7 +122,7 @@ class Lexicon:
 
     entries: dict[str, int]
     rank_threshold: int = 25000
-    single_char_set: frozenset = field(default_factory=lambda: frozenset(SINGLE_CHAR_WORDS))
+    single_char_set: frozenset = SINGLE_CHAR_WORDS
     boost: float = 20.0
     rank_floor: float = 20.0
     rank_scale: float = 1e6
@@ -179,7 +179,8 @@ class WordStats:
             raise ValueError("training words must be nonempty")
 
     @cached_property
-    def word_bigrams(self) -> frozenset:
+    def frequent_bigrams(self) -> frozenset:
+        """All two-character substrings of the training words."""
         out = set()
         for word in self.words:
             for i in range(len(word) - 1):
@@ -187,7 +188,8 @@ class WordStats:
         return frozenset(out)
 
     @cached_property
-    def single_char_words(self) -> frozenset:
+    def single_char_set(self) -> frozenset:
+        """The one-character training words; bonds touching them get damped."""
         return frozenset(w for w in self.words if len(w) == 1)
 
     def damp_divisor_for(self, ch: str) -> float:
@@ -242,79 +244,52 @@ def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> C
     return ConnectionMatrix(np.ones(n), off1, off2)
 
 
-def _boost_or_damp(s, off1, is_frequent, divisor_for, single_set, boost):
-    """Shared strengthen-else-weaken pass for the two vocabulary recipes.
+def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> ConnectionMatrix:
+    """Vocabulary-modified connection matrix; no one-gap band.
 
-    Boost and damping are mutually exclusive, boost first. Damping applies
-    once per qualifying character position, so a pair of two standalone
-    words is divided twice.
+    Adjacent bonds inside a frequent vocabulary bigram are boosted; the
+    others are damped once per character that is a single-character word,
+    so a pair of two standalone words is divided twice. Boost and damping
+    are mutually exclusive, boost first. Only the divisor rule differs
+    between a Lexicon and WordStats.
     """
-    for i in range(len(s) - 1):
+    _require_nonempty(s)
+    n = len(s)
+    off1 = _adjacent_bonds(s, model)
+    bigrams, singles = vocab.frequent_bigrams, vocab.single_char_set
+    for i in range(n - 1):
         pair = s[i : i + 2]
-        if is_frequent(pair):
-            off1[i] *= boost
+        if pair in bigrams:
+            off1[i] *= vocab.boost
             continue
         for ch in pair:
-            if ch in single_set:
-                off1[i] /= divisor_for(ch)
-    return off1
-
-
-def build_w_lexicon(s: str, model: NGramModel, lex: Lexicon) -> ConnectionMatrix:
-    """Dictionary-modified connection matrix; no one-gap band."""
-    _require_nonempty(s)
-    n = len(s)
-    off1 = _adjacent_bonds(s, model)
-    off1 = _boost_or_damp(
-        s,
-        off1,
-        lex.frequent_bigrams.__contains__,
-        lex.damp_divisor_for,
-        lex.single_char_set,
-        lex.boost,
-    )
+            if ch in singles:
+                off1[i] /= vocab.damp_divisor_for(ch)
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 
 
-def build_w_trainwords(s: str, model: NGramModel, stats: WordStats) -> ConnectionMatrix:
-    """Training-word-modified connection matrix; no one-gap band."""
-    _require_nonempty(s)
-    n = len(s)
-    off1 = _adjacent_bonds(s, model)
-    off1 = _boost_or_damp(
-        s,
-        off1,
-        stats.word_bigrams.__contains__,
-        stats.damp_divisor_for,
-        stats.single_char_words,
-        stats.boost,
-    )
-    return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
+build_w_lexicon = build_w_trainwords = build_w_vocab
+
+
+def _read_word_numbers(path, what: str) -> dict[str, int]:
+    """Read a "word<TAB>number" file, skipping blank lines."""
+    out: dict[str, int] = {}
+    for lineno, line in enumerate(iter_corpus_lines(path), 1):
+        if not line.strip():
+            continue
+        try:
+            word, number = line.split("\t")
+            out[word] = int(number)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>{what}', got {line!r}") from exc
+    return out
 
 
 def load_lexicon(path, **kwargs) -> Lexicon:
     """Read a "word<TAB>rank" file into a Lexicon."""
-    entries: dict[str, int] = {}
-    for lineno, line in enumerate(iter_corpus_lines(path), 1):
-        if not line.strip():
-            continue
-        try:
-            word, rank = line.split("\t")
-            entries[word] = int(rank)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>rank', got {line!r}") from exc
-    return Lexicon(entries=entries, **kwargs)
+    return Lexicon(entries=_read_word_numbers(path, "rank"), **kwargs)
 
 
 def load_word_stats(path, **kwargs) -> WordStats:
     """Read a "word<TAB>count" file into WordStats."""
-    words: dict[str, int] = {}
-    for lineno, line in enumerate(iter_corpus_lines(path), 1):
-        if not line.strip():
-            continue
-        try:
-            word, count = line.split("\t")
-            words[word] = int(count)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from exc
-    return WordStats(words=words, **kwargs)
+    return WordStats(words=_read_word_numbers(path, "count"), **kwargs)

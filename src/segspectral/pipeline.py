@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import ConnectionMatrix, EhrParams, Lexicon, WordStats, build_w_ehr, build_w_lexicon, build_w_trainwords
+from .graph import ConnectionMatrix, EhrParams, Lexicon, WordStats, build_w_ehr, build_w_vocab
 from .eigen import EigenConvergenceError, EigenDecomposition, eigh_symmetric
 from .kmeans import INIT_KMEANS_PP, kmeans_cluster
 from .spectral import LaplacianForm, build_laplacian, choose_k, spectral_embed
@@ -31,10 +31,13 @@ UNIT_CHARS = frozenset("年月日时分秒%％")
 # isolate failures per line catch exactly these; anything else is a bug.
 DATA_ERRORS = (ValueError, EigenConvergenceError)
 
-_RECIPE_DEFAULTS = {
-    EhrParams: (LaplacianForm.UNNORMALIZED, 0.15),
-    Lexicon: (LaplacianForm.SYMMETRIC_NORMALIZED, 0.00035),
-    WordStats: (LaplacianForm.SYMMETRIC_NORMALIZED, 0.001),
+# Each recipe class's command-line name, and the Laplacian form and
+# granularity threshold conventional for it. The recipe's own knobs are its
+# dataclass fields.
+RECIPES = {
+    EhrParams: ("ehr", LaplacianForm.UNNORMALIZED, 0.15),
+    Lexicon: ("lexicon", LaplacianForm.SYMMETRIC_NORMALIZED, 0.00035),
+    WordStats: ("train-words", LaplacianForm.SYMMETRIC_NORMALIZED, 0.001),
 }
 
 
@@ -56,7 +59,7 @@ class SegmenterConfig:
     def for_recipe(cls, recipe: Recipe, **overrides) -> "SegmenterConfig":
         """Config with the form and granularity threshold conventional for
         the recipe; pass overrides to depart from them."""
-        form, eig_cut = _RECIPE_DEFAULTS[type(recipe)]
+        _, form, eig_cut = RECIPES[type(recipe)]
         cfg = cls(recipe=recipe, form=form, eig_cut=eig_cut)
         return replace(cfg, **overrides) if overrides else cfg
 
@@ -64,10 +67,8 @@ class SegmenterConfig:
 def build_w(s: str, model, recipe: Recipe) -> ConnectionMatrix:
     if isinstance(recipe, EhrParams):
         return build_w_ehr(s, model, recipe)
-    if isinstance(recipe, Lexicon):
-        return build_w_lexicon(s, model, recipe)
-    if isinstance(recipe, WordStats):
-        return build_w_trainwords(s, model, recipe)
+    if isinstance(recipe, (Lexicon, WordStats)):
+        return build_w_vocab(s, model, recipe)
     raise TypeError(f"unknown recipe type {type(recipe).__name__}")
 
 

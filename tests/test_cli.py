@@ -1,11 +1,16 @@
 import json
+import operator
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from segspectral import EhrParams, Lexicon, SegmenterConfig, WordStats, load_model
-from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
+from segspectral.cli import _FORMS, DEFAULT_CONFIG, UsageError, load_config, main
+from segspectral.pipeline import RECIPES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -385,7 +390,121 @@ def test_trainwords_recipe_flags(workdir, tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("recipe, flag", [("lexicon", "--lexicon"), ("train-words", "--word-stats")])
+def test_recipe_resource_errors(workdir, tmp_path, capsys, recipe, flag):
+    args = [
+        "segment",
+        "--model",
+        str(workdir / "model.bin"),
+        "--input",
+        str(workdir / "lines.txt"),
+        "--output",
+        str(tmp_path / "o.txt"),
+        "--recipe",
+        recipe,
+    ]
+    assert main(args) == 2
+    assert flag in capsys.readouterr().err
+    assert main(args + [flag, str(tmp_path / "absent.tsv")]) == 2
+    assert "file not found" in capsys.readouterr().err
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("天安\t3\n门 4\n", encoding="utf-8")
+    assert main(args + [flag, str(bad)]) == 1
+    assert f"{bad}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["segment", "sweep", "eval", "train"])
+def test_invalid_utf8_input_is_a_data_error(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("天安\n门".encode("utf-8") + b"\xff" + "广\n".encode("utf-8"))
+    model = str(workdir / "model.bin")
+    argv = {
+        "segment": ["segment", "--model", model, "--input", str(bad)],
+        "sweep": ["sweep", "--model", model, "--input", str(bad), "--cuts", "1.5"],
+        "eval": ["eval", "--gold", str(bad), "--pred", str(bad)],
+        "train": ["train", "--input", str(bad), "--model", str(tmp_path / "m.bin")],
+    }[command]
+    assert main(argv) == 1
+    assert "invalid UTF-8 at byte offset 10" in capsys.readouterr().err
+
+
+def test_inner_whitespace_is_its_own_token_and_eval_drops_it(workdir, tmp_path, capsys):
+    # Put a space between the first two gold words of a line; at cut 1.5
+    # every line of this corpus is segmented right.
+    gold_words = (workdir / "gold.txt").read_text(encoding="utf-8").splitlines()[0].split(" ")
+    line = gold_words[0] + " " + "".join(gold_words[1:])
+    src = tmp_path / "in.txt"
+    src.write_text(line + "\n", encoding="utf-8")
+    gold = tmp_path / "gold.txt"
+    gold.write_text(" ".join(gold_words) + "\n", encoding="utf-8")
+    pred = tmp_path / "pred.txt"
+    model = str(workdir / "model.bin")
+    assert main(["segment", "--model", model, "--input", str(src), "--output", str(pred), "--eig-cut", "1.5"]) == 0
+    assert pred.read_text(encoding="utf-8") == " ".join([gold_words[0], " ", *gold_words[1:]]) + "\n"
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 0
+    n = len(gold_words)
+    assert capsys.readouterr().out.strip() == f"R=1.0000 P=1.0000 F=1.0000 gold={n} pred={n} correct={n}"
+
+
+def _readme_table(heading: str) -> list[list[str]]:
+    """Body rows of the first table under a README heading, as cell lists."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows[2:]]
+
+
+def test_readme_tables_match_code():
+    keys = {key for row in _readme_table("Configuration") for key in re.findall(r"`([^`]+)`", row[0])}
+    assert keys == set(DEFAULT_CONFIG)
+    recipes = [(name.strip("`"), _FORMS[form.strip("`")], float(cut)) for name, _, form, cut in _readme_table("Recipes")]
+    assert recipes == list(RECIPES.values())
+
+
+# Every config key, a non-default value for it, the recipes that read it,
+# and where it lands in the SegmenterConfig the CLI builds.
+_ALL_RECIPES = ("ehr", "lexicon", "train-words")
+_CONFIG_WIRING = {
+    "weaken_set_1": ("天地", ("ehr",), "recipe.weaken_set_1"),
+    "weaken_set_2": ("门广", ("ehr",), "recipe.weaken_set_2"),
+    "factor_1": (3.0, ("ehr",), "recipe.factor_1"),
+    "factor_2": (50.0, ("ehr",), "recipe.factor_2"),
+    "boost": (7.5, ("lexicon", "train-words"), "recipe.boost"),
+    "rank_threshold": (60, ("lexicon",), "recipe.rank_threshold"),
+    "rank_scale": (1e5, ("lexicon",), "recipe.rank_scale"),
+    "rank_floor": (3.0, ("lexicon",), "recipe.rank_floor"),
+    "single_char_set": ("的了", ("lexicon",), "recipe.single_char_set"),
+    "damp_divisor": (5.0, ("train-words",), "recipe.damp_divisor"),
+    "eig_cut_ehr": (0.5, ("ehr",), "eig_cut"),
+    "eig_cut_lexicon": (0.002, ("lexicon",), "eig_cut"),
+    "eig_cut_train_words": (0.003, ("train-words",), "eig_cut"),
+    "jitter_sd": (0.01, _ALL_RECIPES, "jitter_sd"),
+    "kmeans_init": ("even", _ALL_RECIPES, "init"),
+    "seed": (7, _ALL_RECIPES, "seed"),
+    "postprocess": (False, _ALL_RECIPES, "postprocess"),
+}
+
+
 class TestConfig:
+    def test_every_key_reaches_the_segmenter(self, workdir, tmp_path, monkeypatch):
+        assert set(_CONFIG_WIRING) == set(DEFAULT_CONFIG)
+        overrides = {key: value for key, (value, _, _) in _CONFIG_WIRING.items()}
+        assert all(value != DEFAULT_CONFIG[key] for key, value in overrides.items())
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(overrides), encoding="utf-8")
+        resource = tmp_path / "words.tsv"
+        resource.write_text("天安\t3\n的\t1\n", encoding="utf-8")
+        built = []
+        monkeypatch.setattr("segspectral.cli.trace_document", lambda lines, model, cfg: built.append(cfg) or iter(()))
+        flags = {"ehr": [], "lexicon": ["--lexicon", str(resource)], "train-words": ["--word-stats", str(resource)]}
+        for recipe in _ALL_RECIPES:
+            argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+            assert main(argv + ["--output", str(tmp_path / "o.txt"), "--config", str(config), "--recipe", recipe, *flags[recipe]]) == 0
+            cfg = built.pop()
+            for key, (value, readers, where) in _CONFIG_WIRING.items():
+                if recipe in readers:
+                    got = operator.attrgetter(where)(cfg)
+                    assert got == (frozenset(value) if isinstance(got, frozenset) else value), (recipe, key)
+
     def test_defaults_returned_as_copy(self):
         cfg = load_config(None)
         assert cfg == DEFAULT_CONFIG
