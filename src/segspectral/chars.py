@@ -4,6 +4,9 @@ Every Unicode scalar value is either Chinese (a CJK ideograph) or Other
 (letters, digits, punctuation, whitespace, anything else). Transition
 statistics are only kept for runs of Chinese characters; Other characters
 never carry probability mass and end up isolated in the sentence graph.
+
+The rule is applied once, when ngram.ingest_corpus counts a corpus: it
+stores only all-Chinese n-grams, and every later query trusts those keys.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ DEFAULT_CJK_RANGES: tuple[tuple[int, int], ...] = (
 )
 
 
-def is_chinese(ch: str, ranges: tuple[tuple[int, int], ...] = DEFAULT_CJK_RANGES) -> bool:
+def is_chinese(ch: str) -> bool:
     """True if the single character falls in a CJK ideograph range."""
     cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in ranges)
-
-
-def all_chinese(text: str) -> bool:
-    """True if every character of the string is a CJK ideograph."""
-    return all(is_chinese(ch) for ch in text)
+    return any(lo <= cp <= hi for lo, hi in DEFAULT_CJK_RANGES)

@@ -48,12 +48,6 @@ DEFAULT_CONFIG = {
 }
 DEFAULT_CONFIG.update({_cut_key(name): cut for name, _, cut in RECIPES.values()})
 
-_FORMS = {
-    "unnorm": LaplacianForm.UNNORMALIZED,
-    "sym": LaplacianForm.SYMMETRIC_NORMALIZED,
-}
-
-
 class UsageError(Exception):
     """Bad invocation, config, or missing file; exits with status 2."""
 
@@ -140,8 +134,15 @@ def _load_model(path: str):
 def _build_recipe(args, cfg: dict):
     cls = _RECIPE_BY_NAME[args.recipe]
     kwargs = {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+    # Check the config values on an empty vocabulary before any resource
+    # file is read: a value out of range is a usage error, a bad file line
+    # stays a data error.
+    try:
+        recipe = cls({}, **kwargs) if cls in _RESOURCES else cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cls not in _RESOURCES:
-        return cls(**kwargs)
+        return recipe
     flag, load = _RESOURCES[cls]
     path = getattr(args, flag[2:].replace("-", "_"))
     if path is None:
@@ -157,7 +158,7 @@ def _build_recipe(args, cfg: dict):
 def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
     recipe = _build_recipe(args, cfg)
     base = SegmenterConfig.for_recipe(recipe)
-    form = _FORMS[args.form] if args.form else base.form
+    form = LaplacianForm(args.form) if args.form else base.form
     eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
     if eig_cut <= 0.0:
         raise UsageError("eig_cut must be positive")
@@ -299,7 +300,8 @@ def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", help="word<TAB>rank file (recipe: lexicon)")
     p.add_argument("--word-stats", help="word<TAB>count file (recipe: train-words)")
     p.add_argument("--eig-cut", type=float, help="granularity threshold override")
-    p.add_argument("--form", choices=sorted(_FORMS), help="Laplacian form override")
+    forms = sorted(form.value for form in LaplacianForm)
+    p.add_argument("--form", choices=forms, help="Laplacian form override")
     p.add_argument("--config", help="JSON config file (else $SEGSPECTRAL_CONFIG)")
     p.add_argument("--seed", type=int, help="clustering seed override")
     p.add_argument("--no-postprocess", action="store_true", help="skip digit/unit merging")

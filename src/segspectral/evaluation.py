@@ -13,7 +13,6 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .chars import is_chinese
 from .graph import SINGLE_CHAR_WORDS, WEAKEN_SET_1, WEAKEN_SET_2
 
 
@@ -117,7 +116,7 @@ def _char_inventory(count: int) -> list[str]:
         if cp > 0x9FFF:
             raise ValueError("character inventory exhausted")
         ch = chr(cp)
-        if is_chinese(ch) and ch not in _EXCLUDED:
+        if ch not in _EXCLUDED:
             chars.append(ch)
         cp += 1
     return chars

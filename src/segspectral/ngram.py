@@ -6,7 +6,9 @@ characters). Counting conventions:
 - one input line is one record; n-grams never span line boundaries
 - an n-gram is stored only if every character in it is Chinese
   (see chars.is_chinese); n-grams touching letters, digits, punctuation
-  or whitespace are dropped at ingestion time
+  or whitespace are dropped at ingestion time. This is the only place
+  the rule is applied: queries trust the stored keys, so a non-Chinese
+  character finds count 0 and carries no probability mass
 - an absent key means count 0
 
 Conditional transition probabilities are maximum-likelihood ratios of
@@ -36,7 +38,12 @@ class ModelMeta:
 
 @dataclass
 class NGramModel:
-    """Unigram/bigram/trigram counts plus standardized log-count scales."""
+    """Unigram/bigram/trigram counts plus standardized log-count scales.
+
+    The counts hold only all-Chinese keys, as ingest_corpus writes them and
+    the model file round-trips them, so the query methods need no
+    character check of their own.
+    """
 
     uni: dict[str, int] = field(default_factory=dict)
     bi: dict[str, int] = field(default_factory=dict)
@@ -48,8 +55,6 @@ class NGramModel:
 
     def p_next_uni(self, a: str, b: str) -> float:
         """P(next char = b | current char = a)."""
-        if not (is_chinese(a) and is_chinese(b)):
-            return 0.0
         ca = self.uni.get(a, 0)
         if ca == 0:
             return 0.0
@@ -57,8 +62,6 @@ class NGramModel:
 
     def p_next_bi(self, a: str, b: str, c: str) -> float:
         """P(next char = c | previous char = a, current char = b)."""
-        if not (is_chinese(a) and is_chinese(b) and is_chinese(c)):
-            return 0.0
         cab = self.bi.get(a + b, 0)
         if cab == 0:
             return 0.0
@@ -66,8 +69,6 @@ class NGramModel:
 
     def p_prev_bi(self, a: str, b: str, c: str) -> float:
         """P(current char = a | next two chars = b, c)."""
-        if not (is_chinese(a) and is_chinese(b) and is_chinese(c)):
-            return 0.0
         cbc = self.bi.get(b + c, 0)
         if cbc == 0:
             return 0.0
@@ -75,8 +76,6 @@ class NGramModel:
 
     def p_next_two(self, a: str, b: str, c: str) -> float:
         """P(next two chars = b, c | current char = a)."""
-        if not (is_chinese(a) and is_chinese(b) and is_chinese(c)):
-            return 0.0
         ca = self.uni.get(a, 0)
         if ca == 0:
             return 0.0

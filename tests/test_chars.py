@@ -1,4 +1,4 @@
-from segspectral import all_chinese, is_chinese
+from segspectral import is_chinese
 
 
 def test_common_ideographs():
@@ -22,15 +22,3 @@ def test_other_scripts_and_symbols():
     for ch in "aZ3 ,。！・の한🙂％":
         assert not is_chinese(ch), ch
 
-
-def test_all_chinese():
-    assert all_chinese("天安门")
-    assert not all_chinese("天安门!")
-    assert not all_chinese("abc")
-    assert all_chinese("")  # vacuous
-
-
-def test_custom_ranges():
-    ranges = ((ord("a"), ord("z")),)
-    assert is_chinese("m", ranges)
-    assert not is_chinese("天", ranges)

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segspectral import EhrParams, Lexicon, SegmenterConfig, WordStats, load_model
-from segspectral.cli import _FORMS, DEFAULT_CONFIG, UsageError, load_config, main
+from segspectral import EhrParams, LaplacianForm, Lexicon, SegmenterConfig, WordStats, load_model
+from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from segspectral.pipeline import RECIPES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -413,6 +413,30 @@ def test_recipe_resource_errors(workdir, tmp_path, capsys, recipe, flag):
     assert f"{bad}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "recipe, flag, key, value, message",
+    [
+        ("ehr", None, "factor_1", 0.5, "weakening factors must be >= 1"),
+        ("lexicon", "--lexicon", "boost", 0, "boost must be positive"),
+        ("train-words", "--word-stats", "damp_divisor", 0, "boost and damp_divisor must be positive"),
+    ],
+    ids=["ehr", "lexicon", "train-words"],
+)
+def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, recipe, flag, key, value, message):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    resource = tmp_path / "words.tsv"
+    resource.write_text("天安\t3\n的\t1\n", encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--output", str(tmp_path / "o.txt"), "--recipe", recipe]
+    if flag is not None:
+        argv += [flag, str(resource)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["segment", "sweep", "eval", "train"])
 def test_invalid_utf8_input_is_a_data_error(workdir, tmp_path, capsys, command):
     bad = tmp_path / "bad.txt"
@@ -456,7 +480,7 @@ def _readme_table(heading: str) -> list[list[str]]:
 def test_readme_tables_match_code():
     keys = {key for row in _readme_table("Configuration") for key in re.findall(r"`([^`]+)`", row[0])}
     assert keys == set(DEFAULT_CONFIG)
-    recipes = [(name.strip("`"), _FORMS[form.strip("`")], float(cut)) for name, _, form, cut in _readme_table("Recipes")]
+    recipes = [(name.strip("`"), LaplacianForm(form.strip("`")), float(cut)) for name, _, form, cut in _readme_table("Recipes")]
     assert recipes == list(RECIPES.values())
 
 

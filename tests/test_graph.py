@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segspectral import (
     SINGLE_CHAR_WORDS,
@@ -15,9 +16,11 @@ from segspectral import (
     build_w_lexicon,
     build_w_trainwords,
     ingest_corpus,
+    is_chinese,
     load_lexicon,
     load_word_stats,
 )
+from segspectral.graph import build_w_vocab
 
 LN2 = math.log(2)
 
@@ -122,6 +125,42 @@ class TestEhrRecipe:
         assert (w.n, w.off1.size, w.off2.size) == (1, 0, 0)
         with pytest.raises(ValueError, match="empty"):
             build_w_ehr("", toy_model)
+
+
+# CJK (with weakened and single-character-word members), ASCII letters and
+# digits, punctuation, whitespace, and non-BMP characters: U+20000 is an
+# Extension B ideograph outside DEFAULT_CJK_RANGES, so it counts as Other.
+_MIXED = "天安门广场和的了" + "ab1Z9" + ",.!。、" + " \t\u3000" + "\U00020000\U0001F642"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.text(alphabet=_MIXED, min_size=1, max_size=12), min_size=1, max_size=6),
+    st.lists(st.tuples(*[st.sampled_from(_MIXED)] * 3), max_size=20),
+)
+def test_non_chinese_characters_never_bond(lines, queries):
+    # ingest_corpus is the only place the Chinese-character rule is applied;
+    # every bond and probability downstream must still respect it.
+    model = ingest_corpus(lines)
+    words = {line[i : i + n] for line in lines for n in (1, 2, 3) for i in range(len(line) - n + 1)}
+    lexicon = Lexicon(entries={w: rank for rank, w in enumerate(sorted(words), 1)})
+    stats = WordStats(words=dict.fromkeys(words, 300))
+    for s in lines:
+        ehr = build_w_ehr(s, model)
+        for w in (ehr, build_w_vocab(s, model, lexicon), build_w_vocab(s, model, stats)):
+            for i in range(len(s) - 1):
+                if not (is_chinese(s[i]) and is_chinese(s[i + 1])):
+                    assert w.off1[i] == 0.0, (s, i)
+        for i in range(len(s) - 2):
+            if not all(is_chinese(ch) for ch in s[i : i + 3]):
+                assert ehr.off2[i] == 0.0, (s, i)
+    for a, b, c in queries + [tuple(s[i : i + 3]) for s in lines for i in range(len(s) - 2)]:
+        if not is_chinese(a) or not is_chinese(b):
+            assert model.p_next_uni(a, b) == 0.0
+        if not all(map(is_chinese, (a, b, c))):
+            assert model.p_next_bi(a, b, c) == 0.0
+            assert model.p_prev_bi(a, b, c) == 0.0
+            assert model.p_next_two(a, b, c) == 0.0
 
 
 class TestLexiconRecipe:
