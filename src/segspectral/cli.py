@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .evaluation import SynthSpec, generate_synthetic, parse_segmented, score_corpus
 from .graph import Lexicon, WordStats, load_lexicon, load_word_stats
-from .kmeans import INIT_EVEN_ROWS, INIT_KMEANS_PP
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import CorpusEncodingError, ingest_corpus, iter_corpus_lines
 from .pipeline import RECIPES, SegmenterConfig, trace_document
@@ -37,11 +36,11 @@ def _cut_key(recipe_name: str) -> str:
 
 
 # One key per defaulted field of the recipe classes and SegmenterConfig
-# (whose `init` is spelled `kmeans_init`; recipes that share a field name
-# share its key), plus each recipe's `eig_cut_<name>`. Set-valued fields
-# default to strings, so every default here is a str, bool, int or float.
+# (recipes that share a field name share its key), plus each recipe's
+# `eig_cut_<name>`. Set-valued fields default to strings, so every default
+# here is a str, bool, int or float.
 DEFAULT_CONFIG = {
-    {"init": "kmeans_init"}.get(f.name, f.name): f.default
+    f.name: f.default
     for cls in (*RECIPES, SegmenterConfig)
     for f in fields(cls)
     if f.default is not MISSING
@@ -92,8 +91,6 @@ def load_config(path: str | None) -> dict:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     for key, value in raw.items():
         cfg[key] = _coerce(key, value, type(DEFAULT_CONFIG[key]))
-    if cfg["kmeans_init"] not in (INIT_KMEANS_PP, INIT_EVEN_ROWS):
-        raise UsageError(f"kmeans_init must be {INIT_KMEANS_PP!r} or {INIT_EVEN_ROWS!r}")
     return cfg
 
 
@@ -162,17 +159,8 @@ def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
     eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
     if eig_cut <= 0.0:
         raise UsageError("eig_cut must be positive")
-    seed = args.seed if args.seed is not None else cfg["seed"]
     postprocess = cfg["postprocess"] and not args.no_postprocess
-    return SegmenterConfig(
-        recipe=recipe,
-        form=form,
-        eig_cut=eig_cut,
-        init=cfg["kmeans_init"],
-        seed=seed,
-        jitter_sd=cfg["jitter_sd"],
-        postprocess=postprocess,
-    )
+    return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut, postprocess=postprocess)
 
 
 def cmd_train(args) -> int:
@@ -303,7 +291,6 @@ def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
     forms = sorted(form.value for form in LaplacianForm)
     p.add_argument("--form", choices=forms, help="Laplacian form override")
     p.add_argument("--config", help="JSON config file (else $SEGSPECTRAL_CONFIG)")
-    p.add_argument("--seed", type=int, help="clustering seed override")
     p.add_argument("--no-postprocess", action="store_true", help="skip digit/unit merging")
 
 

@@ -129,8 +129,9 @@ class Lexicon:
 
     def __post_init__(self):
         self.single_char_set = frozenset(self.single_char_set)
-        if self.boost <= 0.0:
-            raise ValueError("boost must be positive")
+        for name in ("boost", "rank_scale", "rank_floor"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         ranks = list(self.entries.values())
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive integers")

@@ -1,62 +1,33 @@
-"""Seeded, deterministic k-means for spectral embeddings.
+"""Exact contiguous k-means for spectral embeddings.
 
-Lloyd iteration with either careful distance-squared seeding or centers
-picked evenly from the rows. Embedding rows belonging to one graph
-component can be exactly identical, so a small Gaussian jitter is applied
-first to keep initial centers distinct; with a fixed seed the whole
-procedure is reproducible bit for bit.
+A word is a contiguous run of characters, so the rows of a sentence's
+embedding are clustered into k contiguous runs. Among all such splits,
+dynamic programming over prefix sums finds the one with the least total
+within-run squared error, the k-means objective restricted to runs
+(Fisher, "On grouping for maximum homogeneity", JASA 1958). The result
+uses no random numbers and depends only on the distances between rows, so
+it does not change when the rows are rotated, as an eigensolver may do
+inside a degenerate eigenspace.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-INIT_KMEANS_PP = "kmeans++"
-INIT_EVEN_ROWS = "even"
-
-_MAX_ITER = 100
-
-
-def _pairwise_sq(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+# Candidate splits whose error is this close to the minimum, relative to
+# the rows' total squared norm, are ties; rounding stays far below it.
+_TIE_RTOL = 1e-12
 
 
-def _init_plusplus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    for j in range(1, k):
-        d2 = _pairwise_sq(x, centers[:j]).min(axis=1)
-        total = d2.sum()
-        if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            # All points coincide with a chosen center; any pick works.
-            idx = rng.integers(n)
-        centers[j] = x[idx]
-    return centers
-
-
-def _init_even(x: np.ndarray, k: int) -> np.ndarray:
-    # floor of an arithmetic sequence with step >= 1: indices are distinct.
-    idx = np.floor(np.linspace(0, x.shape[0] - 1, k)).astype(int)
-    return x[idx].copy()
-
-
-def kmeans_cluster(
-    points,
-    k: int,
-    *,
-    init: str = INIT_KMEANS_PP,
-    seed: int = 0,
-    jitter_sd: float = 0.001,
-) -> np.ndarray:
-    """Cluster rows into k groups; returns an integer label per row.
+def kmeans_cluster(points, k: int) -> np.ndarray:
+    """Labels of the split of the rows into k contiguous runs with the
+    least total within-run squared error.
 
     Accepts a plain array or anything with a `.u` row matrix (a spectral
-    embedding). Runs until labels stop changing or _MAX_ITER is hit. Empty
-    clusters are reseeded from the point farthest from its own center.
+    embedding). Labels are non-decreasing, 0 to k-1. Ties go to the
+    earliest boundary: among splits whose errors are equal up to rounding,
+    the last boundary sits as early as it can, then the one before it, and
+    so on. Takes at most O(k·n²) time, and an O(n²) cost table.
     """
     x = np.asarray(getattr(points, "u", points), dtype=float)
     if x.ndim != 2:
@@ -65,37 +36,37 @@ def kmeans_cluster(
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
 
-    rng = np.random.default_rng(seed)
-    if jitter_sd > 0.0:
-        x = x + rng.normal(0.0, jitter_sd, x.shape)
+    # Centring keeps the prefix sums small, and so the cancellation below.
+    y = x - x.mean(axis=0)
+    sums = np.vstack([np.zeros(x.shape[1]), np.cumsum(y, axis=0)])
+    sq = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", y, y))])
+    gram = sums @ sums.T
+    norms = np.diag(gram)
+    # cost[i, j]: squared error of the run of rows i..j-1 about its mean.
+    size = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+    spread = norms[None, :] + norms[:, None] - 2.0 * gram
+    cost = sq[None, :] - sq[:, None] - spread / np.maximum(size, 1)
+    cost = np.where(size > 0, np.maximum(cost, 0.0), np.inf)
+    tol = _TIE_RTOL * float(np.einsum("ij,ij->", x, x))
 
-    if init == INIT_KMEANS_PP:
-        centers = _init_plusplus(x, k, rng)
-    elif init == INIT_EVEN_ROWS:
-        centers = _init_even(x, k)
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    # The first m + 1 runs hold a row each and leave one for each of the
+    # k - m - 1 runs after them, so they end (exclusive) at m + 1 .. m + w.
+    # best[t]: least error of rows 0 .. m + t in m + 1 runs; start[m, t]:
+    # where the last of those runs begins.
+    w = n - k + 1
+    best = cost[0, 1 : w + 1]
+    start = np.zeros((k, w), dtype=int)
+    cols = np.arange(w)
+    for m in range(1, k):
+        total = best[:, None] + cost[m : m + w, m + 1 : m + 1 + w]
+        pick = np.argmax(total <= total.min(axis=0) + tol, axis=0)
+        start[m] = m + pick
+        best = total[pick, cols]
 
-    prev = None
-    for _ in range(_MAX_ITER):
-        d2 = _pairwise_sq(x, centers)
-        labels = d2.argmin(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        repair = 0
-        while (counts == 0).any() and repair < k:
-            own = d2[np.arange(n), labels]
-            for j in np.flatnonzero(counts == 0):
-                far = int(own.argmax())
-                centers[j] = x[far]
-                own[far] = -1.0
-            d2 = _pairwise_sq(x, centers)
-            labels = d2.argmin(axis=1)
-            counts = np.bincount(labels, minlength=k)
-            repair += 1
-        if prev is not None and np.array_equal(labels, prev):
-            break
-        prev = labels
-        for j in range(k):
-            if counts[j] > 0:  # repair can stall on duplicate points
-                centers[j] = x[labels == j].mean(axis=0)
+    labels = np.zeros(n, dtype=int)
+    end = n
+    for m in range(k - 1, 0, -1):
+        begin = start[m, end - m - 1]
+        labels[begin:end] = m
+        end = begin
     return labels

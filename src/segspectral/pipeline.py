@@ -3,10 +3,9 @@
 One input line is one sentence. The pipeline builds the recipe's
 connection matrix, takes the Laplacian's eigendecomposition, picks the
 cluster count as the number of eigenvalues under the granularity
-threshold, clusters the embedded rows, and splits the sentence wherever
-adjacent characters land in different clusters. A cluster that comes back
-in non-adjacent runs yields one word per run, so output words are always
-contiguous and concatenate back to the exact input.
+threshold, clusters the embedded rows into that many contiguous runs, and
+splits the sentence between runs, so it yields k words that concatenate
+back to the exact input.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .graph import ConnectionMatrix, EhrParams, Lexicon, WordStats, build_w_ehr, build_w_vocab
 from .eigen import EigenConvergenceError, EigenDecomposition, eigh_symmetric
-from .kmeans import INIT_KMEANS_PP, kmeans_cluster
+from .kmeans import kmeans_cluster
 from .spectral import LaplacianForm, build_laplacian, choose_k, spectral_embed
 
 Recipe = EhrParams | Lexicon | WordStats
@@ -46,9 +45,6 @@ class SegmenterConfig:
     recipe: Recipe
     form: LaplacianForm
     eig_cut: float
-    init: str = INIT_KMEANS_PP
-    seed: int = 0
-    jitter_sd: float = 0.001
     postprocess: bool = True
 
     def __post_init__(self):
@@ -146,9 +142,7 @@ def prepare_sentence(s: str, model, cfg: SegmenterConfig) -> PreparedSentence:
 def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTrace:
     k = choose_k(prep.dec.values, cfg.eig_cut)
     embedding = spectral_embed(prep.dec, k, cfg.form)
-    labels = kmeans_cluster(
-        embedding, k, init=cfg.init, seed=cfg.seed, jitter_sd=cfg.jitter_sd
-    )
+    labels = kmeans_cluster(embedding, k)
     words = labels_to_words(prep.text, labels)
     if cfg.postprocess:
         words = postprocess_merge(words)

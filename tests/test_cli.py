@@ -419,8 +419,10 @@ def test_recipe_resource_errors(workdir, tmp_path, capsys, recipe, flag):
         ("ehr", None, "factor_1", 0.5, "weakening factors must be >= 1"),
         ("lexicon", "--lexicon", "boost", 0, "boost must be positive"),
         ("train-words", "--word-stats", "damp_divisor", 0, "boost and damp_divisor must be positive"),
+        ("lexicon", "--lexicon", "rank_scale", 0, "rank_scale must be positive"),
+        ("lexicon", "--lexicon", "rank_floor", 0, "rank_floor must be positive"),
     ],
-    ids=["ehr", "lexicon", "train-words"],
+    ids=["ehr", "lexicon", "train-words", "lexicon-rank_scale", "lexicon-rank_floor"],
 )
 def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, recipe, flag, key, value, message):
     config = tmp_path / "c.json"
@@ -501,9 +503,6 @@ _CONFIG_WIRING = {
     "eig_cut_ehr": (0.5, ("ehr",), "eig_cut"),
     "eig_cut_lexicon": (0.002, ("lexicon",), "eig_cut"),
     "eig_cut_train_words": (0.003, ("train-words",), "eig_cut"),
-    "jitter_sd": (0.01, _ALL_RECIPES, "jitter_sd"),
-    "kmeans_init": ("even", _ALL_RECIPES, "init"),
-    "seed": (7, _ALL_RECIPES, "seed"),
     "postprocess": (False, _ALL_RECIPES, "postprocess"),
 }
 
@@ -532,8 +531,8 @@ class TestConfig:
     def test_defaults_returned_as_copy(self):
         cfg = load_config(None)
         assert cfg == DEFAULT_CONFIG
-        cfg["seed"] = 99
-        assert DEFAULT_CONFIG["seed"] == 0
+        cfg["rank_threshold"] = 99
+        assert DEFAULT_CONFIG["rank_threshold"] == 25000
 
     def test_defaults_match_dataclasses(self):
         # DEFAULT_CONFIG repeats the dataclass and per-recipe defaults;
@@ -554,9 +553,6 @@ class TestConfig:
             "eig_cut_ehr": seg.eig_cut,
             "eig_cut_lexicon": SegmenterConfig.for_recipe(lex).eig_cut,
             "eig_cut_train_words": SegmenterConfig.for_recipe(ws).eig_cut,
-            "jitter_sd": seg.jitter_sd,
-            "kmeans_init": seg.init,
-            "seed": seg.seed,
             "postprocess": seg.postprocess,
         }
         assert sorted(DEFAULT_CONFIG) == sorted(expect)
@@ -574,8 +570,8 @@ class TestConfig:
 
     def test_wrong_type_rejected(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"seed": "zero"}), encoding="utf-8")
-        with pytest.raises(UsageError, match="seed"):
+        p.write_text(json.dumps({"rank_threshold": "zero"}), encoding="utf-8")
+        with pytest.raises(UsageError, match="rank_threshold"):
             load_config(str(p))
         p.write_text(json.dumps({"postprocess": 1}), encoding="utf-8")
         with pytest.raises(UsageError, match="postprocess"):
@@ -599,12 +595,6 @@ class TestConfig:
             load_config(str(tmp_path / "absent.json"))
         p.write_text("[1, 2]", encoding="utf-8")
         with pytest.raises(UsageError, match="JSON object"):
-            load_config(str(p))
-
-    def test_bad_kmeans_init_rejected(self, tmp_path):
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps({"kmeans_init": "bogus"}), encoding="utf-8")
-        with pytest.raises(UsageError, match="kmeans_init"):
             load_config(str(p))
 
     def test_unknown_key_exits_2_via_cli(self, workdir, tmp_path, capsys):

@@ -22,6 +22,7 @@ from segspectral import (
     segment_document,
     segment_prepared,
     segment_sentence,
+    trace_document,
     trace_sentence,
 )
 
@@ -83,11 +84,11 @@ class TestSegmenterConfig:
         assert (lex.form, lex.eig_cut) == (LaplacianForm.SYMMETRIC_NORMALIZED, 0.00035)
         tw = SegmenterConfig.for_recipe(WordStats(words={}))
         assert (tw.form, tw.eig_cut) == (LaplacianForm.SYMMETRIC_NORMALIZED, 0.001)
-        assert ehr.seed == 0 and ehr.postprocess
+        assert ehr.postprocess
 
     def test_overrides(self):
-        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5, seed=9)
-        assert cfg.eig_cut == 1.5 and cfg.seed == 9
+        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5, postprocess=False)
+        assert cfg.eig_cut == 1.5 and not cfg.postprocess
         assert cfg.form is LaplacianForm.UNNORMALIZED
 
     def test_rejects_nonpositive_cut(self):
@@ -168,6 +169,17 @@ class TestSegmentSentence:
         assert segment_sentence("12年", synth_model, cfg) == ["12年"]
         raw = SegmenterConfig.for_recipe(EhrParams(), postprocess=False)
         assert segment_sentence("12年", synth_model, raw) == ["1", "2", "年"]
+
+    def test_k_words_per_line(self, synth_corpus, synth_model):
+        # Clusters are contiguous runs, so before digit/unit merging a line
+        # has exactly as many words as the eigenvalue count chose.
+        lines, _ = synth_corpus
+        cfg = SegmenterConfig.for_recipe(EhrParams(), postprocess=False)
+        cuts = (0.1, 0.5, 1.5)
+        for _, words, traces, error in trace_document(lines, synth_model, cfg, cuts):
+            assert error is None and len(traces) == len(cuts)
+            for cut_words, trace in zip(words, traces):
+                assert len(cut_words) == trace.k
 
 
 class TestSegmentDocument:
