@@ -239,11 +239,13 @@ def cmd_sweep(args) -> int:
                 f"gold has {len(gold)} lines but input has {len(lines)}"
             )
 
-    segs, ks, errors = [], [], []
+    # counts[line][cut] = (k, words) for the lines that segmented; empty and
+    # failed lines have no traces and stay out of both means.
+    segs, counts, errors = [], [], []
     for lineno, words, traces, error in trace_document(lines, model, scfg, cuts):
         segs.append(words)
         if traces:
-            ks.append([trace.k for trace in traces])
+            counts.append([(trace.k, len(trace.words)) for trace in traces])
         if error is not None:
             errors.append((lineno, error))
 
@@ -253,9 +255,9 @@ def cmd_sweep(args) -> int:
     print("\t".join(header))
     for i, cut in enumerate(cuts):
         cut_segs = [words[i] for words in segs]
-        mean_k = sum(line_ks[i] for line_ks in ks) / len(ks) if ks else 0.0
-        nwords = [len(s) for s in cut_segs if s]
-        mean_words = sum(nwords) / len(nwords) if nwords else 0.0
+        n = len(counts) or 1
+        mean_k = sum(line[i][0] for line in counts) / n
+        mean_words = sum(line[i][1] for line in counts) / n
         row = [f"{cut:g}", f"{mean_k:.3f}", f"{mean_words:.3f}"]
         if gold is not None:
             row.append(f"{score_corpus(gold, cut_segs).f1:.4f}")

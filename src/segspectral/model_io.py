@@ -1,26 +1,28 @@
-"""Binary container for trained n-gram models.
+"""File container for trained n-gram models.
 
-Layout (all integers little-endian):
+Layout:
 
-    magic    4 bytes  b"SGSP"
-    version  u16      currently 1
-    payload  five length-prefixed sections, in order:
-                 uni, bi, tri, sds, meta
-             section := u32 body length, then the body
-             count section body := u32 entry count, then per entry
-                 (sorted by key): u16 key byte length, UTF-8 key, u64 count
-             sds body  := f64 log_sd_bi, f64 log_sd_tri, u64 total_uni
-             meta body := u16 source byte length, UTF-8 source, u64 line count
-    crc      u32      CRC-32 of the payload bytes (prefixes included)
+    header   struct "<4sHQ": magic b"SGSP", version (currently 2), payload
+             byte length, all little-endian
+    payload  a UTF-8 JSON object with exactly the keys
+                 uni, bi, tri             n-gram -> count (int >= 0)
+                 log_sd_bi, log_sd_tri    float > 0, finite
+                 total_uni, line_count    int >= 0
+                 source                   str
+    crc      u32      CRC-32 of the payload bytes
 
-Sorting the keys makes the encoding canonical: equal models produce
-identical files. Failure modes are kept distinct so callers can tell a
-stale format from a damaged file: ModelVersionError, ModelTruncatedError,
-ModelChecksumError, with ModelFormatError for everything else.
+The payload is written with sorted keys, compact separators and raw UTF-8
+(no \\u escapes), so equal models produce identical files. Failure modes
+are kept distinct so callers can tell a stale format from a damaged file:
+ModelVersionError, ModelTruncatedError, ModelChecksumError, with
+ModelFormatError for everything else, including a CRC-valid payload that
+is not the object above.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -28,7 +30,14 @@ from pathlib import Path
 from .ngram import ModelMeta, NGramModel
 
 MAGIC = b"SGSP"
-VERSION = 1
+VERSION = 2
+
+_HEADER = struct.Struct("<4sHQ")
+_CRC = struct.Struct("<I")
+_COUNT_MAPS = ("uni", "bi", "tri")
+_KEYS = frozenset(
+    _COUNT_MAPS + ("log_sd_bi", "log_sd_tri", "total_uni", "line_count", "source")
+)
 
 
 class ModelIOError(Exception):
@@ -51,29 +60,20 @@ class ModelChecksumError(ModelIOError):
     pass
 
 
-def _encode_counts(counts: dict[str, int]) -> bytes:
-    parts = [struct.pack("<I", len(counts))]
-    for key in sorted(counts):
-        kb = key.encode("utf-8")
-        parts.append(struct.pack("<H", len(kb)))
-        parts.append(kb)
-        parts.append(struct.pack("<Q", counts[key]))
-    return b"".join(parts)
-
-
 def _encode_model(model: NGramModel) -> bytes:
-    sections = [
-        _encode_counts(model.uni),
-        _encode_counts(model.bi),
-        _encode_counts(model.tri),
-        struct.pack("<ddQ", model.log_sd_bi, model.log_sd_tri, model.total_uni),
-    ]
-    src = model.meta.source.encode("utf-8")
-    sections.append(
-        struct.pack("<H", len(src)) + src + struct.pack("<Q", model.meta.line_count)
-    )
-    payload = b"".join(struct.pack("<I", len(body)) + body for body in sections)
-    return MAGIC + struct.pack("<H", VERSION) + payload + struct.pack("<I", zlib.crc32(payload))
+    obj = {
+        "uni": model.uni,
+        "bi": model.bi,
+        "tri": model.tri,
+        "log_sd_bi": float(model.log_sd_bi),
+        "log_sd_tri": float(model.log_sd_tri),
+        "total_uni": model.total_uni,
+        "line_count": model.meta.line_count,
+        "source": model.meta.source,
+    }
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    payload = text.encode("utf-8")
+    return _HEADER.pack(MAGIC, VERSION, len(payload)) + payload + _CRC.pack(zlib.crc32(payload))
 
 
 def save_model(model: NGramModel, sink) -> None:
@@ -85,46 +85,38 @@ def save_model(model: NGramModel, sink) -> None:
         Path(sink).write_bytes(data)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ModelTruncatedError(
-                f"need {n} bytes at offset {self.pos}, file has {len(self.data)}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+def _is_count(value) -> bool:
+    # JSON gives only int, float, str, bool, None, list and dict; bool is an
+    # int subclass, so compare the type exactly.
+    return type(value) is int and value >= 0
 
 
-def _decode_counts(body: bytes) -> dict[str, int]:
-    r = _Reader(body)
+def _decode_payload(payload: bytes) -> dict:
+    """Parse and check the JSON object; any violation is a ModelFormatError."""
     try:
-        n = r.u32()
-        out: dict[str, int] = {}
-        for _ in range(n):
-            klen = r.u16()
-            key = r.take(klen).decode("utf-8")
-            out[key] = r.u64()
-    except ModelTruncatedError as exc:
-        raise ModelFormatError(f"count section inconsistent: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"count section key not UTF-8: {exc}") from exc
-    if r.pos != len(body):
-        raise ModelFormatError("count section has trailing bytes")
-    return out
+        obj = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ModelFormatError(f"payload is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"payload is a JSON {type(obj).__name__}, expected an object")
+    if obj.keys() != _KEYS:
+        missing = ", ".join(sorted(_KEYS - obj.keys())) or "none"
+        extra = ", ".join(sorted(obj.keys() - _KEYS)) or "none"
+        raise ModelFormatError(f"payload keys: missing {missing}; unexpected {extra}")
+    for key in _COUNT_MAPS:
+        counts = obj[key]
+        if not isinstance(counts, dict) or not all(map(_is_count, counts.values())):
+            raise ModelFormatError(f"{key} must map n-grams to non-negative integers")
+    for key in ("log_sd_bi", "log_sd_tri"):
+        # queries divide by the sd, and _log_sd never writes one <= 0
+        if type(obj[key]) is not float or not 0.0 < obj[key] < math.inf:
+            raise ModelFormatError(f"{key} must be a positive finite float, got {obj[key]!r}")
+    for key in ("total_uni", "line_count"):
+        if not _is_count(obj[key]):
+            raise ModelFormatError(f"{key} must be a non-negative integer, got {obj[key]!r}")
+    if not isinstance(obj["source"], str):
+        raise ModelFormatError(f"source must be a string, got {obj['source']!r}")
+    return obj
 
 
 def load_model(source) -> NGramModel:
@@ -137,53 +129,36 @@ def load_model(source) -> NGramModel:
         data = source.read()
     else:
         data = Path(source).read_bytes()
-    r = _Reader(data)
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise ModelFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = r.u16()
+    # A file that does not start like a model is not one, however short.
+    if not MAGIC.startswith(data[:4]):
+        raise ModelFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+    if len(data) < _HEADER.size:
+        raise ModelTruncatedError(f"need {_HEADER.size} header bytes, file has {len(data)}")
+    _, version, length = _HEADER.unpack_from(data)
     if version != VERSION:
         raise ModelVersionError(f"unsupported model version {version}, expected {VERSION}")
-    payload_start = r.pos
-    bodies = []
-    for _ in range(5):
-        length = r.u32()
-        bodies.append(r.take(length))
-    payload = data[payload_start : r.pos]
-    stored_crc = r.u32()
-    if r.pos != len(data):
-        raise ModelFormatError(f"{len(data) - r.pos} trailing bytes after checksum")
+    end = _HEADER.size + length
+    if len(data) < end + _CRC.size:
+        raise ModelTruncatedError(
+            f"need {end + _CRC.size} bytes for a {length}-byte payload, file has {len(data)}"
+        )
+    if len(data) > end + _CRC.size:
+        raise ModelFormatError(f"{len(data) - end - _CRC.size} trailing bytes after checksum")
+    payload = data[_HEADER.size : end]
+    (stored_crc,) = _CRC.unpack_from(data, end)
     actual_crc = zlib.crc32(payload)
     if stored_crc != actual_crc:
         raise ModelChecksumError(
             f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}"
         )
 
-    uni = _decode_counts(bodies[0])
-    bi = _decode_counts(bodies[1])
-    tri = _decode_counts(bodies[2])
-    if len(bodies[3]) != struct.calcsize("<ddQ"):
-        raise ModelFormatError("sds section has wrong size")
-    log_sd_bi, log_sd_tri, total_uni = struct.unpack("<ddQ", bodies[3])
-
-    mr = _Reader(bodies[4])
-    try:
-        slen = mr.u16()
-        source_name = mr.take(slen).decode("utf-8")
-        line_count = mr.u64()
-    except ModelTruncatedError as exc:
-        raise ModelFormatError(f"meta section inconsistent: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"meta source not UTF-8: {exc}") from exc
-    if mr.pos != len(bodies[4]):
-        raise ModelFormatError("meta section has trailing bytes")
-
+    obj = _decode_payload(payload)
     return NGramModel(
-        uni=uni,
-        bi=bi,
-        tri=tri,
-        total_uni=total_uni,
-        log_sd_bi=log_sd_bi,
-        log_sd_tri=log_sd_tri,
-        meta=ModelMeta(source=source_name, line_count=line_count),
+        uni=obj["uni"],
+        bi=obj["bi"],
+        tri=obj["tri"],
+        total_uni=obj["total_uni"],
+        log_sd_bi=obj["log_sd_bi"],
+        log_sd_tri=obj["log_sd_tri"],
+        meta=ModelMeta(source=obj["source"], line_count=obj["line_count"]),
     )

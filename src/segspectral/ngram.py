@@ -4,12 +4,15 @@ Counts are plain dictionaries keyed by the n-gram string (1, 2, or 3
 characters). Counting conventions:
 
 - one input line is one record; n-grams never span line boundaries
-- an n-gram is stored only if every character in it is Chinese
-  (see chars.is_chinese); n-grams touching letters, digits, punctuation
-  or whitespace are dropped at ingestion time. This is the only place
-  the rule is applied: queries trust the stored keys, so a non-Chinese
-  character finds count 0 and carries no probability mass
+- an n-gram is stored only if every character in it is Chinese: ingestion
+  counts the 1-, 2- and 3-grams inside each maximal Chinese run of a line
+  (chars.CHINESE_RUN), so n-grams touching letters, digits, punctuation
+  or whitespace are never counted. This is the only place the rule is
+  applied: queries trust the stored keys, so a non-Chinese character
+  finds count 0 and carries no probability mass
 - an absent key means count 0
+- each count dict keeps the order in which its keys first occur in the
+  corpus, which fixes the summation order of the log-count sds
 
 Conditional transition probabilities are maximum-likelihood ratios of
 these counts, with no smoothing: an unseen bigram genuinely carries zero
@@ -21,9 +24,12 @@ the distinct stored keys of the same order.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
+from pathlib import Path
 
-from .chars import is_chinese
+from .chars import CHINESE_RUN
 
 
 class CorpusEncodingError(ValueError):
@@ -116,32 +122,26 @@ def _log_sd(counts: dict[str, int]) -> float:
 def ingest_corpus(lines, source: str = "") -> NGramModel:
     """Tally character n-gram counts from an iterable of text lines.
 
-    Only n-grams made entirely of Chinese characters are stored. Returns a
-    model that should be treated as immutable; all query methods are pure.
+    Only n-grams made entirely of Chinese characters are stored: each
+    maximal Chinese run of a line is counted on its own. Returns a model
+    that should be treated as immutable; all query methods are pure.
     """
-    uni: dict[str, int] = {}
-    bi: dict[str, int] = {}
-    tri: dict[str, int] = {}
+    uni: Counter[str] = Counter()
+    bi: Counter[str] = Counter()
+    tri: Counter[str] = Counter()
     line_count = 0
     for line in lines:
         line_count += 1
-        n = len(line)
-        # Precompute the class of each character once per line.
-        cn = [is_chinese(ch) for ch in line]
-        for i in range(n):
-            if not cn[i]:
-                continue
-            uni[line[i]] = uni.get(line[i], 0) + 1
-            if i + 1 < n and cn[i + 1]:
-                key = line[i : i + 2]
-                bi[key] = bi.get(key, 0) + 1
-                if i + 2 < n and cn[i + 2]:
-                    key3 = line[i : i + 3]
-                    tri[key3] = tri.get(key3, 0) + 1
+        for run in CHINESE_RUN.findall(line):
+            # pairs[i] is run[i : i + 2], so pairs[i] + run[i + 2] is run[i : i + 3]
+            pairs = list(map(add, run, run[1:]))
+            uni.update(run)
+            bi.update(pairs)
+            tri.update(map(add, pairs, run[2:]))
     return NGramModel(
-        uni=uni,
-        bi=bi,
-        tri=tri,
+        uni=dict(uni),
+        bi=dict(bi),
+        tri=dict(tri),
         total_uni=sum(uni.values()),
         log_sd_bi=_log_sd(bi),
         log_sd_tri=_log_sd(tri),
@@ -157,16 +157,17 @@ def iter_corpus_lines(path):
     content. Raises CorpusEncodingError naming the absolute byte offset of
     the first invalid byte.
     """
-    offset = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusEncodingError(
-                    f"{path}: invalid UTF-8 at byte offset {offset + exc.start}"
-                ) from exc
-            offset += len(raw)
-            if text.endswith("\n"):
-                text = text[:-2] if text.endswith("\r\n") else text[:-1]
-            yield text
+    try:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for text in fh:
+                if text.endswith("\n"):
+                    text = text[:-2] if text.endswith("\r\n") else text[:-1]
+                yield text
+    except UnicodeDecodeError as exc:
+        # The text layer decodes in chunks, so its offset is relative to
+        # one chunk; decoding the whole file gives the absolute offset.
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise CorpusEncodingError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc

@@ -330,6 +330,8 @@ def test_sweep_reports_failed_line_and_prints_every_cut(workdir, tmp_path, monke
     err = captured.err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"line {bad + 1}: ") and "did not converge" in err[0]
+    # both means skip the failed line: k clusters give k words on this text
+    assert all(r[1] == r[2] for r in rows[1:])
 
 
 def test_sweep_f_matches_segment_then_eval(workdir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import io
+import json
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,8 @@ from segspectral import (
     load_model,
     save_model,
 )
-from segspectral.model_io import MAGIC, _encode_model
+from segspectral.cli import main
+from segspectral.model_io import MAGIC, VERSION, _encode_model
 from segspectral.ngram import ModelMeta
 
 
@@ -54,12 +57,15 @@ def test_bad_magic():
     data[:4] = b"NOPE"
     with pytest.raises(ModelFormatError, match="magic"):
         load_model(io.BytesIO(bytes(data)))
+    for short in (b"garbage", b"NO"):  # shorter than a header
+        with pytest.raises(ModelFormatError, match="magic"):
+            load_model(io.BytesIO(short))
 
 
 def test_unsupported_version():
     data = bytearray(_encode_model(NGramModel()))
-    data[4:6] = struct.pack("<H", 2)
-    with pytest.raises(ModelVersionError, match="version 2"):
+    data[4:6] = struct.pack("<H", VERSION + 1)
+    with pytest.raises(ModelVersionError, match=f"version {VERSION + 1}"):
         load_model(io.BytesIO(bytes(data)))
 
 
@@ -105,3 +111,105 @@ def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
         meta=ModelMeta(source=source, line_count=len(uni)),
     )
     assert roundtrip(m) == m
+
+
+def framed(payload: bytes) -> bytes:
+    """A current-version file around payload, with a valid CRC."""
+    header = struct.pack("<4sHQ", MAGIC, VERSION, len(payload))
+    return header + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def payload_object() -> dict:
+    data = _encode_model(ingest_corpus(["天安门"], source="x"))
+    return json.loads(data[14:-4].decode("utf-8"))
+
+
+def test_framed_payload_round_trips():
+    obj = payload_object()
+    data = framed(json.dumps(obj).encode("utf-8"))
+    assert load_model(io.BytesIO(data)) == ingest_corpus(["天安门"], source="x")
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bi", {"天安": "1"}),
+        ("uni", {"天": True}),
+        ("tri", {"天安门": -1}),
+        ("uni", {"天": 1.0}),
+        ("bi", [["天安", 1]]),
+        ("log_sd_bi", 1),
+        ("log_sd_tri", None),
+        ("log_sd_bi", 0.0),
+        ("log_sd_tri", -1.5),
+        ("log_sd_bi", float("nan")),
+        ("log_sd_tri", float("inf")),
+        ("total_uni", -1),
+        ("line_count", False),
+        ("source", 3),
+        ("extra", 0),
+        ("source", DROP),
+        ("uni", DROP),
+    ],
+    ids=[
+        "count-string", "count-true", "count-negative", "count-float", "counts-list",
+        "sd-int", "sd-null", "sd-zero", "sd-negative", "sd-nan", "sd-inf",
+        "total-negative", "line-count-bool", "source-int",
+        "extra-key", "missing-source", "missing-uni",
+    ],
+)
+def test_crc_valid_payload_with_wrong_content(key, value):
+    obj = payload_object()
+    if value is DROP:
+        del obj[key]
+    else:
+        obj[key] = value
+    with pytest.raises(ModelFormatError):
+        load_model(io.BytesIO(framed(json.dumps(obj).encode("utf-8"))))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"[]",
+        b'"model"',
+        b"",
+        b"{",
+        b"[" * 100_000,
+        b'{"source": "\xff"}',
+    ],
+    ids=["array", "string", "empty", "unterminated", "deeply-nested", "bad-utf8"],
+)
+def test_crc_valid_payload_that_is_not_a_utf8_json_object(payload):
+    with pytest.raises(ModelFormatError):
+        load_model(io.BytesIO(framed(payload)))
+
+
+def test_utf16_payload_is_rejected():
+    # json.loads(bytes) would detect UTF-16 and accept this valid object
+    payload = json.dumps(payload_object(), ensure_ascii=False).encode("utf-16")
+    with pytest.raises(ModelFormatError, match="UTF-8"):
+        load_model(io.BytesIO(framed(payload)))
+
+
+# An empty model as the version-1 format wrote it: SGSP, u16 version 1,
+# five length-prefixed binary sections, CRC-32.
+V1_EMPTY_MODEL = bytes.fromhex(
+    "53475350010004000000000000000400000000000000040000000000000018000000"
+    "000000000000f03f000000000000f03f00000000000000000a000000000000000000"
+    "000000004d4b7934"
+)
+
+
+def test_version_1_file_must_be_retrained(tmp_path, capsys):
+    with pytest.raises(ModelVersionError, match="unsupported model version 1, expected 2"):
+        load_model(io.BytesIO(V1_EMPTY_MODEL))
+    model = tmp_path / "v1.bin"
+    model.write_bytes(V1_EMPTY_MODEL)
+    lines = tmp_path / "in.txt"
+    lines.write_text("天安门\n", encoding="utf-8")
+    assert main(["segment", "--model", str(model), "--input", str(lines)]) == 1
+    assert "unsupported model version 1, expected 2" in capsys.readouterr().err

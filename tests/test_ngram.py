@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, iter_corpus_lines
+from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, is_chinese, iter_corpus_lines
+from segspectral.ngram import _log_sd
 
 
 def test_basic_counts():
@@ -89,6 +90,55 @@ def test_count_consistency(lines):
     assert all(m.uni[k[:1]] >= 1 for k in m.bi)
 
 
+def reference_counts(lines):
+    """Per-character tally: the reference ingest_corpus must match exactly."""
+    uni: dict[str, int] = {}
+    bi: dict[str, int] = {}
+    tri: dict[str, int] = {}
+    for line in lines:
+        n = len(line)
+        cn = [is_chinese(ch) for ch in line]
+        for i in range(n):
+            if not cn[i]:
+                continue
+            uni[line[i]] = uni.get(line[i], 0) + 1
+            if i + 1 < n and cn[i + 1]:
+                key = line[i : i + 2]
+                bi[key] = bi.get(key, 0) + 1
+                if i + 2 < n and cn[i + 2]:
+                    key3 = line[i : i + 3]
+                    tri[key3] = tri.get(key3, 0) + 1
+    return uni, bi, tri
+
+
+# Chinese characters including the range ends and Extension A; their
+# non-Chinese neighbours, Extension B (U+20000, not Chinese here), emoji,
+# ASCII, punctuation and whitespace.
+CHINESE = "天安门广场\u4e00\u9fff\u3400\u4dbf"
+OTHER = "\u33ff\u4dc0\ua000\U00020000\U0001f642aZ3 ,。\t\r\x85"
+
+
+@given(
+    st.lists(
+        st.text(
+            alphabet=st.sampled_from(CHINESE) | st.sampled_from(OTHER) | st.characters(),
+            max_size=12,
+        ),
+        max_size=8,
+    )
+)
+def test_ingest_matches_per_character_reference(lines):
+    m = ingest_corpus(lines)
+    uni, bi, tri = reference_counts(lines)
+    for got, want in ((m.uni, uni), (m.bi, bi), (m.tri, tri)):
+        assert type(got) is dict
+        assert got == want
+        assert list(got) == list(want)  # first-occurrence key order
+    # _log_sd sums in key order, so equal order gives equal bits
+    assert m.log_sd_bi == _log_sd(bi)
+    assert m.log_sd_tri == _log_sd(tri)
+
+
 def test_iter_corpus_lines(tmp_path):
     p = tmp_path / "corpus.txt"
     p.write_bytes("天安门\r\n广场\n最后".encode("utf-8"))
@@ -105,4 +155,14 @@ def test_iter_corpus_lines_reports_byte_offset(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_bytes("天\n".encode("utf-8") + b"\xffrest\n")  # first line is 4 bytes
     with pytest.raises(CorpusEncodingError, match="byte offset 4"):
+        list(iter_corpus_lines(p))
+
+
+def test_iter_corpus_lines_reports_offset_past_the_first_chunk(tmp_path):
+    # The text layer decodes in chunks of a few KiB; the offset must still
+    # count from the start of the file.
+    head = "天安门广场\n".encode("utf-8") * 3000  # 48000 bytes
+    p = tmp_path / "bad.txt"
+    p.write_bytes(head + b"ab\xffcd\n")
+    with pytest.raises(CorpusEncodingError, match=f"byte offset {len(head) + 2}$"):
         list(iter_corpus_lines(p))
