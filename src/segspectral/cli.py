@@ -38,7 +38,7 @@ def _cut_key(recipe_name: str) -> str:
 # One key per defaulted field of the recipe classes and SegmenterConfig
 # (recipes that share a field name share its key), plus each recipe's
 # `eig_cut_<name>`. Set-valued fields default to strings, so every default
-# here is a str, bool, int or float.
+# here is a str, int or float.
 DEFAULT_CONFIG = {
     f.name: f.default
     for cls in (*RECIPES, SegmenterConfig)
@@ -56,10 +56,7 @@ class DataError(Exception):
 
 
 def _coerce(key: str, value, want: type):
-    if want is bool:
-        if isinstance(value, bool):
-            return value
-    elif want is float:
+    if want is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
     elif want is int:
@@ -103,10 +100,17 @@ def _read_lines(path: str) -> list[str]:
         raise DataError(str(exc)) from None
 
 
+def _cannot_write(path, exc: OSError) -> UsageError:
+    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _open_out(path: str | None):
     if path is None or path == "-":
         return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -159,8 +163,7 @@ def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
     eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
     if eig_cut <= 0.0:
         raise UsageError("eig_cut must be positive")
-    postprocess = cfg["postprocess"] and not args.no_postprocess
-    return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut, postprocess=postprocess)
+    return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut)
 
 
 def cmd_train(args) -> int:
@@ -171,7 +174,10 @@ def cmd_train(args) -> int:
         model = ingest_corpus(iter_corpus_lines(args.input), source=source)
     except CorpusEncodingError as exc:
         raise DataError(str(exc)) from None
-    save_model(model, args.model)
+    try:
+        save_model(model, args.model)
+    except OSError as exc:
+        raise _cannot_write(args.model, exc) from None
     print(
         f"trained on {model.meta.line_count} lines: "
         f"{len(model.uni)} unigrams, {len(model.bi)} bigrams, {len(model.tri)} trigrams"
@@ -252,16 +258,22 @@ def cmd_sweep(args) -> int:
     header = ["eig_cut", "mean_k", "mean_words"]
     if gold is not None:
         header.append("F")
-    print("\t".join(header))
+    rows = ["\t".join(header)]
     for i, cut in enumerate(cuts):
-        cut_segs = [words[i] for words in segs]
         n = len(counts) or 1
         mean_k = sum(line[i][0] for line in counts) / n
         mean_words = sum(line[i][1] for line in counts) / n
         row = [f"{cut:g}", f"{mean_k:.3f}", f"{mean_words:.3f}"]
         if gold is not None:
-            row.append(f"{score_corpus(gold, cut_segs).f1:.4f}")
-        print("\t".join(row))
+            # Score what eval would read back from segment's output line,
+            # which drops the whitespace tokens.
+            pred = [parse_segmented(" ".join(words[i])) for words in segs]
+            try:
+                row.append(f"{score_corpus(gold, pred).f1:.4f}")
+            except ValueError as exc:
+                raise DataError(str(exc)) from None
+        rows.append("\t".join(row))
+    print("\n".join(rows))
 
     for lineno, msg in errors:
         print(f"line {lineno}: {msg}", file=sys.stderr)
@@ -293,7 +305,6 @@ def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
     forms = sorted(form.value for form in LaplacianForm)
     p.add_argument("--form", choices=forms, help="Laplacian form override")
     p.add_argument("--config", help="JSON config file (else $SEGSPECTRAL_CONFIG)")
-    p.add_argument("--no-postprocess", action="store_true", help="skip digit/unit merging")
 
 
 def build_parser() -> argparse.ArgumentParser:

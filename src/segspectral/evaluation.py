@@ -67,13 +67,17 @@ def score(gold: list[str], pred: list[str]) -> EvalReport:
 
 
 def score_corpus(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
+    """Pooled scores over aligned lines; a mismatch names its 1-based line."""
     if len(gold) != len(pred):
         raise ValueError(
             f"gold has {len(gold)} lines but prediction has {len(pred)}"
         )
     tg = tp = tc = 0
-    for g, p in zip(gold, pred):
-        ng, np_, nc = count_matches(g, p)
+    for lineno, (g, p) in enumerate(zip(gold, pred), 1):
+        try:
+            ng, np_, nc = count_matches(g, p)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         tg += ng
         tp += np_
         tc += nc

@@ -17,6 +17,15 @@ Three recipes fill the bands:
 - train words: like lexicon but driven by the words of a pre-segmented
   training corpus, damping by a count-based divisor.
 
+This module is the one home of the bond formulas. Conditional transition
+probabilities are maximum-likelihood ratios of the model's n-gram counts,
+with no smoothing: an unseen bigram genuinely carries zero connection
+strength, and a ratio whose context was never seen is 0. A standardized
+log-count divides ln(count) by the model's sd of ln(count) over the
+distinct stored keys of the same order, and is 0 for an unseen n-gram.
+Each builder looks every character, adjacent pair and triple of the
+sentence up once and computes its bands with array arithmetic.
+
 All builders are pure functions of immutable inputs.
 """
 
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 
 import numpy as np
 
@@ -143,12 +153,12 @@ class Lexicon:
     @cached_property
     def frequent_bigrams(self) -> frozenset:
         """All two-character substrings of words ranked below the threshold."""
-        out = set()
-        for word, rank in self.entries.items():
-            if rank < self.rank_threshold:
-                for i in range(len(word) - 1):
-                    out.add(word[i : i + 2])
-        return frozenset(out)
+        return frozenset(
+            pair
+            for word, rank in self.entries.items()
+            if rank < self.rank_threshold
+            for pair in map(add, word, word[1:])
+        )
 
     def damp_divisor_for(self, ch: str) -> float:
         """Divisor for a bond touching a common single-character word.
@@ -182,11 +192,7 @@ class WordStats:
     @cached_property
     def frequent_bigrams(self) -> frozenset:
         """All two-character substrings of the training words."""
-        out = set()
-        for word in self.words:
-            for i in range(len(word) - 1):
-                out.add(word[i : i + 2])
-        return frozenset(out)
+        return frozenset(pair for word in self.words for pair in map(add, word, word[1:]))
 
     @cached_property
     def single_char_set(self) -> frozenset:
@@ -205,44 +211,63 @@ def _require_nonempty(s: str) -> None:
         raise ValueError("cannot build a connection matrix for an empty sentence")
 
 
-def _adjacent_bonds(s: str, model: NGramModel) -> np.ndarray:
-    """Base strength for each adjacent character pair.
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per position, and 0 where den is 0: a context never seen
+    in the corpus carries no probability mass."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def _standardized_log(counts: np.ndarray, log_sd: float) -> np.ndarray:
+    """ln(count) / log_sd per n-gram, and 0 for an unseen one."""
+    # math.log, not np.log: the two differ in the last bit for some counts.
+    return np.array([math.log(c) if c else 0.0 for c in counts.tolist()]) / log_sd
+
+
+def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base strength for each adjacent character pair, plus the line's
+    unigram and trigram counts.
 
     The strength is the largest of the transition probabilities that are
-    defined at this position (the two context-conditioned terms drop out at
-    the first and last pair), scaled by the standardized bigram log-count.
+    defined at this position, scaled by the standardized bigram log-count.
+    P(b | a) is defined at every pair; P(c | a b) needs a character before
+    the pair and P(a | b c) one after it, so those two drop out at the
+    first and last pair.
     """
-    n = len(s)
-    out = np.zeros(max(n - 1, 0))
-    for i in range(n - 1):
-        p = model.p_next_uni(s[i], s[i + 1])
-        if i >= 1:
-            p = max(p, model.p_next_bi(s[i - 1], s[i], s[i + 1]))
-        if i + 2 < n:
-            p = max(p, model.p_prev_bi(s[i], s[i + 1], s[i + 2]))
-        out[i] = p * model.sd_count_bi(s[i : i + 2])
-    return out
+    # Float counts are exact below 2**53, and a larger one in a model file
+    # still converts instead of making an object array.
+    pairs = list(map(add, s, s[1:]))
+    uni = np.array([model.uni.get(ch, 0) for ch in s], dtype=float)
+    bi = np.array([model.bi.get(pair, 0) for pair in pairs], dtype=float)
+    tri = np.array([model.tri.get(triple, 0) for triple in map(add, pairs, s[2:])], dtype=float)
+    p = _ratio(bi, uni[:-1])
+    p[1:] = np.maximum(p[1:], _ratio(tri, bi[:-1]))
+    p[:-1] = np.maximum(p[:-1], _ratio(tri, bi[1:]))
+    return p * _standardized_log(bi, model.log_sd_bi), uni, tri
+
+
+def _members(s: str, chars: frozenset) -> np.ndarray:
+    """Boolean mask of the characters of s that are in chars."""
+    return np.array([ch in chars for ch in s], dtype=bool)
 
 
 def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> ConnectionMatrix:
-    """Dictionary-free connection matrix with both off-diagonal bands."""
+    """Dictionary-free connection matrix with both off-diagonal bands.
+
+    The one-gap bond of a triple a b c is P(b c | a) scaled by the
+    standardized trigram log-count, and 0 when any of the three is in
+    weaken set 2.
+    """
     _require_nonempty(s)
     if params is None:
         params = EhrParams()
-    n = len(s)
-    off1 = _adjacent_bonds(s, model)
-    for i in range(n - 1):
-        # Both weakenings stack when a pair hits both sets.
-        if s[i] in params.weaken_set_1 or s[i + 1] in params.weaken_set_1:
-            off1[i] /= params.factor_1
-        if s[i] in params.weaken_set_2 or s[i + 1] in params.weaken_set_2:
-            off1[i] /= params.factor_2
-    off2 = np.zeros(max(n - 2, 0))
-    for i in range(n - 2):
-        if any(ch in params.weaken_set_2 for ch in s[i : i + 3]):
-            continue
-        off2[i] = model.p_next_two(s[i], s[i + 1], s[i + 2]) * model.sd_count_tri(s[i : i + 3])
-    return ConnectionMatrix(np.ones(n), off1, off2)
+    off1, uni, tri = _adjacent_bonds(s, model)
+    weak1, weak2 = _members(s, params.weaken_set_1), _members(s, params.weaken_set_2)
+    # Both weakenings stack when a pair hits both sets.
+    off1 = np.where(weak1[:-1] | weak1[1:], off1 / params.factor_1, off1)
+    off1 = np.where(weak2[:-1] | weak2[1:], off1 / params.factor_2, off1)
+    off2 = _ratio(tri, uni[:-2]) * _standardized_log(tri, model.log_sd_tri)
+    off2 = np.where(weak2[:-2] | weak2[1:-1] | weak2[2:], 0.0, off2)
+    return ConnectionMatrix(np.ones(len(s)), off1, off2)
 
 
 def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> ConnectionMatrix:
@@ -256,16 +281,12 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     """
     _require_nonempty(s)
     n = len(s)
-    off1 = _adjacent_bonds(s, model)
+    off1, _, _ = _adjacent_bonds(s, model)
     bigrams, singles = vocab.frequent_bigrams, vocab.single_char_set
-    for i in range(n - 1):
-        pair = s[i : i + 2]
-        if pair in bigrams:
-            off1[i] *= vocab.boost
-            continue
-        for ch in pair:
-            if ch in singles:
-                off1[i] /= vocab.damp_divisor_for(ch)
+    boosted = np.array([pair in bigrams for pair in map(add, s, s[1:])], dtype=bool)
+    # Every other character divides by 1.0, which is exact.
+    divisor = np.array([vocab.damp_divisor_for(ch) if ch in singles else 1.0 for ch in s])
+    off1 = np.where(boosted, off1 * vocab.boost, off1 / divisor[:-1] / divisor[1:])
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 
 

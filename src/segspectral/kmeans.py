@@ -23,13 +23,12 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     """Labels of the split of the rows into k contiguous runs with the
     least total within-run squared error.
 
-    Accepts a plain array or anything with a `.u` row matrix (a spectral
-    embedding). Labels are non-decreasing, 0 to k-1. Ties go to the
-    earliest boundary: among splits whose errors are equal up to rounding,
-    the last boundary sits as early as it can, then the one before it, and
-    so on. Takes at most O(k·n²) time, and an O(n²) cost table.
+    Labels are non-decreasing, 0 to k-1. Ties go to the earliest boundary:
+    among splits whose errors are equal up to rounding, the last boundary
+    sits as early as it can, then the one before it, and so on. Takes at
+    most O(k·n²) time, and an O(n²) cost table.
     """
-    x = np.asarray(getattr(points, "u", points), dtype=float)
+    x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d row matrix, got shape {x.shape}")
     n = x.shape[0]

@@ -108,7 +108,7 @@ def _decode_payload(payload: bytes) -> dict:
         if not isinstance(counts, dict) or not all(map(_is_count, counts.values())):
             raise ModelFormatError(f"{key} must map n-grams to non-negative integers")
     for key in ("log_sd_bi", "log_sd_tri"):
-        # queries divide by the sd, and _log_sd never writes one <= 0
+        # the bond formulas divide by the sd, and _log_sd never writes one <= 0
         if type(obj[key]) is not float or not 0.0 < obj[key] < math.inf:
             raise ModelFormatError(f"{key} must be a positive finite float, got {obj[key]!r}")
     for key in ("total_uni", "line_count"):

@@ -8,17 +8,14 @@ characters). Counting conventions:
   counts the 1-, 2- and 3-grams inside each maximal Chinese run of a line
   (chars.CHINESE_RUN), so n-grams touching letters, digits, punctuation
   or whitespace are never counted. This is the only place the rule is
-  applied: queries trust the stored keys, so a non-Chinese character
-  finds count 0 and carries no probability mass
+  applied: the bond formulas (graph.py) trust the stored keys, so a
+  non-Chinese character finds count 0 and carries no probability mass
 - an absent key means count 0
 - each count dict keeps the order in which its keys first occur in the
   corpus, which fixes the summation order of the log-count sds
 
-Conditional transition probabilities are maximum-likelihood ratios of
-these counts, with no smoothing: an unseen bigram genuinely carries zero
-connection strength. The standardized log-count functions divide
-ln(count) by the population standard deviation of ln(count) taken over
-the distinct stored keys of the same order.
+The bigram and trigram sds are population standard deviations of
+ln(count) taken over the distinct stored keys of each order.
 """
 
 from __future__ import annotations
@@ -44,11 +41,11 @@ class ModelMeta:
 
 @dataclass
 class NGramModel:
-    """Unigram/bigram/trigram counts plus standardized log-count scales.
+    """Unigram/bigram/trigram counts plus the bigram and trigram log-count
+    sds.
 
     The counts hold only all-Chinese keys, as ingest_corpus writes them and
-    the model file round-trips them, so the query methods need no
-    character check of their own.
+    the model file round-trips them.
     """
 
     uni: dict[str, int] = field(default_factory=dict)
@@ -59,48 +56,6 @@ class NGramModel:
     log_sd_tri: float = 1.0
     meta: ModelMeta = field(default_factory=ModelMeta)
 
-    def p_next_uni(self, a: str, b: str) -> float:
-        """P(next char = b | current char = a)."""
-        ca = self.uni.get(a, 0)
-        if ca == 0:
-            return 0.0
-        return self.bi.get(a + b, 0) / ca
-
-    def p_next_bi(self, a: str, b: str, c: str) -> float:
-        """P(next char = c | previous char = a, current char = b)."""
-        cab = self.bi.get(a + b, 0)
-        if cab == 0:
-            return 0.0
-        return self.tri.get(a + b + c, 0) / cab
-
-    def p_prev_bi(self, a: str, b: str, c: str) -> float:
-        """P(current char = a | next two chars = b, c)."""
-        cbc = self.bi.get(b + c, 0)
-        if cbc == 0:
-            return 0.0
-        return self.tri.get(a + b + c, 0) / cbc
-
-    def p_next_two(self, a: str, b: str, c: str) -> float:
-        """P(next two chars = b, c | current char = a)."""
-        ca = self.uni.get(a, 0)
-        if ca == 0:
-            return 0.0
-        return self.tri.get(a + b + c, 0) / ca
-
-    def sd_count_bi(self, pair: str) -> float:
-        """ln(count) of a stored bigram divided by the bigram log-count sd."""
-        n = self.bi.get(pair, 0)
-        if n == 0:
-            return 0.0
-        return math.log(n) / self.log_sd_bi
-
-    def sd_count_tri(self, triple: str) -> float:
-        """ln(count) of a stored trigram divided by the trigram log-count sd."""
-        n = self.tri.get(triple, 0)
-        if n == 0:
-            return 0.0
-        return math.log(n) / self.log_sd_tri
-
 
 def _log_sd(counts: dict[str, int]) -> float:
     """Population sd of ln(count) over distinct keys; 1.0 when degenerate.
@@ -108,7 +63,7 @@ def _log_sd(counts: dict[str, int]) -> float:
     Each distinct stored key contributes one ln(count) sample regardless of
     how frequent it is. With fewer than two keys, or all counts equal, the
     sd would be 0 and standardization meaningless, so fall back to 1 and
-    let sd_count reduce to a bare ln(count).
+    let a standardized log-count reduce to a bare ln(count).
     """
     if len(counts) < 2:
         return 1.0
@@ -124,7 +79,7 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
 
     Only n-grams made entirely of Chinese characters are stored: each
     maximal Chinese run of a line is counted on its own. Returns a model
-    that should be treated as immutable; all query methods are pure.
+    that should be treated as immutable.
     """
     uni: Counter[str] = Counter()
     bi: Counter[str] = Counter()

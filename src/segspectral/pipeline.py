@@ -5,7 +5,8 @@ connection matrix, takes the Laplacian's eigendecomposition, picks the
 cluster count as the number of eigenvalues under the granularity
 threshold, clusters the embedded rows into that many contiguous runs, and
 splits the sentence between runs, so it yields k words that concatenate
-back to the exact input.
+back to the exact input. A last pass merges split-up digit runs and a
+following unit character.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class SegmenterConfig:
     recipe: Recipe
     form: LaplacianForm
     eig_cut: float
-    postprocess: bool = True
 
     def __post_init__(self):
         if self.eig_cut <= 0.0:
@@ -143,15 +143,13 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
     k = choose_k(prep.dec.values, cfg.eig_cut)
     embedding = spectral_embed(prep.dec, k, cfg.form)
     labels = kmeans_cluster(embedding, k)
-    words = labels_to_words(prep.text, labels)
-    if cfg.postprocess:
-        words = postprocess_merge(words)
+    words = postprocess_merge(labels_to_words(prep.text, labels))
     return SentenceTrace(
         text=prep.text,
         w=prep.w,
         eigenvalues=prep.dec.values,
         k=k,
-        embedding=embedding.u,
+        embedding=embedding,
         labels=labels,
         words=words,
     )

@@ -9,7 +9,6 @@ a ground-truth oracle at toy sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -33,15 +32,6 @@ class LaplacianForm(Enum):
 class CutKind(Enum):
     RATIO = "ratio"
     NORMALIZED = "normalized"
-
-
-@dataclass
-class SpectralEmbedding:
-    """Rows of the low eigenvector columns, one row per graph node."""
-
-    u: np.ndarray
-    form: LaplacianForm
-    row_normalized: bool
 
 
 def build_laplacian(w: ConnectionMatrix, form: LaplacianForm) -> np.ndarray:
@@ -70,18 +60,18 @@ def choose_k(values: np.ndarray, eig_cut: float) -> int:
     return max(1, int(np.count_nonzero(np.asarray(values) <= eig_cut)))
 
 
-def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> SpectralEmbedding:
-    """First k eigenvector columns; rows unit-normalized under the
-    symmetric normalized form (all-zero rows are left alone)."""
+def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.ndarray:
+    """First k eigenvector columns, one row per graph node; rows
+    unit-normalized under the symmetric normalized form (all-zero rows are
+    left alone)."""
     if not 1 <= k <= dec.n:
         raise ValueError(f"k={k} out of range for n={dec.n}")
     u = dec.vectors[:, :k].copy()
-    normalized = form is LaplacianForm.SYMMETRIC_NORMALIZED
-    if normalized:
+    if form is LaplacianForm.SYMMETRIC_NORMALIZED:
         norms = np.linalg.norm(u, axis=1)
         nonzero = norms > 0.0
         u[nonzero] /= norms[nonzero, None]
-    return SpectralEmbedding(u=u, form=form, row_normalized=normalized)
+    return u
 
 
 def zero_eig_multiplicity(dec: EigenDecomposition, tol: float = ZERO_EIG_TOL) -> int:
@@ -202,7 +192,6 @@ def brute_force_best_contiguous(
 __all__ = [
     "LaplacianForm",
     "CutKind",
-    "SpectralEmbedding",
     "build_laplacian",
     "choose_k",
     "spectral_embed",

@@ -151,24 +151,6 @@ def test_segment_corrupt_model(workdir, tmp_path, capsys):
     assert "cannot load model" in capsys.readouterr().err
 
 
-def test_no_postprocess_flag(workdir, tmp_path, capsys):
-    src = tmp_path / "digits.txt"
-    src.write_text("12年\n", encoding="utf-8")
-    main(["segment", "--model", str(workdir / "model.bin"), "--input", str(src)])
-    assert capsys.readouterr().out == "12年\n"
-    main(
-        [
-            "segment",
-            "--model",
-            str(workdir / "model.bin"),
-            "--input",
-            str(src),
-            "--no-postprocess",
-        ]
-    )
-    assert capsys.readouterr().out == "1 2 年\n"
-
-
 def test_dump_eigen(workdir, tmp_path):
     src = tmp_path / "two.txt"
     lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:2]
@@ -336,7 +318,13 @@ def test_sweep_reports_failed_line_and_prints_every_cut(workdir, tmp_path, monke
 
 def test_sweep_f_matches_segment_then_eval(workdir, tmp_path, capsys):
     model = str(workdir / "model.bin")
-    lines = str(workdir / "lines.txt")
+    # A space between the first two words of line 1 is its own token in the
+    # output, which eval drops; the gold line stays without it.
+    raw = (workdir / "lines.txt").read_text(encoding="utf-8").split("\n")
+    first = (workdir / "gold.txt").read_text(encoding="utf-8").split("\n")[0].split(" ")
+    raw[0] = first[0] + " " + "".join(first[1:])
+    lines = str(tmp_path / "lines.txt")
+    Path(lines).write_text("\n".join(raw), encoding="utf-8")
     gold = str(workdir / "gold.txt")
     # Every line is right at 1.5 on this corpus (F = 1); at 0.15 F is well below 1.
     cuts = ["0.15", "1.5"]
@@ -350,6 +338,43 @@ def test_sweep_f_matches_segment_then_eval(workdir, tmp_path, capsys):
     assert main(["sweep", "--model", model, "--input", lines, "--gold", gold, "--cuts", ",".join(cuts)]) == 0
     rows = [r.split("\t") for r in capsys.readouterr().out.strip().splitlines()[1:]]
     assert [(r[0], r[3]) for r in rows] == list(zip(cuts, eval_f))
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_gold_with_different_text_names_its_line(workdir, tmp_path, capsys, command):
+    lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:3]
+    gold = (workdir / "gold.txt").read_text(encoding="utf-8").splitlines()[:3]
+    gold[1] = gold[1][:-1]
+    src, gold_path, pred = tmp_path / "in.txt", tmp_path / "gold.txt", tmp_path / "pred.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gold_path.write_text("\n".join(gold) + "\n", encoding="utf-8")
+    pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {
+        "eval": ["eval", "--gold", str(gold_path), "--pred", str(pred)],
+        "sweep": ["sweep", "--model", str(workdir / "model.bin"), "--input", str(src), "--gold", str(gold_path), "--cuts", "1.5"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: gold and predicted segmentations spell different text\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("segment", "--output"), ("segment", "--dump-eigen"), ("train", "--model"), ("synth", "--lines"), ("synth", "--gold")],
+)
+def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
+    model, lines = str(workdir / "model.bin"), str(workdir / "lines.txt")
+    out = {name: str(tmp_path / name) for name in ("seg.txt", "eig.jsonl", "m.bin", "l.txt", "g.txt")}
+    argv = {
+        "segment": ["segment", "--model", model, "--input", lines, "--output", out["seg.txt"], "--dump-eigen", out["eig.jsonl"]],
+        "train": ["train", "--input", lines, "--model", out["m.bin"]],
+        "synth": ["synth", "--sentences", "3", "--lines", out["l.txt"], "--gold", out["g.txt"]],
+    }[command]
+    bad = tmp_path / "absent" / "out"
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
 
 
 def test_lexicon_recipe_flags(workdir, tmp_path, capsys):
@@ -505,7 +530,6 @@ _CONFIG_WIRING = {
     "eig_cut_ehr": (0.5, ("ehr",), "eig_cut"),
     "eig_cut_lexicon": (0.002, ("lexicon",), "eig_cut"),
     "eig_cut_train_words": (0.003, ("train-words",), "eig_cut"),
-    "postprocess": (False, _ALL_RECIPES, "postprocess"),
 }
 
 
@@ -555,7 +579,6 @@ class TestConfig:
             "eig_cut_ehr": seg.eig_cut,
             "eig_cut_lexicon": SegmenterConfig.for_recipe(lex).eig_cut,
             "eig_cut_train_words": SegmenterConfig.for_recipe(ws).eig_cut,
-            "postprocess": seg.postprocess,
         }
         assert sorted(DEFAULT_CONFIG) == sorted(expect)
         for key, value in DEFAULT_CONFIG.items():
@@ -574,9 +597,6 @@ class TestConfig:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"rank_threshold": "zero"}), encoding="utf-8")
         with pytest.raises(UsageError, match="rank_threshold"):
-            load_config(str(p))
-        p.write_text(json.dumps({"postprocess": 1}), encoding="utf-8")
-        with pytest.raises(UsageError, match="postprocess"):
             load_config(str(p))
         p.write_text(json.dumps({"factor_1": True}), encoding="utf-8")
         with pytest.raises(UsageError, match="factor_1"):

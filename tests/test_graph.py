@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,14 +12,18 @@ from segspectral import (
     ConnectionMatrix,
     EhrParams,
     Lexicon,
+    NGramModel,
     WordStats,
+    build_w,
     build_w_ehr,
     build_w_lexicon,
     build_w_trainwords,
     ingest_corpus,
     is_chinese,
     load_lexicon,
+    load_model,
     load_word_stats,
+    save_model,
 )
 from segspectral.graph import build_w_vocab
 
@@ -140,12 +145,13 @@ _MIXED = "天安门广场和的了" + "ab1Z9" + ",.!。、" + " \t\u3000" + "\U0
 )
 def test_non_chinese_characters_never_bond(lines, queries):
     # ingest_corpus is the only place the Chinese-character rule is applied;
-    # every bond and probability downstream must still respect it.
+    # every bond downstream must still respect it, on the lines the model
+    # was trained on and on arbitrary triples.
     model = ingest_corpus(lines)
     words = {line[i : i + n] for line in lines for n in (1, 2, 3) for i in range(len(line) - n + 1)}
     lexicon = Lexicon(entries={w: rank for rank, w in enumerate(sorted(words), 1)})
     stats = WordStats(words=dict.fromkeys(words, 300))
-    for s in lines:
+    for s in lines + ["".join(q) for q in queries]:
         ehr = build_w_ehr(s, model)
         for w in (ehr, build_w_vocab(s, model, lexicon), build_w_vocab(s, model, stats)):
             for i in range(len(s) - 1):
@@ -154,13 +160,108 @@ def test_non_chinese_characters_never_bond(lines, queries):
         for i in range(len(s) - 2):
             if not all(is_chinese(ch) for ch in s[i : i + 3]):
                 assert ehr.off2[i] == 0.0, (s, i)
-    for a, b, c in queries + [tuple(s[i : i + 3]) for s in lines for i in range(len(s) - 2)]:
-        if not is_chinese(a) or not is_chinese(b):
-            assert model.p_next_uni(a, b) == 0.0
-        if not all(map(is_chinese, (a, b, c))):
-            assert model.p_next_bi(a, b, c) == 0.0
-            assert model.p_prev_bi(a, b, c) == 0.0
-            assert model.p_next_two(a, b, c) == 0.0
+
+
+def reference_bands(s, model, recipe):
+    """The per-position builders the array arithmetic replaced, with the
+    model's bond formulas written out at each position: the reference the
+    builders must match exactly."""
+    n = len(s)
+    uni, bi, tri = model.uni, model.bi, model.tri
+    off1 = np.zeros(max(n - 1, 0))
+    for i in range(n - 1):
+        a, b = s[i], s[i + 1]
+        # P(b | a)
+        p = bi.get(a + b, 0) / uni[a] if uni.get(a, 0) else 0.0
+        if i >= 1:
+            # P(b | s[i-1] a)
+            ctx = bi.get(s[i - 1] + a, 0)
+            p = max(p, tri.get(s[i - 1 : i + 2], 0) / ctx if ctx else 0.0)
+        if i + 2 < n:
+            # P(a | b s[i+2])
+            ctx = bi.get(b + s[i + 2], 0)
+            p = max(p, tri.get(s[i : i + 3], 0) / ctx if ctx else 0.0)
+        count = bi.get(a + b, 0)
+        off1[i] = p * (math.log(count) / model.log_sd_bi if count else 0.0)
+    off2 = np.zeros(max(n - 2, 0))
+    if isinstance(recipe, EhrParams):
+        for i in range(n - 1):
+            if s[i] in recipe.weaken_set_1 or s[i + 1] in recipe.weaken_set_1:
+                off1[i] /= recipe.factor_1
+            if s[i] in recipe.weaken_set_2 or s[i + 1] in recipe.weaken_set_2:
+                off1[i] /= recipe.factor_2
+        for i in range(n - 2):
+            if any(ch in recipe.weaken_set_2 for ch in s[i : i + 3]):
+                continue
+            # P(s[i+1] s[i+2] | s[i]) times the standardized trigram log-count
+            ca, count = uni.get(s[i], 0), tri.get(s[i : i + 3], 0)
+            p = count / ca if ca else 0.0
+            off2[i] = p * (math.log(count) / model.log_sd_tri if count else 0.0)
+    else:
+        for i in range(n - 1):
+            pair = s[i : i + 2]
+            if pair in recipe.frequent_bigrams:
+                off1[i] *= recipe.boost
+                continue
+            for ch in pair:
+                if ch in recipe.single_char_set:
+                    off1[i] /= recipe.damp_divisor_for(ch)
+    return np.ones(n), off1, off2
+
+
+def _hand_built_model():
+    """A model no corpus yields: 安 and 和的 are stored with count 0, 广场
+    is stored while 广 has no unigram, and 场天 and 广场天 have counts
+    beyond 64 bits. The model file accepts all three."""
+    model = NGramModel(
+        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1},
+        bi={"天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**65, "的天": 2},
+        tri={"天安门": 2, "安门和": 0, "广场天": 2**64, "门和的": 1, "和的了": 3, "门的天": 2},
+        total_uni=15,
+        log_sd_bi=0.8,
+        log_sd_tri=1.7,
+    )
+    buf = io.BytesIO()
+    save_model(model, buf)
+    buf.seek(0)
+    return load_model(buf)
+
+
+# Lines of 1-12 characters of _MIXED, drawn in pieces that include the
+# hand-built model's trigrams, so that stored and repeated n-grams, and so
+# nonzero bonds in both bands, are common.
+_PIECES = [*_MIXED, "天安门", "安门和", "广场天", "门和的", "和的了", "门的天"]
+_LINES = st.lists(
+    st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join), min_size=1, max_size=6
+)
+
+
+@pytest.mark.parametrize("kind", ["ingested", "hand-built"])
+@settings(deadline=None, max_examples=80)
+@given(
+    lines=_LINES,
+    words=st.lists(st.text(alphabet=_MIXED, min_size=1, max_size=3), max_size=10),
+    counts=st.lists(st.integers(1, 2000), min_size=10, max_size=10),
+    rank_threshold=st.integers(1, 10),
+    rank_scale=st.sampled_from([1e6, 1e12]),
+)
+def test_bands_match_per_position_reference(kind, lines, words, counts, rank_threshold, rank_scale):
+    model = ingest_corpus(lines) if kind == "ingested" else _hand_built_model()
+    words = list(dict.fromkeys(words))
+    recipes = [
+        EhrParams(),
+        Lexicon(
+            entries={w: rank for rank, w in enumerate(words, 1)},
+            rank_threshold=rank_threshold,
+            rank_scale=rank_scale,
+        ),
+        WordStats(words=dict(zip(words, counts))),
+    ]
+    for s in lines:
+        for recipe in recipes:
+            w = build_w(s, model, recipe)
+            for got, want in zip((w.diag, w.off1, w.off2), reference_bands(s, model, recipe)):
+                assert np.array_equal(got, want), (s, recipe, got, want)
 
 
 class TestLexiconRecipe:

@@ -56,16 +56,6 @@ def test_k_equals_n_separates_distinct_points():
     assert len(set(labels.tolist())) == 5
 
 
-def test_accepts_embedding_like_object():
-    class Emb:
-        def __init__(self, u):
-            self.u = u
-
-    rng = np.random.default_rng(5)
-    x = two_blobs(rng)
-    assert np.array_equal(kmeans_cluster(Emb(x), 2), kmeans_cluster(x, 2))
-
-
 def test_separates_identical_rows():
     # Spectral embeddings repeat rows exactly within a component.
     x = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 10, axis=0)

@@ -1,9 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, is_chinese, iter_corpus_lines
+from segspectral import (
+    CorpusEncodingError,
+    NGramModel,
+    build_w_ehr,
+    ingest_corpus,
+    is_chinese,
+    iter_corpus_lines,
+)
 from segspectral.ngram import _log_sd
 
 
@@ -30,23 +38,36 @@ def test_ngrams_do_not_span_lines():
 
 
 def test_transition_probabilities():
+    # Bigram log-counts {ln2, ln2, 0} have sd ln2*sqrt(2)/3, so a count-2
+    # bigram standardizes to 3/sqrt(2); the single trigram's sd falls back
+    # to 1, so it standardizes to ln2.
     m = ingest_corpus(["天安门", "天安门", "天门"])
-    assert m.p_next_uni("天", "安") == pytest.approx(2 / 3)
-    assert m.p_next_uni("天", "门") == pytest.approx(1 / 3)
-    assert m.p_next_bi("天", "安", "门") == pytest.approx(1.0)
-    assert m.p_prev_bi("天", "安", "门") == pytest.approx(1.0)
-    assert m.p_next_two("天", "安", "门") == pytest.approx(2 / 3)
+    bond = 3 / math.sqrt(2)
+    # P(安 | 天) = 2/3 is the only term defined for a two-character line.
+    assert build_w_ehr("天安", m).off1 == pytest.approx([2 / 3 * bond], rel=1e-12)
+    # In 天安门, P(天 | 安门) = 1 beats P(安 | 天) = 2/3 at the first pair,
+    # P(门 | 天安) = P(门 | 安) = 1 at the second, and P(安门 | 天) = 2/3.
+    w = build_w_ehr("天安门", m)
+    assert w.off1 == pytest.approx([bond, bond], rel=1e-12)
+    assert w.off2 == pytest.approx([2 / 3 * math.log(2)], rel=1e-12)
 
 
 def test_unseen_and_other_class_probabilities_are_zero():
-    m = ingest_corpus(["天安门"])
-    assert m.p_next_uni("安", "天") == 0.0
-    assert m.p_next_uni("a", "天") == 0.0
-    assert m.p_next_uni("天", "a") == 0.0
-    assert m.p_next_bi("a", "天", "安") == 0.0
-    assert m.p_prev_bi("天", "安", "5") == 0.0
-    assert m.p_next_two("天", "安", ",") == 0.0
-    assert m.p_next_uni("虎", "豹") == 0.0  # both unseen
+    # Every stored n-gram has count 2 and both sds fall back to 1, so a
+    # seen pair whose probability is 1 bonds with ln2.
+    m = ingest_corpus(["天安门", "天安门"])
+    ln2 = math.log(2)
+    assert np.array_equal(build_w_ehr("天安", m).off1, [ln2])
+    assert np.array_equal(build_w_ehr("安天", m).off1, [0.0])
+    assert np.array_equal(build_w_ehr("a天", m).off1, [0.0])
+    assert np.array_equal(build_w_ehr("天a", m).off1, [0.0])
+    assert np.array_equal(build_w_ehr("虎豹", m).off1, [0.0])  # both unseen
+    # The context a天 / 安5 / 安, was never seen: its term is 0, and the
+    # seen pair keeps its bond.
+    for s, off1 in (("a天安", [0.0, ln2]), ("天安5", [ln2, 0.0]), ("天安,", [ln2, 0.0])):
+        w = build_w_ehr(s, m)
+        assert np.array_equal(w.off1, off1), s
+        assert np.array_equal(w.off2, [0.0]), s
 
 
 def test_sd_count_standardization():
@@ -54,16 +75,16 @@ def test_sd_count_standardization():
     # population sd ln2*sqrt(2/3); the standardized count-4 value is sqrt(6).
     m = ingest_corpus(["天安"] * 4 + ["地门"] * 2 + ["人口"])
     assert m.log_sd_bi == pytest.approx(math.log(2) * math.sqrt(2 / 3), rel=1e-12)
-    assert m.sd_count_bi("天安") == pytest.approx(math.sqrt(6), rel=1e-12)
-    assert m.sd_count_bi("人口") == 0.0  # ln 1
-    assert m.sd_count_bi("虎豹") == 0.0  # absent
+    assert build_w_ehr("天安", m).off1 == pytest.approx([math.sqrt(6)], rel=1e-12)
+    assert np.array_equal(build_w_ehr("人口", m).off1, [0.0])  # ln 1
+    assert np.array_equal(build_w_ehr("虎豹", m).off1, [0.0])  # absent
 
 
 def test_sd_falls_back_to_one_when_degenerate():
     same = ingest_corpus(["天安门", "天安门"])
     assert same.log_sd_bi == 1.0  # two keys, equal counts
     assert same.log_sd_tri == 1.0  # single key
-    assert same.sd_count_bi("天安") == pytest.approx(math.log(2))
+    assert build_w_ehr("天安", same).off1 == pytest.approx([math.log(2)])
     empty = ingest_corpus([])
     assert empty.log_sd_bi == 1.0 and empty.log_sd_tri == 1.0
 
@@ -76,8 +97,8 @@ def test_meta():
 
 def test_default_model_is_empty():
     m = NGramModel()
-    assert m.p_next_uni("天", "安") == 0.0
-    assert m.sd_count_bi("天安") == 0.0
+    w = build_w_ehr("天安门", m)
+    assert np.array_equal(w.off1, [0.0, 0.0]) and np.array_equal(w.off2, [0.0])
     assert m.total_uni == 0
 
 

@@ -84,12 +84,11 @@ class TestSegmenterConfig:
         assert (lex.form, lex.eig_cut) == (LaplacianForm.SYMMETRIC_NORMALIZED, 0.00035)
         tw = SegmenterConfig.for_recipe(WordStats(words={}))
         assert (tw.form, tw.eig_cut) == (LaplacianForm.SYMMETRIC_NORMALIZED, 0.001)
-        assert ehr.postprocess
 
     def test_overrides(self):
-        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5, postprocess=False)
-        assert cfg.eig_cut == 1.5 and not cfg.postprocess
-        assert cfg.form is LaplacianForm.UNNORMALIZED
+        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5, form=LaplacianForm.SYMMETRIC_NORMALIZED)
+        assert cfg.eig_cut == 1.5
+        assert cfg.form is LaplacianForm.SYMMETRIC_NORMALIZED
 
     def test_rejects_nonpositive_cut(self):
         with pytest.raises(ValueError, match="positive"):
@@ -162,19 +161,18 @@ class TestSegmentSentence:
         assert ks == sorted(ks)
         assert ks[-1] == len(lines[0])  # a huge cut isolates every character
 
-    def test_digit_postprocess_toggle(self, synth_model):
+    def test_digit_postprocess(self, synth_model):
         # Non-Chinese characters carry no bonds, so each lands in its own
         # cluster; the merge pass then rejoins the digit run and its unit.
         cfg = SegmenterConfig.for_recipe(EhrParams())
         assert segment_sentence("12年", synth_model, cfg) == ["12年"]
-        raw = SegmenterConfig.for_recipe(EhrParams(), postprocess=False)
-        assert segment_sentence("12年", synth_model, raw) == ["1", "2", "年"]
 
     def test_k_words_per_line(self, synth_corpus, synth_model):
-        # Clusters are contiguous runs, so before digit/unit merging a line
-        # has exactly as many words as the eigenvalue count chose.
+        # Clusters are contiguous runs, so a line has exactly as many words
+        # as the eigenvalue count chose; the synthetic text has no digits
+        # for the merge pass to join.
         lines, _ = synth_corpus
-        cfg = SegmenterConfig.for_recipe(EhrParams(), postprocess=False)
+        cfg = SegmenterConfig.for_recipe(EhrParams())
         cuts = (0.1, 0.5, 1.5)
         for _, words, traces, error in trace_document(lines, synth_model, cfg, cuts):
             assert error is None and len(traces) == len(cuts)

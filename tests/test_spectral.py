@@ -77,16 +77,16 @@ class TestEmbedding:
     def test_unnormalized_takes_columns_verbatim(self):
         dec = eigh_symmetric(build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED))
         emb = spectral_embed(dec, 2, LaplacianForm.UNNORMALIZED)
-        assert np.array_equal(emb.u, dec.vectors[:, :2])
-        assert not emb.row_normalized
+        assert np.array_equal(emb, dec.vectors[:, :2])
+        assert not np.allclose(np.linalg.norm(emb, axis=1), 1.0)
 
     def test_normalized_rows_have_unit_norm(self):
         dec = eigh_symmetric(
             build_laplacian(two_block_w(), LaplacianForm.SYMMETRIC_NORMALIZED)
         )
         emb = spectral_embed(dec, 2, LaplacianForm.SYMMETRIC_NORMALIZED)
-        assert emb.row_normalized
-        assert np.linalg.norm(emb.u, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
+        assert emb.shape == (5, 2)
+        assert np.linalg.norm(emb, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_zero_rows_survive_normalization(self):
         dec = EigenDecomposition(
@@ -94,7 +94,7 @@ class TestEmbedding:
             vectors=np.array([[0.0, 0.0], [1.0, 0.0]]),
         )
         emb = spectral_embed(dec, 1, LaplacianForm.SYMMETRIC_NORMALIZED)
-        assert np.array_equal(emb.u, [[0.0], [1.0]])
+        assert np.array_equal(emb, [[0.0], [1.0]])
 
     def test_k_out_of_range(self):
         dec = eigh_symmetric(np.eye(3))
