@@ -11,6 +11,7 @@ variable), then by command-line flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -104,23 +105,39 @@ def _cannot_write(path, exc: OSError) -> UsageError:
     return UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout
-    try:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise _cannot_write(path, exc) from None
+@contextlib.contextmanager
+def _open_outputs(*paths: str | None):
+    """Yield one text file per path to write lines to: None for None,
+    stdout for "-", else the file at path, emptied. Every file is opened
+    before any is emptied, so a path that cannot be written leaves the
+    others' contents as they were."""
+    with contextlib.ExitStack() as stack:
+        files, opened = [], []
+        for path in paths:
+            if path is None or path == "-":
+                files.append(None if path is None else sys.stdout)
+                continue
+            try:
+                f = stack.enter_context(open(path, "a", encoding="utf-8", newline="\n"))
+            except OSError as exc:
+                raise _cannot_write(path, exc) from None
+            files.append(f)
+            opened.append((path, f))
+        # Appending starts at the end: a non-empty regular file is emptied;
+        # pipes and devices are left alone, as opening with "w" would.
+        for path, f in opened:
+            try:
+                if f.seekable() and f.tell():
+                    f.truncate(0)
+            except OSError as exc:
+                raise _cannot_write(path, exc) from None
+        yield files
 
 
-def _write_lines(path: str | None, lines) -> None:
-    out = _open_out(path)
-    try:
+def _write_lines(path: str, lines) -> None:
+    with _open_outputs(path) as (out,):
         for line in lines:
             out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def _load_model(path: str):
@@ -191,20 +208,20 @@ def cmd_segment(args) -> int:
     model = _load_model(args.model)
     lines = _read_lines(args.input)
 
-    segs, errors, dumps = [], [], []
-    for lineno, words, traces, error in trace_document(lines, model, scfg):
-        segs.append(words[0])
-        if error is not None:
-            errors.append((lineno, error))
-        if args.dump_eigen is not None:
-            for trace in traces:
-                row = {"line": lineno, "n": len(trace.text), "k": trace.k}
-                row["eigenvalues"] = trace.eigenvalues.tolist()
-                dumps.append(json.dumps(row))
-    if args.dump_eigen is not None:
-        _write_lines(args.dump_eigen, dumps)
-
-    _write_lines(args.output, (" ".join(words) for words in segs))
+    # The input is read, so --output may name it; both outputs are opened
+    # before any line is segmented, so a bad path fails at once.
+    errors = []
+    output = "-" if args.output is None else args.output
+    with _open_outputs(output, args.dump_eigen) as (out, dump):
+        for lineno, words, traces, error in trace_document(lines, model, scfg):
+            out.write(" ".join(words[0]) + "\n")
+            if error is not None:
+                errors.append((lineno, error))
+            if dump is not None:
+                for trace in traces:
+                    row = {"line": lineno, "n": len(trace.text), "k": trace.k}
+                    row["eigenvalues"] = trace.eigenvalues.tolist()
+                    dump.write(json.dumps(row) + "\n")
     for lineno, msg in errors:
         print(f"line {lineno}: {msg}", file=sys.stderr)
     return 1 if errors else 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from segspectral import EhrParams, LaplacianForm, Lexicon, SegmenterConfig, WordStats, load_model
+from segspectral import cli
 from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
 from segspectral.pipeline import RECIPES
 
@@ -375,6 +376,30 @@ def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, comm
     argv[argv.index(flag) + 1] = str(bad)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+
+
+def test_unwritable_output_fails_before_any_line_is_segmented(workdir, tmp_path, monkeypatch, capsys):
+    def segment_nothing(*args, **kwargs):
+        raise AssertionError("a line was segmented")
+
+    monkeypatch.setattr(cli, "trace_document", segment_nothing)
+    bad, dump = tmp_path / "absent" / "out", tmp_path / "eig.jsonl"
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    assert main(argv + ["--output", str(bad), "--dump-eigen", str(dump)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+    assert not dump.exists()
+
+
+def test_output_may_overwrite_the_input(workdir, tmp_path):
+    src = tmp_path / "in.txt"
+    text = (workdir / "lines.txt").read_text(encoding="utf-8")
+    src.write_text(text, encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(src), "--output", str(src)]
+    # A --dump-eigen path that cannot be written leaves the input as it was.
+    assert main(argv + ["--dump-eigen", str(tmp_path / "absent" / "eig.jsonl")]) == 2
+    assert src.read_text(encoding="utf-8") == text
+    assert main(argv) == 0
+    assert src.read_text(encoding="utf-8").replace(" ", "") == text
 
 
 def test_lexicon_recipe_flags(workdir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segspectral import contiguous_partitions, kmeans_cluster
 
@@ -104,3 +105,100 @@ def test_validation():
         kmeans_cluster(x, 5)
     with pytest.raises(ValueError, match="2-d"):
         kmeans_cluster(np.zeros(4), 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((8, 2))
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="rows must be finite"):
+            kmeans_cluster(x, 3)
+
+
+def full_table_labels(points, k):
+    """The DP over every (start, end) pair that the banded DP replaced,
+    with its (n+1)² cost table from a Gram product: the reference whose
+    labels the banded DP must match exactly."""
+    x = np.asarray(points, dtype=float)
+    n = x.shape[0]
+    y = x - x.mean(axis=0)
+    sums = np.vstack([np.zeros(x.shape[1]), np.cumsum(y, axis=0)])
+    sq = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", y, y))])
+    gram = sums @ sums.T
+    norms = np.diag(gram)
+    size = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+    spread = norms[None, :] + norms[:, None] - 2.0 * gram
+    cost = sq[None, :] - sq[:, None] - spread / np.maximum(size, 1)
+    cost = np.where(size > 0, np.maximum(cost, 0.0), np.inf)
+    tol = 1e-12 * float(np.einsum("ij,ij->", x, x))
+
+    w = n - k + 1
+    best = cost[0, 1 : w + 1]
+    start = np.zeros((k, w), dtype=int)
+    cols = np.arange(w)
+    for m in range(1, k):
+        total = best[:, None] + cost[m : m + w, m + 1 : m + 1 + w]
+        pick = np.argmax(total <= total.min(axis=0) + tol, axis=0)
+        start[m] = m + pick
+        best = total[pick, cols]
+
+    labels = np.zeros(n, dtype=int)
+    end = n
+    for m in range(k - 1, 0, -1):
+        begin = start[m, end - m - 1]
+        labels[begin:end] = m
+        end = begin
+    return labels
+
+
+@st.composite
+def random_rows(draw):
+    """Random rows, or rows from a pool of three that tie splits, scaled by
+    zero at times so that the tie tolerance is zero too; k is 1, n, or
+    anything between."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    x = rows_with_duplicates(rng, n, draw(st.integers(1, 4)))
+    x *= draw(st.sampled_from([1.0, 1e-3, 0.0]))
+    return x, draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+
+
+@st.composite
+def long_runs(draw):
+    """Runs of equal rows, one of 20-40 rows among k - 1 of 1-2 rows, with
+    k >= 3; values come from a pool of two, so neighbouring runs may be
+    equal and splits tie."""
+    k = draw(st.integers(3, 6))
+    lengths = [draw(st.integers(1, 2)) for _ in range(k - 1)]
+    lengths.insert(draw(st.integers(0, k - 1)), draw(st.integers(20, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.normal(size=(2, draw(st.integers(1, 3))))
+    return np.repeat(pool[rng.integers(0, 2, k)], lengths, axis=0), k
+
+
+@settings(deadline=None, max_examples=300)
+@given(random_rows())
+def test_matches_full_table_dp(case):
+    x, k = case
+    assert np.array_equal(kmeans_cluster(x, k), full_table_labels(x, k)), (x, k)
+
+
+@settings(deadline=None, max_examples=150)
+@given(long_runs())
+def test_matches_full_table_dp_when_the_band_widens(case):
+    x, k = case
+    want = full_table_labels(x, k)
+    # The first band holds runs of up to 2·ceil(n/k) rows; a longer run in
+    # the answer means the band had to widen.
+    assert np.bincount(want).max() > -2 * (-len(x) // k)
+    assert np.array_equal(kmeans_cluster(x, k), want), (x, k)
+
+
+def test_matches_full_table_dp_on_near_ties():
+    # Two runs of 12 rows so close that merging them costs about the tie
+    # tolerance, then 2 distant rows. Within the tolerance the full DP
+    # takes the earliest boundaries, and so a middle run of 23 rows, longer
+    # than the first band of 18. Every run of 19 rows costs only a little
+    # more than the banded optimum, so the band widens only if the
+    # certificate allows for the ties of all k steps.
+    for share in (2, 4, 6, 8, 12):
+        x = np.repeat([[1.0], [1.0], [5.0]], [12, 12, 2], axis=0)
+        x[12:24] += np.sqrt(1e-12 * float(np.einsum("ij,ij->", x, x)) / share)
+        assert np.array_equal(kmeans_cluster(x, 3), full_table_labels(x, 3)), share
