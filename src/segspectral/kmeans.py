@@ -14,7 +14,9 @@ runs of at most L rows, starting from twice the mean run length, and
 certifies its answer afterwards: when every run of L + 1 rows costs more
 than the banded optimum plus the tie tolerance of all k steps, no longer
 run can appear in any split the full DP would pick, and the labels are
-the full DP's. Otherwise L doubles, up to the longest run a split allows.
+the full DP's. Otherwise L doubles, up to the longest run a split allows;
+the costs of the runs already tabled are kept, and only the longer runs'
+are added.
 """
 
 from __future__ import annotations
@@ -59,30 +61,34 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     # A split has k - 1 runs besides the longest, so no run exceeds w rows.
     w = n - k + 1
     longest = min(w, -2 * (-n // k))
+    cost = _run_costs(sums, sq, longest + 1, 1)
     while True:
-        cost = _run_costs(sums, sq, longest)
         labels, error = _banded_split(cost, k, tol)
         # A longer run costs at least as much as each run of longest + 1
         # rows inside it, so when those all cost more than the error found
         # plus k tie tolerances, no split the full DP could pick has one.
         if longest == w or cost[0, longest + 1 :].min() > error + k * tol:
             return labels
-        longest = min(w, 2 * longest)
+        # The rows for runs of up to longest + 1 rows stay as they are.
+        wider = min(w, 2 * longest)
+        cost = np.concatenate([_run_costs(sums, sq, wider + 1, longest + 2), cost])
+        longest = wider
 
 
-def _run_costs(sums: np.ndarray, sq: np.ndarray, longest: int) -> np.ndarray:
-    """cost[r, e]: squared error about its mean of the run of longest + 1 - r
-    rows that ends before row e, for runs of 1 .. longest + 1 rows. Entries
-    for runs that would start before row 0 are finite and meaningless."""
+def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int, least: int) -> np.ndarray:
+    """cost[r, e]: squared error about its mean of the run of most - r rows
+    that ends before row e, for runs of most down to least rows. Entries
+    for runs that would start before row 0 are finite and meaningless;
+    each row depends only on its run length."""
     n = sq.size - 1
-    size = np.arange(longest + 1, 0, -1)
-    spread = np.zeros((longest + 1, n + 1))
+    size = np.arange(most, least - 1, -1)
+    spread = np.zeros((size.size, n + 1))
     step = np.empty((n, sums.shape[1]))
     for row, s in enumerate(size.tolist()):
         d = np.subtract(sums[s:], sums[:-s], out=step[: n + 1 - s])
         np.einsum("ij,ij->i", d, d, out=spread[row, s:])
     # lagged[r, e] = sq[e - size[r]], read from sq padded in front.
-    lagged = _windows(np.concatenate([np.zeros(longest + 1), sq[:-1]]), longest + 1)
+    lagged = _windows(np.concatenate([np.zeros(most), sq[: n + 1 - least]]), size.size)
     cost = sq - lagged
     cost -= spread / size[:, None]
     return np.maximum(cost, 0.0, out=cost)

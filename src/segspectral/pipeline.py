@@ -73,18 +73,12 @@ def labels_to_words(s: str, labels) -> list[str]:
     labels = np.asarray(labels)
     if labels.shape != (len(s),):
         raise ValueError(f"got {labels.size} labels for {len(s)} characters")
-    words = []
-    start = 0
-    for i in range(1, len(s)):
-        if labels[i] != labels[i - 1]:
-            words.append(s[start:i])
-            start = i
-    words.append(s[start:])
-    return words
+    bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(s)]
+    return [s[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def _is_digit_run(word: str) -> bool:
-    return all(ch in DIGIT_CHARS for ch in word)
+    return DIGIT_CHARS.issuperset(word)
 
 
 def postprocess_merge(words: list[str]) -> list[str]:

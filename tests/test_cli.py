@@ -178,35 +178,31 @@ def test_dump_eigen(workdir, tmp_path):
         assert r["k"] >= 1
 
 
-def _fail_eigh_for_size(monkeypatch, n):
-    """Make every n x n eigendecomposition fail as a non-converging LAPACK
-    call would; other sizes solve normally."""
+def _fail_eigh_on_call(monkeypatch, number):
+    """Make the number-th eigendecomposition (1-based) fail as a
+    non-converging LAPACK call would; the others solve normally. Each
+    non-empty line is solved in one call, in input order."""
     real_eigh = np.linalg.eigh
+    calls = 0
 
     def eigh(a, *args, **kwargs):
-        if a.shape[0] == n:
+        nonlocal calls
+        calls += 1
+        if calls == number:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
 
 
-def _unique_length_index(lines) -> int:
-    """Index of the first line whose length no other line has."""
-    lengths = [len(line) for line in lines]
-    return next(i for i, n in enumerate(lengths) if lengths.count(n) == 1)
-
-
 def test_dump_eigen_skips_empty_and_failed_lines(workdir, tmp_path, monkeypatch, capsys):
-    corpus = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:8]
-    bad = _unique_length_index(corpus)
-    ok = [line for i, line in enumerate(corpus) if i != bad]
-    lines = [ok[0], "", corpus[bad], ok[1]]
+    corpus = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:3]
+    lines = [corpus[0], "", corpus[1], corpus[2]]
     src = tmp_path / "in.txt"
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out.txt"
     dump = tmp_path / "eig.jsonl"
-    _fail_eigh_for_size(monkeypatch, len(corpus[bad]))
+    _fail_eigh_on_call(monkeypatch, 2)  # the empty line is never solved
     rc = main(
         [
             "segment",
@@ -229,7 +225,7 @@ def test_dump_eigen_skips_empty_and_failed_lines(workdir, tmp_path, monkeypatch,
         assert r["n"] == len(lines[r["line"] - 1]) == len(r["eigenvalues"])
     seg = out.read_text(encoding="utf-8").split("\n")
     assert seg[-1] == "" and len(seg) == len(lines) + 1
-    assert seg[1] == "" and seg[2] == corpus[bad]  # empty stays empty, failed passes through
+    assert seg[1] == "" and seg[2] == corpus[1]  # empty stays empty, failed passes through
     assert [s.replace(" ", "") for s in seg[:-1]] == lines
 
 
@@ -286,12 +282,12 @@ def test_sweep_bad_cuts(workdir, capsys):
 def test_sweep_reports_failed_line_and_prints_every_cut(workdir, tmp_path, monkeypatch, capsys):
     lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:8]
     gold = (workdir / "gold.txt").read_text(encoding="utf-8").splitlines()[:8]
-    bad = _unique_length_index(lines)
+    bad = 3
     src = tmp_path / "in.txt"
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     gold_path = tmp_path / "gold.txt"
     gold_path.write_text("\n".join(gold) + "\n", encoding="utf-8")
-    _fail_eigh_for_size(monkeypatch, len(lines[bad]))
+    _fail_eigh_on_call(monkeypatch, bad + 1)
     rc = main(
         [
             "sweep",

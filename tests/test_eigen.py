@@ -111,9 +111,10 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
 
 def test_sign_tie_makes_first_peak_positive(monkeypatch):
     # Column 0 peaks at rows 0 and 2 with opposite signs, negative first;
-    # exact ties are forced by handing back a fixed basis.
+    # exact ties are forced by handing back a fixed basis for the one block
+    # of the 3x3 input.
     s = 1 / math.sqrt(2)
     basis = np.array([[-s, 0.0, s], [0.0, -1.0, 0.0], [s, 0.0, s]])
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(3.0), basis.copy()))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(3.0)[None], basis[None].copy()))
     dec = eigh_symmetric(np.eye(3))
     assert np.array_equal(dec.vectors, [[s, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, s]])

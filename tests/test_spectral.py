@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segspectral import (
     ConnectionMatrix,
@@ -15,6 +16,7 @@ from segspectral import (
     cut_objective,
     eigh_symmetric,
     indicator_span_residual,
+    kmeans_cluster,
     spectral_embed,
     zero_eig_multiplicity,
 )
@@ -29,17 +31,17 @@ def two_block_w():
 class TestLaplacian:
     def test_unnormalized_frozen(self):
         w = ConnectionMatrix([1.0, 1.0], [0.5], [])
-        lap = build_laplacian(w, LaplacianForm.UNNORMALIZED)
+        lap = build_laplacian(w, LaplacianForm.UNNORMALIZED).to_dense()
         assert np.array_equal(lap, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_symmetric_normalized_frozen(self):
         w = ConnectionMatrix([1.0, 1.0], [0.5], [])
-        lap = build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED)
+        lap = build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED).to_dense()
         third = 1.0 / 3.0
         np.testing.assert_allclose(lap, [[third, -third], [-third, third]], atol=1e-15)
 
     def test_row_sums_of_unnormalized_vanish(self):
-        lap = build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED)
+        lap = build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED).to_dense()
         assert lap.sum(axis=1) == pytest.approx(np.zeros(5), abs=1e-12)
         assert np.array_equal(lap, lap.T)
 
@@ -52,6 +54,127 @@ class TestLaplacian:
         w = ConnectionMatrix([0.0, 1.0], [0.0], [])
         with pytest.raises(ValueError, match="positive degrees"):
             build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED)
+
+
+def dense_laplacian(w, form):
+    """The Laplacian as one n x n matrix, by the textbook formulas."""
+    deg = w.degrees()
+    if form is LaplacianForm.UNNORMALIZED:
+        return np.diag(deg) - w.to_dense()
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return np.eye(w.n) - w.to_dense() * np.outer(inv_sqrt, inv_sqrt)
+
+
+@st.composite
+def cut_bands(draw):
+    """Random bands in which some gaps are forced to carry no bond."""
+    n = draw(st.integers(1, 24))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+    off1 = np.array(draw(st.lists(weight, min_size=n - 1, max_size=n - 1)) if n > 1 else [])
+    off2 = np.array(draw(st.lists(weight, min_size=max(n - 2, 0), max_size=max(n - 2, 0))))
+    diag = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    for gap in draw(st.sets(st.integers(0, max(n - 2, 0)))) if n > 1 else ():
+        off1[gap] = 0.0
+        off2[max(gap - 1, 0) : gap + 1] = 0.0
+    return ConnectionMatrix(diag, off1, off2)
+
+
+def block_sizes(w):
+    """Sizes of the runs between gaps that no bond crosses."""
+    sizes, size = [], 1
+    for gap in range(w.n - 1):
+        crossed = w.off1[gap] > 0 or (gap >= 1 and w.off2[gap - 1] > 0)
+        crossed = crossed or (gap < w.n - 2 and w.off2[gap] > 0)
+        if crossed:
+            size += 1
+        else:
+            sizes.append(size)
+            size = 1
+    return sizes + [size]
+
+
+def check_block_solve(w, form):
+    """The block solve against the dense one: the same Laplacian entries,
+    eigenvalues and eigenpairs, and the same k-means labels at every k
+    where the first k eigenvectors span a well-defined space."""
+    lap = build_laplacian(w, form)
+    dense = dense_laplacian(w, form)
+    assert lap.sizes.tolist() == block_sizes(w)
+    assert lap.blocks.shape == (len(lap.sizes), max(lap.sizes), max(lap.sizes))
+    assert np.array_equal(lap.to_dense(), dense)
+    dec = eigh_symmetric(lap)
+    scale = max(1.0, np.abs(dense).sum(axis=1).max())
+    assert np.abs(dec.values - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
+    assert np.linalg.norm(dense @ dec.vectors - dec.vectors * dec.values) <= 1e-12 * scale * w.n
+    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(w.n)).max() <= 1e-12 * w.n
+    ref = eigh_symmetric(dense)
+    for k in range(1, w.n + 1):
+        if k < w.n and ref.values[k] - ref.values[k - 1] <= 1e-6 * scale:
+            continue  # k splits an eigenspace, whose basis either solve may pick
+        got = kmeans_cluster(spectral_embed(dec, k, form), k)
+        want = kmeans_cluster(spectral_embed(ref, k, form), k)
+        assert np.array_equal(got, want), k
+
+
+@settings(deadline=None, max_examples=150)
+@given(cut_bands())
+def test_block_solve_matches_dense_solve(w):
+    for form in LaplacianForm:
+        check_block_solve(w, form)
+
+
+class TestBlockSolve:
+    @pytest.mark.parametrize(
+        "w",
+        [
+            ConnectionMatrix([1.3], [], []),
+            ConnectionMatrix([1.0, 0.7], [0.4], []),
+            ConnectionMatrix([1.0, 2.0], [0.0], []),
+            ConnectionMatrix(np.ones(7), [0.5, 1.0, 0.2, 0.9, 0.3, 0.8], [0.1, 0.0, 0.6, 0.0, 0.4]),
+        ],
+        ids=["n1", "n2", "n2-cut", "one-block"],
+    )
+    def test_fixed_cases(self, w):
+        for form in LaplacianForm:
+            check_block_solve(w, form)
+
+    def test_all_singletons(self):
+        # b = n blocks of m = 1: every eigenvalue is 0, and the stable
+        # sort keeps the blocks' unit vectors in node order.
+        w = ConnectionMatrix(np.ones(6), np.zeros(5), np.zeros(4))
+        for form in LaplacianForm:
+            check_block_solve(w, form)
+            lap = build_laplacian(w, form)
+            assert lap.blocks.shape == (6, 1, 1)
+            dec = eigh_symmetric(lap)
+            assert np.array_equal(dec.values, np.zeros(6))
+            assert np.array_equal(dec.vectors, np.eye(6))
+
+    def test_identical_blocks_tie_across_blocks(self):
+        # Two copies of one three-node block: every eigenvalue appears
+        # twice, once from each block, and the stable sort keeps the
+        # first block's copy first.
+        w = ConnectionMatrix(np.ones(6), [0.5, 1.5, 0.0, 0.5, 1.5], [0.25, 0.0, 0.0, 0.25])
+        for form in LaplacianForm:
+            check_block_solve(w, form)
+            lap = build_laplacian(w, form)
+            assert lap.sizes.tolist() == [3, 3]
+            assert np.array_equal(lap.blocks[0], lap.blocks[1])
+            dec = eigh_symmetric(lap)
+            assert np.array_equal(dec.values[0::2], dec.values[1::2])
+            assert np.array_equal(dec.vectors[:3, 0::2], dec.vectors[3:, 1::2])
+            assert not dec.vectors[3:, 0::2].any() and not dec.vectors[:3, 1::2].any()
+
+    def test_padding_does_not_leak(self):
+        # Blocks of sizes 1, 4 and 2: the padding's eigenvalues sit above
+        # every block's and are dropped.
+        w = ConnectionMatrix(np.ones(7), [0.0, 2.0, 3.0, 1.0, 0.0, 5.0], [0.0, 1.0, 1.0, 0.0, 0.0])
+        for form in LaplacianForm:
+            lap = build_laplacian(w, form)
+            assert lap.sizes.tolist() == [1, 4, 2] and lap.blocks.shape == (3, 4, 4)
+            dec = eigh_symmetric(lap)
+            assert dec.n == 7
+            assert dec.values.max() <= np.abs(lap.to_dense()).sum(axis=1).max()
 
 
 class TestChooseK:
