@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -58,7 +59,7 @@ class DataError(Exception):
 
 def _coerce(key: str, value, want: type):
     if want is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
     elif want is int:
         if isinstance(value, int) and not isinstance(value, bool):
@@ -178,9 +179,10 @@ def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
     base = SegmenterConfig.for_recipe(recipe)
     form = LaplacianForm(args.form) if args.form else base.form
     eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
-    if eig_cut <= 0.0:
-        raise UsageError("eig_cut must be positive")
-    return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut)
+    try:
+        return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
@@ -243,8 +245,8 @@ def _parse_cuts(text: str) -> list[float]:
         cuts = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"--cuts expects comma-separated numbers, got {text!r}") from None
-    if not cuts or any(c <= 0.0 for c in cuts):
-        raise UsageError("--cuts needs at least one positive value")
+    if not cuts or not all(0.0 < c < math.inf for c in cuts):
+        raise UsageError("--cuts needs one or more values, all positive and finite")
     return sorted(set(cuts))
 
 
@@ -377,6 +379,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone. Python flushes stdout at exit, so
+        # point it at devnull to keep that flush from failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,6 +110,13 @@ class ConnectionMatrix:
         return d
 
 
+def _require_finite(params, *names: str) -> None:
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass
 class EhrParams:
     """Knobs for the dictionary-free recipe."""
@@ -122,6 +129,7 @@ class EhrParams:
     def __post_init__(self):
         self.weaken_set_1 = frozenset(self.weaken_set_1)
         self.weaken_set_2 = frozenset(self.weaken_set_2)
+        _require_finite(self, "factor_1", "factor_2")
         if self.factor_1 < 1.0 or self.factor_2 < 1.0:
             raise ValueError("weakening factors must be >= 1")
 
@@ -139,6 +147,7 @@ class Lexicon:
 
     def __post_init__(self):
         self.single_char_set = frozenset(self.single_char_set)
+        _require_finite(self, "boost", "rank_scale", "rank_floor")
         for name in ("boost", "rank_scale", "rank_floor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -182,6 +191,7 @@ class WordStats:
     damp_divisor: float = 250.0
 
     def __post_init__(self):
+        _require_finite(self, "boost", "damp_divisor")
         if self.boost <= 0.0 or self.damp_divisor <= 0.0:
             raise ValueError("boost and damp_divisor must be positive")
         if any(c < 1 for c in self.words.values()):

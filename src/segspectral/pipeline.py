@@ -7,11 +7,17 @@ threshold, clusters the embedded rows into that many contiguous runs, and
 splits the sentence between runs, so it yields k words that concatenate
 back to the exact input. A last pass merges split-up digit runs and a
 following unit character.
+
+Everything up to the eigendecomposition depends on the recipe and the
+Laplacian form, not on the threshold, and once k is chosen the embedding
+and the split depend on nothing else. So a line is prepared once, and a
+prepared sentence is embedded and clustered once per distinct k however
+many thresholds it is segmented at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,8 +54,8 @@ class SegmenterConfig:
     eig_cut: float
 
     def __post_init__(self):
-        if self.eig_cut <= 0.0:
-            raise ValueError("eig_cut must be positive")
+        if not 0.0 < self.eig_cut < np.inf:
+            raise ValueError(f"eig_cut must be positive and finite, got {self.eig_cut!r}")
 
     @classmethod
     def for_recipe(cls, recipe: Recipe, **overrides) -> "SegmenterConfig":
@@ -104,11 +110,21 @@ def postprocess_merge(words: list[str]) -> list[str]:
 @dataclass
 class PreparedSentence:
     """Recipe- and form-dependent, threshold-independent work for one
-    sentence; sweeping granularities can reuse it."""
+    sentence; sweeping granularities can reuse it.
+
+    clustered holds the (embedding, labels, words) that segment_prepared
+    computed for each k it was asked for, so thresholds that choose the
+    same k share them. It lives as long as the prepared sentence, and
+    holds at most one entry per distinct k of the line.
+    """
 
     text: str
     w: ConnectionMatrix
     dec: EigenDecomposition
+    form: LaplacianForm
+    clustered: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -130,14 +146,33 @@ def prepare_sentence(s: str, model, cfg: SegmenterConfig) -> PreparedSentence:
     w = build_w(s, model, cfg.recipe)
     lap = build_laplacian(w, cfg.form)
     dec = eigh_symmetric(lap)
-    return PreparedSentence(text=s, w=w, dec=dec)
+    # Every trace of the sentence shares these, and choose_k reads them.
+    dec.values.flags.writeable = dec.vectors.flags.writeable = False
+    return PreparedSentence(text=s, w=w, dec=dec, form=cfg.form)
 
 
 def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTrace:
+    """Segment a prepared sentence at cfg.eig_cut.
+
+    Only choose_k runs for a k the sentence has been segmented at before.
+    Traces of one sentence share its eigenvalues, and traces of one k its
+    embedding and labels; all are read-only, and each trace gets its own
+    copy of the word list. cfg.form must
+    be the form the sentence was prepared in: a mismatch is a caller's
+    bug and raises RuntimeError, which is not a data error.
+    """
+    if cfg.form is not prep.form:
+        raise RuntimeError(
+            f"sentence prepared in the {prep.form.value} form, segmented in {cfg.form.value}"
+        )
     k = choose_k(prep.dec.values, cfg.eig_cut)
-    embedding = spectral_embed(prep.dec, k, cfg.form)
-    labels = kmeans_cluster(embedding, k)
-    words = postprocess_merge(labels_to_words(prep.text, labels))
+    if k not in prep.clustered:
+        embedding = spectral_embed(prep.dec, k, cfg.form)
+        labels = kmeans_cluster(embedding, k)
+        words = postprocess_merge(labels_to_words(prep.text, labels))
+        embedding.flags.writeable = labels.flags.writeable = False
+        prep.clustered[k] = embedding, labels, words
+    embedding, labels, words = prep.clustered[k]
     return SentenceTrace(
         text=prep.text,
         w=prep.w,
@@ -145,7 +180,7 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
         k=k,
         embedding=embedding,
         labels=labels,
-        words=words,
+        words=list(words),
     )
 
 

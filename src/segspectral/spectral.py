@@ -91,8 +91,8 @@ def build_laplacian(w: ConnectionMatrix, form: LaplacianForm) -> BlockDiagonal:
 
 def choose_k(values: np.ndarray, eig_cut: float) -> int:
     """Number of eigenvalues at or below the granularity threshold, min 1."""
-    if eig_cut <= 0.0:
-        raise ValueError("eig_cut must be positive")
+    if not 0.0 < eig_cut < np.inf:
+        raise ValueError(f"eig_cut must be positive and finite, got {eig_cut!r}")
     return max(1, int(np.count_nonzero(np.asarray(values) <= eig_cut)))
 
 

@@ -1,6 +1,9 @@
+import errno
 import json
 import operator
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +488,88 @@ def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, r
     capsys.readouterr()
     assert main(argv + ["--config", str(config)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _exits_2_with_one_usage_message(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "--eig-cut", "nan"],
+        ["segment", "--eig-cut", "inf"],
+        ["segment", "--eig-cut=-inf"],
+        ["sweep", "--cuts", "nan,1.5,inf"],
+        ["sweep", "--cuts", "1.5,inf"],
+        ["sweep", "--cuts", "nan"],
+        ["sweep", "--cuts", "1.5", "--eig-cut", "nan"],
+    ],
+    ids=["segment-nan", "segment-inf", "segment-neg-inf", "sweep-nan-inf", "sweep-inf", "sweep-nan", "sweep-eig-cut"],
+)
+def test_nonfinite_cut_flag_is_a_usage_error(workdir, capsys, argv):
+    command, *flags = argv
+    base = [command, "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    _exits_2_with_one_usage_message(base + flags, capsys)
+
+
+@pytest.mark.parametrize(
+    "recipe, flag, text",
+    [
+        ("ehr", None, '{"eig_cut_ehr": NaN}'),
+        ("ehr", None, '{"eig_cut_ehr": Infinity}'),
+        ("ehr", None, '{"eig_cut_lexicon": NaN}'),
+        ("ehr", None, '{"factor_1": NaN}'),
+        ("ehr", None, '{"factor_2": Infinity}'),
+        ("lexicon", "--lexicon", '{"boost": NaN}'),
+        ("lexicon", "--lexicon", '{"rank_scale": Infinity}'),
+        ("train-words", "--word-stats", '{"boost": Infinity}'),
+    ],
+)
+@pytest.mark.parametrize("command", ["segment", "sweep"])
+def test_nonfinite_config_value_is_a_usage_error(workdir, tmp_path, capsys, command, recipe, flag, text):
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    resource = tmp_path / "words.tsv"
+    resource.write_text("天安\t3\n的\t1\n", encoding="utf-8")
+    argv = [command, "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--recipe", recipe, "--config", str(config)]
+    if command == "sweep":
+        argv += ["--cuts", "1.5"]
+    if flag is not None:
+        argv += [flag, str(resource)]
+    _exits_2_with_one_usage_message(argv, capsys)
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["segment", "sweep"])
+def test_closed_stdout_exits_quietly(workdir, tmp_path, monkeypatch, capsys, command):
+    argv = [command, "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    if command == "sweep":
+        argv += ["--cuts", "0.5,1.5"]
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+        assert main(argv) == 1
+        # The descriptor now leads to devnull, so the flush at exit succeeds.
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["segment", "sweep", "eval", "train"])

@@ -1,4 +1,7 @@
+import math
 import tempfile
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,9 @@ from segspectral import (
     trace_document,
     trace_sentence,
 )
+from segspectral import pipeline
+from segspectral.pipeline import DATA_ERRORS
+from segspectral.spectral import choose_k
 
 
 class TestLabelsToWords:
@@ -94,6 +100,32 @@ class TestSegmenterConfig:
         with pytest.raises(ValueError, match="positive"):
             SegmenterConfig(recipe=EhrParams(), form=LaplacianForm.UNNORMALIZED, eig_cut=0.0)
 
+    @pytest.mark.parametrize("cut", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_cut(self, cut):
+        with pytest.raises(ValueError, match="finite"):
+            SegmenterConfig(recipe=EhrParams(), form=LaplacianForm.UNNORMALIZED, eig_cut=cut)
+        with pytest.raises(ValueError, match="finite"):
+            choose_k([0.0, 1.0], cut)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: EhrParams(factor_1=x),
+        lambda x: EhrParams(factor_2=x),
+        lambda x: Lexicon({}, boost=x),
+        lambda x: Lexicon({}, rank_floor=x),
+        lambda x: Lexicon({}, rank_scale=x),
+        lambda x: WordStats({}, boost=x),
+        lambda x: WordStats({}, damp_divisor=x),
+    ],
+    ids=["factor_1", "factor_2", "lexicon-boost", "rank_floor", "rank_scale", "words-boost", "damp_divisor"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_recipes_reject_nonfinite_floats(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
+
 
 def test_build_w_dispatch(synth_model):
     s = "天安门"
@@ -152,8 +184,6 @@ class TestSegmentSentence:
         lines, _ = synth_corpus
         cfg = SegmenterConfig.for_recipe(EhrParams())
         prep = prepare_sentence(lines[0], synth_model, cfg)
-        from dataclasses import replace
-
         ks = [
             segment_prepared(prep, replace(cfg, eig_cut=cut)).k
             for cut in (0.05, 0.5, 2.0, 1e6)
@@ -178,6 +208,105 @@ class TestSegmentSentence:
             assert error is None and len(traces) == len(cuts)
             for cut_words, trace in zip(words, traces):
                 assert len(cut_words) == trace.k
+
+
+@pytest.fixture(scope="module")
+def recipe_cfgs(synth_corpus):
+    """The ehr recipe and a lexicon of the gold words, each in both forms."""
+    _, gold = synth_corpus
+    counts = Counter(word for words in gold for word in words)
+    ranked = sorted(counts, key=lambda word: (-counts[word], word))
+    lexicon = Lexicon(entries={word: rank for rank, word in enumerate(ranked, 1)})
+    return [
+        SegmenterConfig.for_recipe(recipe, form=form)
+        for recipe in (EhrParams(), lexicon)
+        for form in LaplacianForm
+    ]
+
+
+class TestClusteringReuse:
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_shared_prep_matches_a_fresh_prep_at_every_cut(
+        self, synth_corpus, synth_model, recipe_cfgs, data
+    ):
+        lines, _ = synth_corpus
+        line = data.draw(st.sampled_from(lines[:60]), label="line")
+        cfg = data.draw(st.sampled_from(recipe_cfgs), label="cfg")
+        prep = prepare_sentence(line, synth_model, cfg)
+        # Cuts on, just beside and between the eigenvalues, so that many
+        # choose the same k, plus repeats of them in any order.
+        values = [max(v, 1e-12) for v in prep.dec.values.tolist()]
+        near = st.builds(
+            lambda v, r: v * r,
+            st.sampled_from(values),
+            st.sampled_from([1.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.5, 2.0]),
+        )
+        anywhere = st.floats(min_value=1e-6, max_value=2.0 * max(values) + 1.0)
+        base = data.draw(st.lists(st.one_of(near, anywhere), min_size=1, max_size=6))
+        repeats = data.draw(st.lists(st.sampled_from(base), max_size=4))
+        cuts = data.draw(st.permutations(base + repeats), label="cuts")
+        for cut in cuts:
+            cut_cfg = replace(cfg, eig_cut=cut)
+            shared = segment_prepared(prep, cut_cfg)
+            fresh = segment_prepared(prepare_sentence(line, synth_model, cut_cfg), cut_cfg)
+            assert shared.k == fresh.k
+            assert shared.words == fresh.words
+            assert np.array_equal(shared.labels, fresh.labels)
+            assert np.array_equal(shared.embedding, fresh.embedding)
+
+    def test_stages_after_choose_k_run_once_per_distinct_k(
+        self, synth_corpus, synth_model, monkeypatch
+    ):
+        calls = Counter()
+
+        def count(name):
+            original = getattr(pipeline, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        stages = ("spectral_embed", "kmeans_cluster", "labels_to_words", "postprocess_merge")
+        for name in ("choose_k", *stages):
+            count(name)
+        lines, _ = synth_corpus
+        cfg = SegmenterConfig.for_recipe(EhrParams())
+        cuts = (0.1, 0.1, 0.5, 0.5000001, 1.5, 2.0, 1e6)
+        distinct = 0
+        for _, _, traces, error in trace_document(lines[:10], synth_model, cfg, cuts):
+            assert error is None and len(traces) == len(cuts)
+            distinct += len({trace.k for trace in traces})
+        assert 10 < distinct < 10 * len(cuts)
+        assert calls == {"choose_k": 10 * len(cuts), **{name: distinct for name in stages}}
+
+    def test_traces_of_one_k_share_read_only_arrays_and_not_words(self, synth_corpus, synth_model):
+        lines, _ = synth_corpus
+        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5)
+        prep = prepare_sentence(lines[0], synth_model, cfg)
+        first, second = segment_prepared(prep, cfg), segment_prepared(prep, cfg)
+        assert first.embedding is second.embedding and first.labels is second.labels
+        assert first.eigenvalues is second.eigenvalues
+        for array in (first.eigenvalues, first.embedding, first.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        assert first.words == second.words and first.words is not second.words
+        first.words.append("x")
+        assert segment_prepared(prep, cfg).words == second.words
+
+    def test_form_mismatch_is_a_caller_bug(self, synth_corpus, synth_model):
+        lines, _ = synth_corpus
+        cfg = SegmenterConfig.for_recipe(EhrParams())
+        prep = prepare_sentence(lines[0], synth_model, cfg)
+        assert prep.form is cfg.form
+        other = replace(cfg, form=LaplacianForm.SYMMETRIC_NORMALIZED)
+        with pytest.raises(Exception, match="form") as info:
+            segment_prepared(prep, other)
+        assert not isinstance(info.value, DATA_ERRORS)
+        assert prep.clustered == {}
 
 
 class TestSegmentDocument:
