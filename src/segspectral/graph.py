@@ -151,6 +151,9 @@ class Lexicon:
         for name in ("boost", "rank_scale", "rank_floor"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        threshold = self.rank_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
+            raise ValueError(f"rank_threshold must be an integer >= 1, got {threshold!r}")
         ranks = list(self.entries.values())
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive integers")

@@ -7,7 +7,9 @@ within-run squared error, the k-means objective restricted to runs
 (Fisher, "On grouping for maximum homogeneity", JASA 1958). The result
 uses no random numbers and depends only on the distances between rows, so
 it does not change when the rows are rotated, as an eigensolver may do
-inside a degenerate eigenspace.
+inside a degenerate eigenspace. Ties go to early boundaries: from the
+last run back, each run starts at the earliest row whose best split before
+it comes within a tie tolerance of the least error up to the run's end.
 
 The optimal runs are short next to the sentence, so the DP only considers
 runs of at most L rows, starting from twice the mean run length, and
@@ -32,11 +34,12 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     """Labels of the split of the rows into k contiguous runs with the
     least total within-run squared error.
 
-    Labels are non-decreasing, 0 to k-1. Ties go to the earliest boundary:
-    among splits whose errors are equal up to rounding, the last boundary
-    sits as early as it can, then the one before it, and so on. Takes
-    O(k·n·L) time and O(n·L) memory, where L is a bound on run length that
-    starts at twice n/k and doubles while the result cannot be certified.
+    Labels are non-decreasing, 0 to k-1. From the last run back, each run
+    starts at the earliest row whose split of the rows before it, plus the
+    run, comes within the tie tolerance of the least error up to its end.
+    Takes O(k·n·L) time and O(n·L + k·n) memory, where L is a bound on run
+    length that starts at twice n/k and doubles while the result cannot be
+    certified.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -96,44 +99,41 @@ def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int, least: int) -> np.nd
 
 def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, float]:
     """Labels of the best split into k runs of at most L rows (cost has
-    rows for runs of L + 1 .. 1 rows, see _run_costs), and its error.
-
-    Follows the full DP's tie rule: among candidates within tol of the
-    least error, the one whose last run starts earliest.
-    """
-    band = cost.shape[0] - 1
-    n = cost.shape[1] - 1
+    rows for runs of L + 1 .. 1 rows, see _run_costs), and its error; ties
+    go as in kmeans_cluster, so the labels are the full DP's."""
+    band, n = cost.shape[0] - 1, cost.shape[1] - 1
     w = n - k + 1
-    # The first m + 1 runs hold a row each and leave one for each of the
-    # k - m - 1 runs after them, so they end (exclusive) at m + 1 .. m + w.
-    # best[band - 1 + t]: least error of rows 0 .. m + t in m + 1 runs; the
-    # band - 1 infinities in front rule out a last run starting before row
-    # m, which would leave an earlier run empty.
-    # window[r, t] = best[r + t] is then the error before a last run of
-    # band - r rows ending at row m + t, so row 0 is the earliest start.
-    best = np.full(band - 1 + w, np.inf)
-    best[band - 1 : 2 * band - 1] = cost[np.arange(band, 0, -1), np.arange(1, band + 1)]
-    window = _windows(best, band)
+    # The first m + 1 runs hold a row each and leave one for each run after
+    # them, so they end (exclusive) at m + 1 .. m + w. best[m, band - 1 + t]:
+    # least error of rows 0 .. m + t in m + 1 runs; the band - 1 infinities
+    # in front rule out a last run starting before row m.
+    best = np.full((k, band - 1 + w), np.inf)
+    best[0, band - 1 : 2 * band - 1] = cost[np.arange(band, 0, -1), np.arange(1, band + 1)]
+    # Step m sums windows[m - 1] and runs[m]: with windows[m, r, t] =
+    # best[m, r + t] and runs[m, r, t] = cost[1 + r, m + 1 + t], that is the
+    # error of m + 1 runs, the last of band - r rows ending at row m + t.
+    windows = np.ndarray((k, band, w), float, best, strides=(*best.strides, best.itemsize))
+    row, col = cost.strides
+    runs = np.ndarray((k, band, w), float, cost, row + col, (col, row, col))
     total = np.empty((band, w))
-    low = np.empty(w)
-    near = np.empty((band, w), dtype=bool)
-    pick = np.zeros((k, w), dtype=np.intp)
-    cols = np.arange(w)
-    for m in range(1, k):
-        np.add(window, cost[1:, m + 1 : m + 1 + w], out=total)
-        np.minimum.reduce(total, axis=0, out=low)
-        low += tol
-        np.less_equal(total, low, out=near)
-        near.argmax(axis=0, out=pick[m])
-        best[band - 1 :] = total[pick[m], cols]
+    for before, run, least in zip(windows, runs[1:], best[1:, band - 1 :]):
+        np.add(before, run, out=total)
+        np.minimum.reduce(total, axis=0, out=least)
 
-    labels = np.zeros(n, dtype=int)
-    end = n
+    # Each run starts as early as it can: at the first candidate within
+    # tol of the least error, summed as the forward pass summed it.
+    lengths, end = [], n
     for m in range(k - 1, 0, -1):
-        begin = end - band + pick.item(m, end - m - 1)
-        labels[begin:end] = m
-        end = begin
-    return labels, float(best[-1])
+        t = end - m - 1
+        limit = best.item(m, band - 1 + t) + tol
+        prefix, costs = best[m - 1, t : t + band].tolist(), cost[1:, end].tolist()
+        r = 0
+        while prefix[r] + costs[r] > limit:
+            r += 1
+        lengths.append(band - r)
+        end -= band - r
+    lengths.append(end)
+    return np.repeat(np.arange(k), lengths[::-1]), best.item(-1, -1)
 
 
 def _windows(a: np.ndarray, rows: int) -> np.ndarray:

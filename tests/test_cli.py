@@ -472,8 +472,13 @@ def test_recipe_resource_errors(workdir, tmp_path, capsys, recipe, flag):
         ("train-words", "--word-stats", "damp_divisor", 0, "boost and damp_divisor must be positive"),
         ("lexicon", "--lexicon", "rank_scale", 0, "rank_scale must be positive"),
         ("lexicon", "--lexicon", "rank_floor", 0, "rank_floor must be positive"),
+        ("lexicon", "--lexicon", "rank_threshold", -5, "rank_threshold must be an integer >= 1, got -5"),
+        ("lexicon", "--lexicon", "rank_threshold", 0, "rank_threshold must be an integer >= 1, got 0"),
     ],
-    ids=["ehr", "lexicon", "train-words", "lexicon-rank_scale", "lexicon-rank_floor"],
+    ids=[
+        "ehr", "lexicon", "train-words", "lexicon-rank_scale", "lexicon-rank_floor",
+        "lexicon-rank_threshold-negative", "lexicon-rank_threshold-zero",
+    ],
 )
 def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, recipe, flag, key, value, message):
     config = tmp_path / "c.json"

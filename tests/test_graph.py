@@ -277,6 +277,11 @@ class TestLexiconRecipe:
         assert at.frequent_bigrams == frozenset()
         assert below.frequent_bigrams == {"天安", "安门"}
 
+    @pytest.mark.parametrize("value", [math.nan, -5, 0, True, False, 2.5, "3"])
+    def test_rank_threshold_must_be_an_integer_from_1(self, value):
+        with pytest.raises(ValueError, match="rank_threshold must be an integer >= 1"):
+            Lexicon(entries={"天安": 1}, rank_threshold=value)
+
     def test_damp_once_per_qualifying_char(self):
         # Both 的 and 了 are common single-character words with no lexicon
         # entry, so each contributes the floor divisor of 20.
@@ -362,6 +367,8 @@ def test_load_lexicon(tmp_path):
     bad.write_text("天安门 100\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.tsv:1"):
         load_lexicon(bad)
+    with pytest.raises(ValueError, match="rank_threshold"):
+        load_lexicon(p, rank_threshold=-5)
 
 
 def test_loaders_split_on_newline_only(tmp_path):

@@ -1,8 +1,21 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segspectral import contiguous_partitions, kmeans_cluster
+from segspectral import (
+    EhrParams,
+    LaplacianForm,
+    Lexicon,
+    SegmenterConfig,
+    WordStats,
+    contiguous_partitions,
+    kmeans_cluster,
+    prepare_sentence,
+    segment_prepared,
+)
 
 
 def two_blobs(rng, n_per=20, sep=10.0):
@@ -129,20 +142,20 @@ def full_table_labels(points, k):
     cost = np.where(size > 0, np.maximum(cost, 0.0), np.inf)
     tol = 1e-12 * float(np.einsum("ij,ij->", x, x))
 
+    # best[m][t]: least error of rows 0 .. m + t in m + 1 runs.
     w = n - k + 1
-    best = cost[0, 1 : w + 1]
-    start = np.zeros((k, w), dtype=int)
-    cols = np.arange(w)
+    best = [cost[0, 1 : w + 1]]
     for m in range(1, k):
-        total = best[:, None] + cost[m : m + w, m + 1 : m + 1 + w]
-        pick = np.argmax(total <= total.min(axis=0) + tol, axis=0)
-        start[m] = m + pick
-        best = total[pick, cols]
+        total = best[-1][:, None] + cost[m : m + w, m + 1 : m + 1 + w]
+        best.append(total.min(axis=0))
 
+    # From the last run back, each run starts at the earliest row whose
+    # candidate is within tol of the least error up to the run's end.
     labels = np.zeros(n, dtype=int)
     end = n
     for m in range(k - 1, 0, -1):
-        begin = start[m, end - m - 1]
+        candidates = best[m - 1] + cost[m : m + w, end]
+        begin = m + int(np.argmax(candidates <= best[m][end - m - 1] + tol))
         labels[begin:end] = m
         end = begin
     return labels
@@ -157,6 +170,19 @@ def random_rows(draw):
     n = draw(st.integers(1, 24))
     x = rows_with_duplicates(rng, n, draw(st.integers(1, 4)))
     x *= draw(st.sampled_from([1.0, 1e-3, 0.0]))
+    return x, draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+
+
+@st.composite
+def near_tie_rows(draw):
+    """Rows from a pool of two, moved by noise at the scale of the tie
+    tolerance, so that several splits come within it of the least error
+    and the tie rule decides; k is 1, n, or anything between."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 24))
+    x = rng.normal(size=(2, draw(st.integers(1, 3))))[rng.integers(0, 2, n)]
+    noise = np.sqrt(1e-12 * float(np.einsum("ij,ij->", x, x)))
+    x += noise * draw(st.sampled_from([0.1, 0.5, 1.0, 2.0])) * rng.normal(size=x.shape)
     return x, draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
 
 
@@ -176,6 +202,13 @@ def long_runs(draw):
 @settings(deadline=None, max_examples=300)
 @given(random_rows())
 def test_matches_full_table_dp(case):
+    x, k = case
+    assert np.array_equal(kmeans_cluster(x, k), full_table_labels(x, k)), (x, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_tie_rows())
+def test_matches_full_table_dp_at_the_tie_tolerance(case):
     x, k = case
     assert np.array_equal(kmeans_cluster(x, k), full_table_labels(x, k)), (x, k)
 
@@ -202,3 +235,24 @@ def test_matches_full_table_dp_on_near_ties():
         x = np.repeat([[1.0], [1.0], [5.0]], [12, 12, 2], axis=0)
         x[12:24] += np.sqrt(1e-12 * float(np.einsum("ij,ij->", x, x)) / share)
         assert np.array_equal(kmeans_cluster(x, 3), full_table_labels(x, 3)), share
+
+
+def test_matches_full_table_dp_on_pipeline_embeddings(synth_corpus, synth_model):
+    # The quick-start text through every recipe, in both forms, at the
+    # recipe's default cut and at 1.5. Rows repeat within a component, and
+    # a zero eigenspace shared by several components comes back in any
+    # basis, so splits tie for real.
+    lines, gold = synth_corpus
+    counts = Counter(word for words in gold for word in words)
+    ranked = sorted(counts, key=lambda word: (-counts[word], word))
+    lexicon = Lexicon(entries={word: rank for rank, word in enumerate(ranked, 1)})
+    for recipe in (EhrParams(), lexicon, WordStats(words=dict(counts))):
+        for form in LaplacianForm:
+            cfg = SegmenterConfig.for_recipe(recipe, form=form)
+            for line in lines[:100]:
+                prep = prepare_sentence(line, synth_model, cfg)
+                for cut in (cfg.eig_cut, 1.5):
+                    trace = segment_prepared(prep, replace(cfg, eig_cut=cut))
+                    x, k = trace.embedding, trace.k
+                    want = full_table_labels(x, k)
+                    assert np.array_equal(kmeans_cluster(x, k), want), (line, cfg, cut)
