@@ -11,10 +11,13 @@ matrix is the one-block case. Results are deterministic for a given
 numpy/LAPACK build; within a degenerate eigenspace the basis is whatever
 that build's LAPACK returns.
 
-Output convention: eigenvalues ascending (equal ones in block order),
-eigenvectors as matching columns of an n×n matrix, and the sign of each
-column fixed so that its entry of largest magnitude (first such index on
-ties) is positive.
+Output convention: eigenvalues ascending (equal ones in block order).
+The eigenvectors stay in the (b, m, m) stack the solve returns, one
+column per eigenpair of a block, with the sign of each column fixed so
+that its entry of largest magnitude (first such index on ties) is
+positive. Each eigenpair records its block and column, and each block row
+its row of the line, so the first k eigenvectors are gathered as an n×k
+matrix on demand; no n×n eigenvector matrix is built.
 """
 
 from __future__ import annotations
@@ -33,14 +36,31 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass
 class EigenDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues with orthonormal eigenvectors, kept in their
+    blocks. Eigenpair i is values[i] with column column[i] of
+    stack[block[i]], whose row r is row rows[block[i], r] of the line;
+    padding rows have row n."""
 
-    values: np.ndarray
-    vectors: np.ndarray
+    values: np.ndarray  # (n,)
+    stack: np.ndarray  # (b, m, m)
+    rows: np.ndarray  # (b, m)
+    block: np.ndarray  # (n,)
+    column: np.ndarray  # (n,)
 
     @property
     def n(self) -> int:
         return self.values.size
+
+    def columns(self, k: int) -> np.ndarray:
+        """The first k eigenvectors as the columns of a new n×k matrix."""
+        if not 0 <= k <= self.n:
+            raise ValueError(f"k={k} out of range for n={self.n}")
+        block = self.block[:k]
+        gathered = self.stack[block, :, self.column[:k]]  # (k, m)
+        # Row n is where the padding rows land; it is dropped.
+        out = np.zeros((self.n + 1, k))
+        out[self.rows.take(block, axis=0), np.arange(k)[:, None]] = gathered
+        return out[: self.n]
 
 
 @dataclass
@@ -105,15 +125,13 @@ def eigh_symmetric(a) -> EigenDecomposition:
     peak = vectors[np.arange(b)[:, None], np.abs(vectors).argmax(axis=1), cols]
     vectors *= np.copysign(1.0, peak)[:, None, :]
 
-    # Row and column r of block j become row and column r of its run of
-    # rows, padding goes to a last row and column that are dropped, and
-    # the columns are then put in eigenvalue order.
+    # Eigenpairs are numbered block by block, and block rows row by row,
+    # in the line's order; padding goes to row n.
     real = ~pad
+    block, column = np.nonzero(real)
     values = values[real]
     n = values.size
-    at = np.full((b, m), n)
-    at[real] = np.arange(n)
-    dense = np.zeros((n + 1, n + 1))
-    dense[at[:, :, None], at[:, None, :]] = vectors
+    rows = np.full((b, m), n)
+    rows[real] = np.arange(n)
     order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=dense[:n, order])
+    return EigenDecomposition(values[order], vectors, rows, block[order], column[order])

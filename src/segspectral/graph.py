@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -68,9 +69,15 @@ class ConnectionMatrix:
             raise ValueError(
                 f"band lengths {self.off1.size}/{self.off2.size} do not match n={n}"
             )
-        for band in (self.diag, self.off1, self.off2):
-            if band.size and band.min() < 0.0:
-                raise ValueError("connection strengths must be nonnegative")
+        strengths = np.concatenate((self.diag, self.off1, self.off2))
+        low = strengths.min()
+        # Both comparisons are False for NaN.
+        if not (low > -np.inf and strengths.max() < np.inf):
+            bands = {"diag": self.diag, "off1": self.off1, "off2": self.off2}
+            name = next(name for name, band in bands.items() if not np.isfinite(band).all())
+            raise ValueError(f"connection strengths must be finite, and band {name} is not")
+        if low < 0.0:
+            raise ValueError("connection strengths must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -233,7 +240,10 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _standardized_log(counts: np.ndarray, log_sd: float) -> np.ndarray:
     """ln(count) / log_sd per n-gram, and 0 for an unseen one."""
     # math.log, not np.log: the two differ in the last bit for some counts.
-    return np.array([math.log(c) if c else 0.0 for c in counts.tolist()]) / log_sd
+    seen = counts > 0.0
+    logs = np.zeros(counts.size)
+    logs[seen] = list(map(math.log, counts[seen].tolist()))
+    return logs / log_sd
 
 
 def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,10 +258,11 @@ def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, 
     """
     # Float counts are exact below 2**53, and a larger one in a model file
     # still converts instead of making an object array.
+    n = len(s)
     pairs = list(map(add, s, s[1:]))
-    uni = np.array([model.uni.get(ch, 0) for ch in s], dtype=float)
-    bi = np.array([model.bi.get(pair, 0) for pair in pairs], dtype=float)
-    tri = np.array([model.tri.get(triple, 0) for triple in map(add, pairs, s[2:])], dtype=float)
+    uni = np.fromiter(map(model.uni.get, s, repeat(0)), float, n)
+    bi = np.fromiter(map(model.bi.get, pairs, repeat(0)), float, n - 1)
+    tri = np.fromiter(map(model.tri.get, map(add, pairs, s[2:]), repeat(0)), float, max(n - 2, 0))
     p = _ratio(bi, uni[:-1])
     p[1:] = np.maximum(p[1:], _ratio(tri, bi[:-1]))
     p[:-1] = np.maximum(p[:-1], _ratio(tri, bi[1:]))
@@ -260,7 +271,7 @@ def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, 
 
 def _members(s: str, chars: frozenset) -> np.ndarray:
     """Boolean mask of the characters of s that are in chars."""
-    return np.array([ch in chars for ch in s], dtype=bool)
+    return np.fromiter(map(chars.__contains__, s), bool, len(s))
 
 
 def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> ConnectionMatrix:

@@ -92,8 +92,11 @@ def postprocess_merge(words: list[str]) -> list[str]:
 
     Adjacent all-digit words merge; an all-digit word followed by a single
     unit character merges with it. Idempotent, and never changes the
-    concatenation of the list.
+    concatenation of the list. A list with no digit is returned as it is,
+    not copied.
     """
+    if DIGIT_CHARS.isdisjoint("".join(words)):
+        return words
     out: list[str] = []
     for word in words:
         if out and _is_digit_run(out[-1]):
@@ -146,8 +149,9 @@ def prepare_sentence(s: str, model, cfg: SegmenterConfig) -> PreparedSentence:
     w = build_w(s, model, cfg.recipe)
     lap = build_laplacian(w, cfg.form)
     dec = eigh_symmetric(lap)
-    # Every trace of the sentence shares these, and choose_k reads them.
-    dec.values.flags.writeable = dec.vectors.flags.writeable = False
+    # Every trace of the sentence shares these; choose_k and spectral_embed
+    # read them.
+    dec.values.flags.writeable = dec.stack.flags.writeable = False
     return PreparedSentence(text=s, w=w, dec=dec, form=cfg.form)
 
 

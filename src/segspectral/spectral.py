@@ -102,7 +102,7 @@ def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.n
     left alone)."""
     if not 1 <= k <= dec.n:
         raise ValueError(f"k={k} out of range for n={dec.n}")
-    u = dec.vectors[:, :k].copy()
+    u = dec.columns(k)
     if form is LaplacianForm.SYMMETRIC_NORMALIZED:
         norms = np.linalg.norm(u, axis=1)
         nonzero = norms > 0.0
@@ -165,7 +165,9 @@ def indicator_span_residual(
         basis[:, j] /= norm
     # Disjoint supports make the columns orthonormal already.
     p_span = basis @ basis.T
-    zero_vecs = dec.vectors[:, np.abs(dec.values) <= tol]
+    # Values ascend, so the zero ones are among the first that are <= tol.
+    below = int(np.count_nonzero(dec.values <= tol))
+    zero_vecs = dec.columns(below)[:, np.abs(dec.values[:below]) <= tol]
     p_eig = zero_vecs @ zero_vecs.T
     return float(np.linalg.norm(p_span - p_eig, ord="fro"))
 

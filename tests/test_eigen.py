@@ -12,33 +12,34 @@ ORTH_TOL = 1e-8
 def check_decomposition(a, dec):
     a = np.asarray(a, dtype=float)
     scale = max(1.0, np.linalg.norm(a))
-    resid = np.linalg.norm(a @ dec.vectors - dec.vectors * dec.values)
+    vectors = dec.columns(dec.n)
+    resid = np.linalg.norm(a @ vectors - vectors * dec.values)
     assert resid <= RESID_TOL * scale
-    gram = dec.vectors.T @ dec.vectors
+    gram = vectors.T @ vectors
     assert np.linalg.norm(gram - np.eye(dec.n)) <= ORTH_TOL
     assert np.all(np.diff(dec.values) >= 0.0)
     for j in range(dec.n):
-        col = dec.vectors[:, j]
+        col = vectors[:, j]
         assert col[np.argmax(np.abs(col))] > 0.0
 
 
 def test_one_by_one():
     dec = eigh_symmetric([[5.0]])
     assert np.array_equal(dec.values, [5.0])
-    assert np.array_equal(dec.vectors, [[1.0]])
+    assert np.array_equal(dec.columns(dec.n), [[1.0]])
 
 
 def test_two_by_two_exact():
     dec = eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
     assert dec.values == pytest.approx([-1.0, 1.0], abs=1e-14)
     s = 1 / math.sqrt(2)
-    assert dec.vectors == pytest.approx(np.array([[s, s], [-s, s]]), abs=1e-14)
+    assert dec.columns(dec.n) == pytest.approx(np.array([[s, s], [-s, s]]), abs=1e-14)
 
 
 def test_diagonal_input():
     dec = eigh_symmetric(np.diag([3.0, 1.0, 2.0]))
     assert np.array_equal(dec.values, [1.0, 2.0, 3.0])
-    assert np.array_equal(dec.vectors, np.eye(3)[:, [1, 2, 0]])
+    assert np.array_equal(dec.columns(dec.n), np.eye(3)[:, [1, 2, 0]])
 
 
 def test_identity_has_degenerate_spectrum():
@@ -78,7 +79,7 @@ def test_deterministic():
     d1 = eigh_symmetric(a)
     d2 = eigh_symmetric(a)
     assert np.array_equal(d1.values, d2.values)
-    assert np.array_equal(d1.vectors, d2.vectors)
+    assert np.array_equal(d1.columns(9), d2.columns(9))
 
 
 def test_input_validation():
@@ -117,4 +118,4 @@ def test_sign_tie_makes_first_peak_positive(monkeypatch):
     basis = np.array([[-s, 0.0, s], [0.0, -1.0, 0.0], [s, 0.0, s]])
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(3.0)[None], basis[None].copy()))
     dec = eigh_symmetric(np.eye(3))
-    assert np.array_equal(dec.vectors, [[s, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, s]])
+    assert np.array_equal(dec.columns(dec.n), [[s, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, s]])

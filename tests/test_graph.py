@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from segspectral import (
     WEAKEN_SET_2,
     ConnectionMatrix,
     EhrParams,
+    LaplacianForm,
     Lexicon,
     NGramModel,
     WordStats,
@@ -18,6 +20,7 @@ from segspectral import (
     build_w_ehr,
     build_w_lexicon,
     build_w_trainwords,
+    build_laplacian,
     ingest_corpus,
     is_chinese,
     load_lexicon,
@@ -68,6 +71,18 @@ class TestConnectionMatrix:
             ConnectionMatrix([1, 1, 1], [1, 1], [0.1, 0.2])
         with pytest.raises(ValueError, match="nonnegative"):
             ConnectionMatrix([1, 1], [-0.5], [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("band", ["diag", "off1", "off2"])
+    def test_non_finite_strengths_are_refused(self, band, bad):
+        bands = {"diag": np.ones(4), "off1": np.ones(3), "off2": np.zeros(2)}
+        bands[band][1] = bad
+        for form in LaplacianForm:
+            # Refused before any Laplacian arithmetic can warn.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"finite, and band {band} "):
+                    build_laplacian(ConnectionMatrix(**bands), form)
 
 
 @pytest.fixture()

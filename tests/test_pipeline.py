@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -196,6 +197,29 @@ class TestSegmentSentence:
         # cluster; the merge pass then rejoins the digit run and its unit.
         cfg = SegmenterConfig.for_recipe(EhrParams())
         assert segment_sentence("12年", synth_model, cfg) == ["12年"]
+
+    def test_prepare_holds_no_n_by_n_matrix(self):
+        # A 2000-character line of 2-4 character words, each word with its
+        # own characters and trained on its own, so no bond crosses a word
+        # boundary and the Laplacian's blocks are the words.
+        sizes = [2, 3, 4] * 222 + [2]
+        chars = [chr(0x4E00 + i) for i in range(sum(sizes))]
+        bounds = np.cumsum([0, *sizes]).tolist()
+        words = ["".join(chars[a:b]) for a, b in zip(bounds, bounds[1:])]
+        model = ingest_corpus(word for j, word in enumerate(words) for _ in range(1 + j % 3))
+        line = "".join(words)
+        n = len(line)
+        assert n == 2000
+        cfg = SegmenterConfig.for_recipe(EhrParams())
+        tracemalloc.start()
+        try:
+            prep = prepare_sentence(line, model, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n×n float matrix is n²·8 bytes.
+        assert peak < n * n * 8 / 10
+        assert prep.dec.n == n and prep.dec.stack.shape[1] <= 4
 
     def test_k_words_per_line(self, synth_corpus, synth_model):
         # Clusters are contiguous runs, so a line has exactly as many words

@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segspectral import (
     ConnectionMatrix,
@@ -105,8 +106,9 @@ def check_block_solve(w, form):
     dec = eigh_symmetric(lap)
     scale = max(1.0, np.abs(dense).sum(axis=1).max())
     assert np.abs(dec.values - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
-    assert np.linalg.norm(dense @ dec.vectors - dec.vectors * dec.values) <= 1e-12 * scale * w.n
-    assert np.abs(dec.vectors.T @ dec.vectors - np.eye(w.n)).max() <= 1e-12 * w.n
+    vectors = dec.columns(w.n)
+    assert np.linalg.norm(dense @ vectors - vectors * dec.values) <= 1e-12 * scale * w.n
+    assert np.abs(vectors.T @ vectors - np.eye(w.n)).max() <= 1e-12 * w.n
     ref = eigh_symmetric(dense)
     for k in range(1, w.n + 1):
         if k < w.n and ref.values[k] - ref.values[k - 1] <= 1e-6 * scale:
@@ -121,6 +123,60 @@ def check_block_solve(w, form):
 def test_block_solve_matches_dense_solve(w):
     for form in LaplacianForm:
         check_block_solve(w, form)
+
+
+def solve_with_raw_output(lap):
+    """eigh_symmetric(lap), plus a copy of what LAPACK returned to it."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        values, vectors = eigh(a)
+        calls.append((values.copy(), vectors.copy()))
+        return values, vectors
+
+    with mock.patch.object(np.linalg, "eigh", spy):
+        dec = eigh_symmetric(lap)
+    (values, vectors), = calls
+    return dec, values, vectors
+
+
+def dense_eigenvectors(sizes, values, vectors):
+    """Eigenvalues and n×n eigenvectors from a batched block solve: each
+    block's own eigenpairs scattered into its diagonal block, columns in
+    stable eigenvalue order, then each column's sign fixed so that its
+    first entry of largest magnitude is positive."""
+    n = int(sum(sizes))
+    dense = np.zeros((n, n))
+    own = []
+    start = 0
+    for j, size in enumerate(sizes):
+        dense[start : start + size, start : start + size] = vectors[j, :size, :size]
+        own.extend(values[j, :size])
+        start += size
+    order = np.argsort(own, kind="stable")
+    dense = dense[:, order]
+    peak = dense[np.abs(dense).argmax(axis=0), np.arange(n)]
+    return np.array(own)[order], dense * np.copysign(1.0, peak)
+
+
+@settings(deadline=None, max_examples=150)
+@given(cut_bands())
+@example(ConnectionMatrix(np.ones(6), np.zeros(5), np.zeros(4)))  # blocks of size 1
+@example(ConnectionMatrix(np.ones(6), [0.5, 1.5, 0.0, 0.5, 1.5], [0.25, 0.0, 0.0, 0.25]))  # ties
+@example(ConnectionMatrix(np.ones(7), np.full(6, 0.5), np.full(5, 0.25)))  # one block
+def test_embedding_matches_dense_eigenvectors(w):
+    for form in LaplacianForm:
+        lap = build_laplacian(w, form)
+        dec, values, vectors = solve_with_raw_output(lap)
+        ref_values, ref_vectors = dense_eigenvectors(lap.sizes.tolist(), values, vectors)
+        assert np.array_equal(dec.values, ref_values)
+        for k in range(1, w.n + 1):
+            want = ref_vectors[:, :k].copy()
+            if form is LaplacianForm.SYMMETRIC_NORMALIZED:
+                norms = np.linalg.norm(want, axis=1)
+                want[norms > 0.0] /= norms[norms > 0.0, None]
+            assert np.array_equal(spectral_embed(dec, k, form), want), (form, k)
 
 
 class TestBlockSolve:
@@ -148,7 +204,7 @@ class TestBlockSolve:
             assert lap.blocks.shape == (6, 1, 1)
             dec = eigh_symmetric(lap)
             assert np.array_equal(dec.values, np.zeros(6))
-            assert np.array_equal(dec.vectors, np.eye(6))
+            assert np.array_equal(dec.columns(6), np.eye(6))
 
     def test_identical_blocks_tie_across_blocks(self):
         # Two copies of one three-node block: every eigenvalue appears
@@ -162,8 +218,9 @@ class TestBlockSolve:
             assert np.array_equal(lap.blocks[0], lap.blocks[1])
             dec = eigh_symmetric(lap)
             assert np.array_equal(dec.values[0::2], dec.values[1::2])
-            assert np.array_equal(dec.vectors[:3, 0::2], dec.vectors[3:, 1::2])
-            assert not dec.vectors[3:, 0::2].any() and not dec.vectors[:3, 1::2].any()
+            vectors = dec.columns(6)
+            assert np.array_equal(vectors[:3, 0::2], vectors[3:, 1::2])
+            assert not vectors[3:, 0::2].any() and not vectors[:3, 1::2].any()
 
     def test_padding_does_not_leak(self):
         # Blocks of sizes 1, 4 and 2: the padding's eigenvalues sit above
@@ -200,7 +257,7 @@ class TestEmbedding:
     def test_unnormalized_takes_columns_verbatim(self):
         dec = eigh_symmetric(build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED))
         emb = spectral_embed(dec, 2, LaplacianForm.UNNORMALIZED)
-        assert np.array_equal(emb, dec.vectors[:, :2])
+        assert np.array_equal(emb, dec.columns(2))
         assert not np.allclose(np.linalg.norm(emb, axis=1), 1.0)
 
     def test_normalized_rows_have_unit_norm(self):
@@ -212,9 +269,13 @@ class TestEmbedding:
         assert np.linalg.norm(emb, axis=1) == pytest.approx(np.ones(5), abs=1e-12)
 
     def test_zero_rows_survive_normalization(self):
+        # One block holding both nodes, with eigenvector columns e1 and 0.
         dec = EigenDecomposition(
             values=np.array([0.0, 1.0]),
-            vectors=np.array([[0.0, 0.0], [1.0, 0.0]]),
+            stack=np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+            rows=np.array([[0, 1]]),
+            block=np.array([0, 0]),
+            column=np.array([0, 1]),
         )
         emb = spectral_embed(dec, 1, LaplacianForm.SYMMETRIC_NORMALIZED)
         assert np.array_equal(emb, [[0.0], [1.0]])
