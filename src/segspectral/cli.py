@@ -57,6 +57,11 @@ class DataError(Exception):
     """Bad data encountered while running; exits with status 1."""
 
 
+def _cannot_read(path, exc: Exception) -> UsageError:
+    """A path that exists but cannot be read, such as a directory."""
+    return UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _coerce(key: str, value, want: type):
     if want is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
@@ -78,9 +83,13 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise UsageError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _cannot_read(path, exc) from None
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -98,6 +107,8 @@ def _read_lines(path: str) -> list[str]:
         return list(iter_corpus_lines(path))
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise _cannot_read(path, exc) from None
     except CorpusEncodingError as exc:
         raise DataError(str(exc)) from None
 
@@ -146,6 +157,8 @@ def _load_model(path: str):
         raise UsageError(f"model file not found: {path}")
     try:
         return load_model(path)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from None
     except ModelIOError as exc:
         raise DataError(f"cannot load model {path}: {exc}") from None
 
@@ -170,6 +183,8 @@ def _build_recipe(args, cfg: dict):
         raise UsageError(f"{flag[2:]} file not found: {path}")
     try:
         return load(path, **kwargs)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from None
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
@@ -191,6 +206,8 @@ def cmd_train(args) -> int:
     source = args.source if args.source is not None else Path(args.input).name
     try:
         model = ingest_corpus(iter_corpus_lines(args.input), source=source)
+    except OSError as exc:
+        raise _cannot_read(args.input, exc) from None
     except CorpusEncodingError as exc:
         raise DataError(str(exc)) from None
     try:

@@ -5,11 +5,14 @@ characters, and its Laplacian is then block-diagonal over contiguous runs
 of nodes. The blocks' eigenpairs are exactly the whole matrix's, so the
 blocks, zero-padded to the largest block size m, go through one batched
 call of LAPACK's symmetric eigensolver (numpy.linalg.eigh over a
-(b, m, m) stack). That costs about the sum of the cubed block sizes
-instead of n^3, and holds b·m² matrix entries instead of n². A dense
-matrix is the one-block case. Results are deterministic for a given
-numpy/LAPACK build; within a degenerate eigenspace the basis is whatever
-that build's LAPACK returns.
+(b, m, m) stack). That solves b padded m×m matrices, about b·m³ work
+instead of n³, and holds b·m² matrix entries instead of n². Padding
+makes it more than the sum of the cubed block sizes: on 150-250
+character lines of short words that sum is about 3,700 a line and b·m³
+about 43,000. One stack per block size was measured slower there, as
+each costs a call of its own. A dense matrix is the one-block case.
+Results are deterministic for a given numpy/LAPACK build; within a
+degenerate eigenspace the basis is whatever that build's LAPACK returns.
 
 Output convention: eigenvalues ascending (equal ones in block order).
 The eigenvectors stay in the (b, m, m) stack the solve returns, one

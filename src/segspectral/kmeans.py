@@ -23,11 +23,17 @@ are added.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Candidate splits whose error is this close to the minimum, relative to
 # the rows' total squared norm, are ties; rounding stays far below it.
 _TIE_RTOL = 1e-12
+
+# The run-cost table is built for as many run lengths at a time as keep
+# its temporaries within this many floats (256 KiB).
+_BATCH_FLOATS = 1 << 15
 
 
 def kmeans_cluster(points, k: int) -> np.ndarray:
@@ -50,21 +56,26 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     # The total squared norm is finite only if every entry is (and small
     # enough for the errors below to stay finite).
     norm = float(np.einsum("ij,ij->", x, x))
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise ValueError("rows must be finite")
     tol = _TIE_RTOL * norm
 
     # Centring keeps the prefix sums small, and so the cancellation below.
-    y = x - x.sum(axis=0) / n
-    sums = np.zeros((n + 1, x.shape[1]))
-    np.cumsum(y, axis=0, out=sums[1:])
-    sq = np.zeros(n + 1)
-    np.cumsum(np.einsum("ij,ij->i", y, y), out=sq[1:])
+    # Both prefix sums start with lead zero rows, which stand in for the
+    # prefix before row 0 of runs that would start there (see _run_costs).
+    y = x - np.add.reduce(x, axis=0) / n
+    w = n - k + 1
+    lead = w + 1
+    sums = np.zeros((lead + n + 1, x.shape[1]))
+    np.add.accumulate(y, axis=0, out=sums[lead + 1 :])
+    sq = np.zeros(lead + n + 1)
+    np.add.accumulate(np.einsum("ij,ij->i", y, y), out=sq[lead + 1 :])
+    del y
 
     # A split has k - 1 runs besides the longest, so no run exceeds w rows.
-    w = n - k + 1
     longest = min(w, -2 * (-n // k))
-    cost = _run_costs(sums, sq, longest + 1, 1)
+    most = longest + 1
+    cost = _run_costs(sums[lead - most :], sq[lead - most :], most, 1)
     while True:
         labels, error = _banded_split(cost, k, tol)
         # A longer run costs at least as much as each run of longest + 1
@@ -74,26 +85,37 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
             return labels
         # The rows for runs of up to longest + 1 rows stay as they are.
         wider = min(w, 2 * longest)
-        cost = np.concatenate([_run_costs(sums, sq, wider + 1, longest + 2), cost])
+        most = wider + 1
+        wide = _run_costs(sums[lead - most :], sq[lead - most :], most, longest + 2)
+        cost = np.concatenate([wide, cost])
         longest = wider
 
 
 def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int, least: int) -> np.ndarray:
     """cost[r, e]: squared error about its mean of the run of most - r rows
-    that ends before row e, for runs of most down to least rows. Entries
-    for runs that would start before row 0 are finite and meaningless;
-    each row depends only on its run length."""
-    n = sq.size - 1
-    size = np.arange(most, least - 1, -1)
-    spread = np.zeros((size.size, n + 1))
-    step = np.empty((n, sums.shape[1]))
-    for row, s in enumerate(size.tolist()):
-        d = np.subtract(sums[s:], sums[:-s], out=step[: n + 1 - s])
-        np.einsum("ij,ij->i", d, d, out=spread[row, s:])
-    # lagged[r, e] = sq[e - size[r]], read from sq padded in front.
-    lagged = _windows(np.concatenate([np.zeros(most), sq[: n + 1 - least]]), size.size)
-    cost = sq - lagged
-    cost -= spread / size[:, None]
+    that ends before row e, for runs of most down to least rows, given the
+    prefix sums of n rows (and of their squared norms), each preceded by
+    most zero rows. Entries for runs that would start before row 0 are
+    finite and meaningless; each row depends only on its run length.
+
+    Run lengths go in batches whose temporaries hold at most _BATCH_FLOATS
+    floats, or one at a time where one alone holds more: a short line
+    makes one subtract and one einsum in all, a long line one of each per
+    run length."""
+    n = sq.size - most - 1
+    rows = most - least + 1
+    # lagged[r, e] is the prefix sum at e - (most - r), the row where the
+    # run of most - r rows ending before row e starts.
+    lagged = _windows(sums[: rows + n], rows)
+    ends = sums[most:]
+    batch = max(1, _BATCH_FLOATS // max(1, ends.size))
+    diff = np.empty((min(batch, rows), *ends.shape))
+    spread = np.empty((rows, n + 1))
+    for first in range(0, rows, batch):
+        d = np.subtract(ends, lagged[first : first + batch], out=diff[: min(batch, rows - first)])
+        np.einsum("rej,rej->re", d, d, out=spread[first : first + batch])
+    cost = sq[most:] - _windows(sq[: rows + n], rows)
+    cost -= spread / np.arange(most, least - 1, -1)[:, None]
     return np.maximum(cost, 0.0, out=cost)
 
 
@@ -108,7 +130,8 @@ def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, flo
     # least error of rows 0 .. m + t in m + 1 runs; the band - 1 infinities
     # in front rule out a last run starting before row m.
     best = np.full((k, band - 1 + w), np.inf)
-    best[0, band - 1 : 2 * band - 1] = cost[np.arange(band, 0, -1), np.arange(1, band + 1)]
+    # The runs of 1 .. band rows from row 0: cost[band - t, 1 + t].
+    best[0, band - 1 : 2 * band - 1] = cost[band:0:-1].diagonal(1)
     # Step m sums windows[m - 1] and runs[m]: with windows[m, r, t] =
     # best[m, r + t] and runs[m, r, t] = cost[1 + r, m + 1 + t], that is the
     # error of m + 1 runs, the last of band - r rows ending at row m + t.
@@ -137,8 +160,9 @@ def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, flo
 
 
 def _windows(a: np.ndarray, rows: int) -> np.ndarray:
-    """Writable view of the 1-d array a as rows overlapping windows,
+    """Writable view of a as rows overlapping windows along its first axis,
     out[r, j] = a[r + j]; sliding_window_view builds the same view at
     about ten times the call cost, which the DP pays on every line."""
     step = a.strides[0]
-    return np.ndarray((rows, a.size - rows + 1), a.dtype, a, strides=(step, step))
+    shape = (rows, a.shape[0] - rows + 1, *a.shape[1:])
+    return np.ndarray(shape, a.dtype, a, strides=(step, *a.strides))

@@ -104,9 +104,8 @@ def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.n
         raise ValueError(f"k={k} out of range for n={dec.n}")
     u = dec.columns(k)
     if form is LaplacianForm.SYMMETRIC_NORMALIZED:
-        norms = np.linalg.norm(u, axis=1)
-        nonzero = norms > 0.0
-        u[nonzero] /= norms[nonzero, None]
+        norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
+        np.divide(u, norms, out=u, where=norms > 0.0)
     return u
 
 

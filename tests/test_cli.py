@@ -592,6 +592,52 @@ def test_invalid_utf8_input_is_a_data_error(workdir, tmp_path, capsys, command):
     assert "invalid UTF-8 at byte offset 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("segment", "--input"),
+        ("sweep", "--input"),
+        ("train", "--input"),
+        ("eval", "--gold"),
+        ("sweep", "--gold"),
+        ("eval", "--pred"),
+        ("segment", "--model"),
+        ("segment", "--lexicon"),
+        ("segment", "--word-stats"),
+        ("segment", "--config"),
+    ],
+)
+def test_unreadable_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
+    # A directory exists, so it is not "not found", but it cannot be read.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model, lines, gold = (str(workdir / name) for name in ("model.bin", "lines.txt", "gold.txt"))
+    out = str(tmp_path / "o.txt")
+    argv = {
+        "segment": ["segment", "--model", model, "--input", lines, "--output", out],
+        "sweep": ["sweep", "--model", model, "--input", lines, "--gold", gold, "--cuts", "1.5"],
+        "train": ["train", "--input", lines, "--model", str(tmp_path / "m.bin")],
+        "eval": ["eval", "--gold", gold, "--pred", gold],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(folder)
+    else:
+        recipe = {"--lexicon": ["--recipe", "lexicon"], "--word-stats": ["--recipe", "train-words"]}
+        argv += [*recipe.get(flag, []), flag, str(folder)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot read {folder}: {os.strerror(errno.EISDIR)}\n"
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(workdir, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"eig_cut_ehr": 1.5}\xff')
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    assert main(argv + ["--output", str(tmp_path / "o.txt"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {config}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_inner_whitespace_is_its_own_token_and_eval_drops_it(workdir, tmp_path, capsys):
     # Put a space between the first two gold words of a line; at cut 1.5
     # every line of this corpus is segmented right.

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segspectral import kmeans
 from segspectral import (
     EhrParams,
     LaplacianForm,
@@ -256,3 +258,73 @@ def test_matches_full_table_dp_on_pipeline_embeddings(synth_corpus, synth_model)
                     x, k = trace.embedding, trace.k
                     want = full_table_labels(x, k)
                     assert np.array_equal(kmeans_cluster(x, k), want), (line, cfg, cut)
+
+
+def test_memory_stays_linear_in_n_times_k():
+    # 2000 rows in 2-4 row runs, one run per cluster, each with its own
+    # k-dimensional row, as a spectral embedding of short words has. The
+    # run-cost table is built for several run lengths at a time only while
+    # that stays small, so the temporaries stay a few n×k arrays.
+    rng = np.random.default_rng(0)
+    lengths = [2, 3, 4] * 222 + [2]
+    k = len(lengths)
+    x = np.repeat(rng.normal(size=(k, k)), lengths, axis=0)
+    n = x.shape[0]
+    assert n == 2000
+    tracemalloc.start()
+    try:
+        labels = kmeans_cluster(x, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(labels, np.repeat(np.arange(k), lengths))
+    # One n×k float array is n·k·8 bytes.
+    assert peak < 4 * n * k * 8
+
+
+def _direct_run_costs(sums, sq, most, least):
+    """The run-cost table one run length at a time, from the prefix sums
+    without their leading zero rows; entries for runs that would start
+    before row 0 are NaN."""
+    sums, sq = sums[most:], sq[most:]
+    cost = np.full((most - least + 1, sq.size), np.nan)
+    for row, s in enumerate(range(most, least - 1, -1)):
+        d = sums[s:] - sums[:-s]
+        spread = np.einsum("ij,ij->i", d, d)
+        cost[row, s:] = np.maximum(sq[s:] - sq[:-s] - spread / s, 0.0)
+    return cost
+
+
+@pytest.mark.parametrize("budget", [1, 40, 200, kmeans._BATCH_FLOATS])
+def test_batched_run_costs_equal_a_direct_computation(monkeypatch, budget):
+    # Tables built in batches of every size, from one run length at a time
+    # to all at once, including the rows added when the band widens.
+    monkeypatch.setattr(kmeans, "_BATCH_FLOATS", budget)
+    run_costs, built = kmeans._run_costs, []
+
+    def spy(sums, sq, most, least):
+        cost = run_costs(sums, sq, most, least)
+        built.append((sums.copy(), sq.copy(), most, least, cost.copy()))
+        return cost
+
+    monkeypatch.setattr(kmeans, "_run_costs", spy)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        k = int(rng.integers(3, 7))
+        lengths = rng.integers(1, 3, k)
+        lengths[rng.integers(0, k)] = rng.integers(20, 41)
+        pool = rng.normal(size=(2, int(rng.integers(1, 4))))
+        x = np.repeat(pool[rng.integers(0, 2, k)], lengths, axis=0)
+        x += 1e-3 * rng.normal(size=x.shape)
+        kmeans_cluster(x, k)
+        kmeans_cluster(rng.normal(size=(int(rng.integers(1, 30)), 3)), 1)
+    assert any(least > 1 for _, _, _, least, _ in built)
+    for sums, sq, most, least, cost in built:
+        # The prefix sums start with most zero rows, the prefix before row 0.
+        assert not sums[:most].any() and not sq[:most].any()
+        want = _direct_run_costs(sums, sq, most, least)
+        valid = ~np.isnan(want)
+        assert cost[valid].tobytes() == want[valid].tobytes()
+        # Runs that would start before row 0 are finite, so the DP's
+        # infinities alone rule them out.
+        assert np.isfinite(cost).all()
