@@ -3,16 +3,13 @@
 A sentence becomes a weighted path-shaped graph over its characters, with
 bond strengths from character n-gram statistics; words are the clusters a
 spectral partition of that graph finds.
+
+The names below are the package's public surface. Everything else lives
+in its module (graph, spectral, eigen, kmeans, pipeline, evaluation,
+ngram, model_io, chars) for the package's own use.
 """
 
-from .chars import DEFAULT_CJK_RANGES, is_chinese
-from .ngram import (
-    CorpusEncodingError,
-    ModelMeta,
-    NGramModel,
-    ingest_corpus,
-    iter_corpus_lines,
-)
+from .ngram import CorpusEncodingError, ModelMeta, NGramModel, ingest_corpus
 from .model_io import (
     ModelChecksumError,
     ModelFormatError,
@@ -30,9 +27,6 @@ from .graph import (
     EhrParams,
     Lexicon,
     WordStats,
-    build_w_ehr,
-    build_w_lexicon,
-    build_w_trainwords,
     load_lexicon,
     load_word_stats,
 )
@@ -44,47 +38,29 @@ from .spectral import (
     brute_force_best_contiguous,
     build_laplacian,
     choose_k,
-    contiguous_partitions,
     cut_objective,
     indicator_span_residual,
     spectral_embed,
     zero_eig_multiplicity,
 )
 from .pipeline import (
-    PreparedSentence,
-    Recipe,
     SegmenterConfig,
     SentenceTrace,
-    build_w,
-    labels_to_words,
-    postprocess_merge,
     prepare_sentence,
     segment_document,
     segment_prepared,
     segment_sentence,
     trace_document,
-    trace_sentence,
 )
-from .evaluation import (
-    EvalReport,
-    SynthSpec,
-    count_matches,
-    generate_synthetic,
-    parse_segmented,
-    score,
-    score_corpus,
-)
+from .evaluation import EvalReport, SynthSpec, generate_synthetic, score_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_CJK_RANGES",
-    "is_chinese",
     "CorpusEncodingError",
     "ModelMeta",
     "NGramModel",
     "ingest_corpus",
-    "iter_corpus_lines",
     "ModelChecksumError",
     "ModelFormatError",
     "ModelIOError",
@@ -99,9 +75,6 @@ __all__ = [
     "EhrParams",
     "Lexicon",
     "WordStats",
-    "build_w_ehr",
-    "build_w_lexicon",
-    "build_w_trainwords",
     "load_lexicon",
     "load_word_stats",
     "EigenConvergenceError",
@@ -113,30 +86,20 @@ __all__ = [
     "brute_force_best_contiguous",
     "build_laplacian",
     "choose_k",
-    "contiguous_partitions",
     "cut_objective",
     "indicator_span_residual",
     "spectral_embed",
     "zero_eig_multiplicity",
-    "PreparedSentence",
-    "Recipe",
     "SegmenterConfig",
     "SentenceTrace",
-    "build_w",
-    "labels_to_words",
-    "postprocess_merge",
     "prepare_sentence",
     "segment_document",
     "segment_prepared",
     "segment_sentence",
     "trace_document",
-    "trace_sentence",
     "EvalReport",
     "SynthSpec",
-    "count_matches",
     "generate_synthetic",
-    "parse_segmented",
-    "score",
     "score_corpus",
     "__version__",
 ]

@@ -5,10 +5,10 @@ Every Unicode scalar value is either Chinese (a CJK ideograph) or Other
 statistics are only kept for runs of Chinese characters; Other characters
 never carry probability mass and end up isolated in the sentence graph.
 
-DEFAULT_CJK_RANGES is the one rule. CHINESE_RUN (a maximal run of Chinese
-characters) and is_chinese are both built from it. The rule is applied
-once, when ngram.ingest_corpus counts a corpus: it counts n-grams inside
-the runs CHINESE_RUN finds, and every later query trusts those keys.
+DEFAULT_CJK_RANGES is the one rule, and CHINESE_RUN (a maximal run of
+Chinese characters) is built from it. The rule is applied once, when
+ngram.ingest_corpus counts a corpus: it counts n-grams inside the runs
+CHINESE_RUN finds, and every later query trusts those keys.
 """
 
 from __future__ import annotations
@@ -25,9 +25,3 @@ DEFAULT_CJK_RANGES: tuple[tuple[int, int], ...] = (
 CHINESE_RUN = re.compile(
     "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in DEFAULT_CJK_RANGES) + "]+"
 )
-
-
-def is_chinese(ch: str) -> bool:
-    """True if the single character falls in a CJK ideograph range."""
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in DEFAULT_CJK_RANGES)

@@ -317,14 +317,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        vocab_size=args.vocab_size,
-        word_len=tuple(args.word_len),
-        sentence_len=tuple(args.sentence_len),
-        sentences=args.sentences,
-        seed=args.seed if args.seed is not None else 0,
-    )
     try:
+        spec = SynthSpec(
+            vocab_size=args.vocab_size,
+            word_len=tuple(args.word_len),
+            sentence_len=tuple(args.sentence_len),
+            sentences=args.sentences,
+            seed=args.seed if args.seed is not None else 0,
+        )
         lines, gold = generate_synthetic(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -75,15 +75,6 @@ class BlockDiagonal:
     blocks: np.ndarray  # (b, m, m), m the largest block size
     sizes: np.ndarray  # (b,), summing to n
 
-    def to_dense(self) -> np.ndarray:
-        n = int(self.sizes.sum())
-        dense = np.zeros((n, n))
-        start = 0
-        for block, size in zip(self.blocks, self.sizes.tolist()):
-            dense[start : start + size, start : start + size] = block[:size, :size]
-            start += size
-        return dense
-
 
 def eigh_symmetric(a) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix, given dense or as a

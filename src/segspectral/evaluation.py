@@ -62,10 +62,6 @@ def count_matches(gold: list[str], pred: list[str]) -> tuple[int, int, int]:
     return len(g), len(p), len(g & p)
 
 
-def score(gold: list[str], pred: list[str]) -> EvalReport:
-    return EvalReport.from_counts(*count_matches(gold, pred))
-
-
 def score_corpus(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
     """Pooled scores over aligned lines; a mismatch names its 1-based line."""
     if len(gold) != len(pred):

@@ -83,26 +83,8 @@ class ConnectionMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    @classmethod
-    def identity(cls, n: int) -> "ConnectionMatrix":
-        return cls(np.ones(n), np.zeros(max(n - 1, 0)), np.zeros(max(n - 2, 0)))
-
     def scaled(self, c: float) -> "ConnectionMatrix":
         return ConnectionMatrix(self.diag * c, self.off1 * c, self.off2 * c)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        w = np.zeros((n, n))
-        w[np.arange(n), np.arange(n)] = self.diag
-        if n >= 2:
-            idx = np.arange(n - 1)
-            w[idx, idx + 1] = self.off1
-            w[idx + 1, idx] = self.off1
-        if n >= 3:
-            idx = np.arange(n - 2)
-            w[idx, idx + 2] = self.off2
-            w[idx + 2, idx] = self.off2
-        return w
 
     def degrees(self) -> np.ndarray:
         """Row sums, including the diagonal entry."""
@@ -314,20 +296,23 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 
 
-build_w_lexicon = build_w_trainwords = build_w_vocab
-
-
 def _read_word_numbers(path, what: str) -> dict[str, int]:
-    """Read a "word<TAB>number" file, skipping blank lines."""
+    """Read a "word<TAB>number" file, skipping blank lines. A word listed
+    twice is an error, naming both lines."""
     out: dict[str, int] = {}
+    first: dict[str, int] = {}
     for lineno, line in enumerate(iter_corpus_lines(path), 1):
         if not line.strip():
             continue
         try:
             word, number = line.split("\t")
-            out[word] = int(number)
+            value = int(number)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: expected 'word<TAB>{what}', got {line!r}") from exc
+        if word in first:
+            raise ValueError(f"{path}:{lineno}: word {word!r} already listed on line {first[word]}")
+        first[word] = lineno
+        out[word] = value
     return out
 
 

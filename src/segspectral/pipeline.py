@@ -188,13 +188,9 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
     )
 
 
-def trace_sentence(s: str, model, cfg: SegmenterConfig) -> SentenceTrace:
-    return segment_prepared(prepare_sentence(s, model, cfg), cfg)
-
-
 def segment_sentence(s: str, model, cfg: SegmenterConfig) -> list[str]:
     """Segment one sentence into words."""
-    return trace_sentence(s, model, cfg).words
+    return segment_prepared(prepare_sentence(s, model, cfg), cfg).words
 
 
 def trace_document(lines, model, cfg: SegmenterConfig, cuts=None):

@@ -1,24 +1,20 @@
-from segspectral import is_chinese
+from segspectral.chars import CHINESE_RUN
 
 
 def test_common_ideographs():
-    assert is_chinese("天")
-    assert is_chinese("门")
-    assert is_chinese("的")
+    for ch in "天门的":
+        assert CHINESE_RUN.fullmatch(ch), ch
 
 
 def test_range_boundaries():
     # Main block and Extension A, inclusive on both ends.
-    assert is_chinese("一")
-    assert is_chinese("鿿")
-    assert is_chinese("㐀")
-    assert is_chinese("䶿")
-    assert not is_chinese("㏿")
-    assert not is_chinese("䷀")  # hexagram block sits between the two
-    assert not is_chinese("ꀀ")
+    for ch in "一鿿㐀䶿":
+        assert CHINESE_RUN.fullmatch(ch), ch
+    # U+33FF, the hexagram block between the two ranges, and U+A000.
+    for ch in "㏿䷀ꀀ":
+        assert not CHINESE_RUN.fullmatch(ch), ch
 
 
 def test_other_scripts_and_symbols():
     for ch in "aZ3 ,。！・の한🙂％":
-        assert not is_chinese(ch), ch
-
+        assert not CHINESE_RUN.fullmatch(ch), ch

@@ -1,4 +1,5 @@
 import errno
+import inspect
 import json
 import operator
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import segspectral
 from segspectral import EhrParams, LaplacianForm, Lexicon, SegmenterConfig, WordStats, load_model
 from segspectral import cli
 from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
@@ -64,6 +66,24 @@ def test_synth_is_deterministic(tmp_path):
     lines = (tmp_path / "a" / "l.txt").read_text(encoding="utf-8")
     assert [g.replace(" ", "") for g in gold.splitlines()] == lines.splitlines()
 
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--word-len", "0", "2"], "word_len must satisfy 1 <= lo <= hi"),
+        (["--word-len", "3", "2"], "word_len must satisfy 1 <= lo <= hi"),
+        (["--vocab-size", "0"], "vocab_size must be at least 1"),
+        (["--sentences", "-1"], "sentences must be nonnegative"),
+        (["--vocab-size", "30000"], "character inventory exhausted"),
+    ],
+    ids=["word-len-zero", "word-len-reversed", "vocab-size-zero", "sentences-negative", "vocab-size-too-large"],
+)
+def test_bad_synth_spec_is_a_usage_error(tmp_path, capsys, flags, message):
+    argv = ["synth", "--lines", str(tmp_path / "l.txt"), "--gold", str(tmp_path / "g.txt"), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "l.txt").exists()
 
 def test_train_reports_counts(workdir, capsys):
     model = load_model(workdir / "model.bin")
@@ -464,6 +484,16 @@ def test_recipe_resource_errors(workdir, tmp_path, capsys, recipe, flag):
     assert f"{bad}:2" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("recipe, flag", [("lexicon", "--lexicon"), ("train-words", "--word-stats")])
+def test_repeated_resource_word_is_a_data_error(workdir, tmp_path, capsys, recipe, flag):
+    dup = tmp_path / "dup.tsv"
+    dup.write_text("天安\t1\n的\t2\n天安\t3\n", encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--output", str(tmp_path / "o.txt"), "--recipe", recipe, flag, str(dup)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {dup}:3: word '天安' already listed on line 1\n"
+
 @pytest.mark.parametrize(
     "recipe, flag, key, value, message",
     [
@@ -669,6 +699,41 @@ def test_readme_tables_match_code():
     recipes = [(name.strip("`"), LaplacianForm(form.strip("`")), float(cut)) for name, _, form, cut in _readme_table("Recipes")]
     assert recipes == list(RECIPES.values())
 
+
+
+# The package's public surface: every name README uses, what bench/ calls
+# at the top level, the names the acceptance gate reaches as sg.<name>,
+# the error classes public calls raise, and the recipe resources.
+PUBLIC_NAMES = {
+    "CorpusEncodingError", "ModelMeta", "NGramModel", "ingest_corpus",
+    "ModelChecksumError", "ModelFormatError", "ModelIOError", "ModelTruncatedError",
+    "ModelVersionError", "load_model", "save_model",
+    "SINGLE_CHAR_WORDS", "WEAKEN_SET_1", "WEAKEN_SET_2", "ConnectionMatrix", "EhrParams",
+    "Lexicon", "WordStats", "load_lexicon", "load_word_stats",
+    "EigenConvergenceError", "EigenDecomposition", "eigh_symmetric", "kmeans_cluster",
+    "CutKind", "LaplacianForm", "brute_force_best_contiguous", "build_laplacian", "choose_k",
+    "cut_objective", "indicator_span_residual", "spectral_embed", "zero_eig_multiplicity",
+    "SegmenterConfig", "SentenceTrace", "prepare_sentence", "segment_document",
+    "segment_prepared", "segment_sentence", "trace_document",
+    "EvalReport", "SynthSpec", "generate_synthetic", "score_corpus",
+    "__version__",
+}
+
+
+def test_public_surface_matches_code():
+    assert sorted(segspectral.__all__) == sorted(PUBLIC_NAMES)
+    star: dict = {}
+    exec("from segspectral import *", star)
+    del star["__builtins__"]
+    assert set(star) == PUBLIC_NAMES
+    # __init__ binds nothing else but the package's own submodules.
+    bound = {name for name, value in vars(segspectral).items() if not name.startswith("__")}
+    bound |= {"__version__"}
+    submodules = {name for name in bound if inspect.ismodule(getattr(segspectral, name))}
+    assert bound - submodules == PUBLIC_NAMES
+    api = README.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1].split("```", 2)[1]
+    imported = re.search(r"from segspectral import \(([^)]*)\)", api).group(1)
+    assert {name.strip() for name in imported.split(",") if name.strip()} <= PUBLIC_NAMES
 
 # Every config key, a non-default value for it, the recipes that read it,
 # and where it lands in the SegmenterConfig the CLI builds.

@@ -1,27 +1,19 @@
 import pytest
 
-from segspectral import (
-    EvalReport,
-    SynthSpec,
-    count_matches,
-    generate_synthetic,
-    parse_segmented,
-    score,
-    score_corpus,
-)
-from segspectral.chars import is_chinese
-from segspectral.evaluation import _EXCLUDED
+from segspectral import EvalReport, SynthSpec, generate_synthetic, score_corpus
+from segspectral.chars import CHINESE_RUN
+from segspectral.evaluation import _EXCLUDED, count_matches, parse_segmented
 
 
 class TestScoring:
     def test_exact_match(self):
-        rep = score(["天安门", "广场"], ["天安门", "广场"])
+        rep = score_corpus([["天安门", "广场"]], [["天安门", "广场"]])
         assert (rep.recall, rep.precision, rep.f1) == (1.0, 1.0, 1.0)
         assert (rep.gold_words, rep.pred_words, rep.correct_words) == (2, 2, 2)
 
     def test_oversegmentation(self):
         # Gold AB|C against prediction A|B|C: only the C span survives.
-        rep = score(["天安", "门"], ["天", "安", "门"])
+        rep = score_corpus([["天安", "门"]], [["天", "安", "门"]])
         assert rep.recall == pytest.approx(0.5)
         assert rep.precision == pytest.approx(1 / 3)
         assert rep.f1 == pytest.approx(0.4)
@@ -33,7 +25,7 @@ class TestScoring:
 
     def test_text_mismatch_rejected(self):
         with pytest.raises(ValueError, match="different text"):
-            score(["天安"], ["天", "门"])
+            score_corpus([["天安"]], [["天", "门"]])
 
     def test_zero_guards(self):
         rep = EvalReport.from_counts(0, 0, 0)
@@ -101,7 +93,7 @@ class TestGenerateSynthetic:
         for w in vocab:
             for ch in w:
                 assert owner.setdefault(ch, w) == w
-                assert is_chinese(ch)
+                assert CHINESE_RUN.fullmatch(ch)
                 assert ch not in _EXCLUDED
 
     def test_sentence_lengths(self, synth_corpus):

@@ -16,19 +16,18 @@ from segspectral import (
     Lexicon,
     NGramModel,
     WordStats,
-    build_w,
-    build_w_ehr,
-    build_w_lexicon,
-    build_w_trainwords,
     build_laplacian,
     ingest_corpus,
-    is_chinese,
     load_lexicon,
     load_model,
     load_word_stats,
     save_model,
 )
-from segspectral.graph import build_w_vocab
+from segspectral.chars import CHINESE_RUN
+from segspectral.graph import build_w_ehr, build_w_vocab
+from segspectral.pipeline import build_w
+
+from dense import dense_matrix
 
 LN2 = math.log(2)
 
@@ -45,21 +44,21 @@ class TestConnectionMatrix:
             ],
             dtype=float,
         )
-        assert np.array_equal(w.to_dense(), expect)
+        assert np.array_equal(dense_matrix(w), expect)
         assert np.array_equal(w.degrees(), expect.sum(axis=1))
 
     def test_single_node(self):
         w = ConnectionMatrix([1.0], [], [])
         assert w.n == 1
-        assert np.array_equal(w.to_dense(), [[1.0]])
+        assert np.array_equal(dense_matrix(w), [[1.0]])
         assert np.array_equal(w.degrees(), [1.0])
 
     def test_identity_and_scaled(self):
-        w = ConnectionMatrix.identity(3)
-        assert np.array_equal(w.to_dense(), np.eye(3))
+        w = ConnectionMatrix(np.ones(3), np.zeros(2), np.zeros(1))
+        assert np.array_equal(dense_matrix(w), np.eye(3))
         doubled = ConnectionMatrix([1, 1, 1], [2, 3], [4]).scaled(2.0)
         assert np.array_equal(
-            doubled.to_dense(), 2.0 * ConnectionMatrix([1, 1, 1], [2, 3], [4]).to_dense()
+            dense_matrix(doubled), 2.0 * dense_matrix(ConnectionMatrix([1, 1, 1], [2, 3], [4]))
         )
 
     def test_validation(self):
@@ -170,10 +169,10 @@ def test_non_chinese_characters_never_bond(lines, queries):
         ehr = build_w_ehr(s, model)
         for w in (ehr, build_w_vocab(s, model, lexicon), build_w_vocab(s, model, stats)):
             for i in range(len(s) - 1):
-                if not (is_chinese(s[i]) and is_chinese(s[i + 1])):
+                if not CHINESE_RUN.fullmatch(s[i : i + 2]):
                     assert w.off1[i] == 0.0, (s, i)
         for i in range(len(s) - 2):
-            if not all(is_chinese(ch) for ch in s[i : i + 3]):
+            if not CHINESE_RUN.fullmatch(s[i : i + 3]):
                 assert ehr.off2[i] == 0.0, (s, i)
 
 
@@ -283,7 +282,7 @@ class TestLexiconRecipe:
     def test_boost_inside_frequent_word(self):
         m = ingest_corpus(["天安", "天安"])
         lex = Lexicon(entries={"天安门": 100})
-        w = build_w_lexicon("天安", m, lex)
+        w = build_w_vocab("天安", m, lex)
         assert w.off1[0] == pytest.approx(LN2 * 20, rel=1e-12)
 
     def test_rank_threshold_is_exclusive(self):
@@ -301,13 +300,13 @@ class TestLexiconRecipe:
         # Both 的 and 了 are common single-character words with no lexicon
         # entry, so each contributes the floor divisor of 20.
         m = ingest_corpus(["的了", "的了"])
-        w = build_w_lexicon("的了", m, Lexicon(entries={}))
+        w = build_w_vocab("的了", m, Lexicon(entries={}))
         assert w.off1[0] == pytest.approx(LN2 / (20 * 20), rel=1e-12)
 
     def test_rank_based_divisor_beyond_floor(self):
         m = ingest_corpus(["的天", "的天"])
         lex = Lexicon(entries={"的": 2}, rank_scale=1e12)
-        w = build_w_lexicon("的天", m, lex)
+        w = build_w_vocab("的天", m, lex)
         assert w.off1[0] == pytest.approx(LN2 / math.log(1e12 / 2), rel=1e-12)
 
     def test_default_scale_lands_on_floor(self):
@@ -319,12 +318,12 @@ class TestLexiconRecipe:
     def test_boost_wins_over_damp(self):
         m = ingest_corpus(["的天", "的天"])
         lex = Lexicon(entries={"的天门": 5})
-        w = build_w_lexicon("的天", m, lex)
+        w = build_w_vocab("的天", m, lex)
         assert w.off1[0] == pytest.approx(LN2 * 20, rel=1e-12)
 
     def test_no_one_gap_band(self):
         m = ingest_corpus(["天安门", "天安门"])
-        w = build_w_lexicon("天安门", m, Lexicon(entries={}))
+        w = build_w_vocab("天安门", m, Lexicon(entries={}))
         assert np.array_equal(w.off2, [0.0])
 
     def test_validation(self):
@@ -342,12 +341,12 @@ class TestTrainWordsRecipe:
     def test_boost_from_training_words(self):
         m = ingest_corpus(["天安", "天安"])
         stats = WordStats(words={"天安门": 5})
-        w = build_w_trainwords("天安", m, stats)
+        w = build_w_vocab("天安", m, stats)
         assert w.off1[0] == pytest.approx(LN2 * 20, rel=1e-12)
 
     def test_count_based_damping(self):
         m = ingest_corpus(["的天", "的天"])
-        w = build_w_trainwords("的天", m, WordStats(words={"的": 1000}))
+        w = build_w_vocab("的天", m, WordStats(words={"的": 1000}))
         assert w.off1[0] == pytest.approx(LN2 / 4, rel=1e-12)  # 1000 / 250
 
     def test_small_count_divisor_clamps_to_one(self):
@@ -357,7 +356,7 @@ class TestTrainWordsRecipe:
 
     def test_no_one_gap_band(self):
         m = ingest_corpus(["天安门", "天安门"])
-        w = build_w_trainwords("天安门", m, WordStats(words={}))
+        w = build_w_vocab("天安门", m, WordStats(words={}))
         assert np.array_equal(w.off2, [0.0])
 
     def test_validation(self):
@@ -403,3 +402,12 @@ def test_load_word_stats(tmp_path):
     bad.write_text("的\tnine\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.tsv:1"):
         load_word_stats(bad)
+
+
+@pytest.mark.parametrize("load", [load_lexicon, load_word_stats])
+def test_loaders_refuse_a_repeated_word(tmp_path, load):
+    # Keeping the later line would drop rank 1 here without a word.
+    p = tmp_path / "dup.tsv"
+    p.write_text("a\t1\nb\t2\n\na\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"dup\.tsv:4: word 'a' already listed on line 1"):
+        load(p)

@@ -13,11 +13,11 @@ from segspectral import (
     Lexicon,
     SegmenterConfig,
     WordStats,
-    contiguous_partitions,
     kmeans_cluster,
     prepare_sentence,
     segment_prepared,
 )
+from segspectral.spectral import contiguous_partitions
 
 
 def two_blobs(rng, n_per=20, sep=10.0):

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segspectral import (
-    CorpusEncodingError,
-    NGramModel,
-    build_w_ehr,
-    ingest_corpus,
-    is_chinese,
-    iter_corpus_lines,
-)
-from segspectral.ngram import _log_sd
+from segspectral import CorpusEncodingError, NGramModel, ingest_corpus
+from segspectral.chars import CHINESE_RUN
+from segspectral.graph import build_w_ehr
+from segspectral.ngram import _log_sd, iter_corpus_lines
 
 
 def test_basic_counts():
@@ -118,7 +113,7 @@ def reference_counts(lines):
     tri: dict[str, int] = {}
     for line in lines:
         n = len(line)
-        cn = [is_chinese(ch) for ch in line]
+        cn = [bool(CHINESE_RUN.fullmatch(ch)) for ch in line]
         for i in range(n):
             if not cn[i]:
                 continue

@@ -15,22 +15,17 @@ from segspectral import (
     Lexicon,
     SegmenterConfig,
     WordStats,
-    build_w,
-    build_w_ehr,
-    build_w_lexicon,
     ingest_corpus,
-    iter_corpus_lines,
-    labels_to_words,
-    postprocess_merge,
     prepare_sentence,
     segment_document,
     segment_prepared,
     segment_sentence,
     trace_document,
-    trace_sentence,
 )
 from segspectral import pipeline
-from segspectral.pipeline import DATA_ERRORS
+from segspectral.graph import build_w_ehr, build_w_vocab
+from segspectral.ngram import iter_corpus_lines
+from segspectral.pipeline import DATA_ERRORS, build_w, labels_to_words, postprocess_merge
 from segspectral.spectral import choose_k
 
 
@@ -134,7 +129,7 @@ def test_build_w_dispatch(synth_model):
     assert np.array_equal(build_w(s, synth_model, ehr).off1, build_w_ehr(s, synth_model, ehr).off1)
     lex = Lexicon(entries={"天安": 3})
     assert np.array_equal(
-        build_w(s, synth_model, lex).off1, build_w_lexicon(s, synth_model, lex).off1
+        build_w(s, synth_model, lex).off1, build_w_vocab(s, synth_model, lex).off1
     )
     with pytest.raises(TypeError, match="recipe"):
         build_w(s, synth_model, object())
@@ -170,7 +165,7 @@ class TestSegmentSentence:
     def test_trace_fields(self, synth_corpus, synth_model):
         lines, _ = synth_corpus
         cfg = SegmenterConfig.for_recipe(EhrParams())
-        trace = trace_sentence(lines[2], synth_model, cfg)
+        trace = segment_prepared(prepare_sentence(lines[2], synth_model, cfg), cfg)
         n = len(lines[2])
         assert trace.text == lines[2]
         assert trace.w.n == n

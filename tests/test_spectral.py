@@ -13,7 +13,6 @@ from segspectral import (
     brute_force_best_contiguous,
     build_laplacian,
     choose_k,
-    contiguous_partitions,
     cut_objective,
     eigh_symmetric,
     indicator_span_residual,
@@ -21,6 +20,10 @@ from segspectral import (
     spectral_embed,
     zero_eig_multiplicity,
 )
+from segspectral.eigen import BlockDiagonal
+from segspectral.spectral import contiguous_partitions
+
+from dense import dense_matrix
 
 
 def two_block_w():
@@ -32,17 +35,17 @@ def two_block_w():
 class TestLaplacian:
     def test_unnormalized_frozen(self):
         w = ConnectionMatrix([1.0, 1.0], [0.5], [])
-        lap = build_laplacian(w, LaplacianForm.UNNORMALIZED).to_dense()
+        lap = dense_matrix(build_laplacian(w, LaplacianForm.UNNORMALIZED))
         assert np.array_equal(lap, [[0.5, -0.5], [-0.5, 0.5]])
 
     def test_symmetric_normalized_frozen(self):
         w = ConnectionMatrix([1.0, 1.0], [0.5], [])
-        lap = build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED).to_dense()
+        lap = dense_matrix(build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED))
         third = 1.0 / 3.0
         np.testing.assert_allclose(lap, [[third, -third], [-third, third]], atol=1e-15)
 
     def test_row_sums_of_unnormalized_vanish(self):
-        lap = build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED).to_dense()
+        lap = dense_matrix(build_laplacian(two_block_w(), LaplacianForm.UNNORMALIZED))
         assert lap.sum(axis=1) == pytest.approx(np.zeros(5), abs=1e-12)
         assert np.array_equal(lap, lap.T)
 
@@ -61,9 +64,9 @@ def dense_laplacian(w, form):
     """The Laplacian as one n x n matrix, by the textbook formulas."""
     deg = w.degrees()
     if form is LaplacianForm.UNNORMALIZED:
-        return np.diag(deg) - w.to_dense()
+        return np.diag(deg) - dense_matrix(w)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(w.n) - w.to_dense() * np.outer(inv_sqrt, inv_sqrt)
+    return np.eye(w.n) - dense_matrix(w) * np.outer(inv_sqrt, inv_sqrt)
 
 
 @st.composite
@@ -102,7 +105,7 @@ def check_block_solve(w, form):
     dense = dense_laplacian(w, form)
     assert lap.sizes.tolist() == block_sizes(w)
     assert lap.blocks.shape == (len(lap.sizes), max(lap.sizes), max(lap.sizes))
-    assert np.array_equal(lap.to_dense(), dense)
+    assert np.array_equal(dense_matrix(lap), dense)
     dec = eigh_symmetric(lap)
     scale = max(1.0, np.abs(dense).sum(axis=1).max())
     assert np.abs(dec.values - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
@@ -146,18 +149,11 @@ def dense_eigenvectors(sizes, values, vectors):
     block's own eigenpairs scattered into its diagonal block, columns in
     stable eigenvalue order, then each column's sign fixed so that its
     first entry of largest magnitude is positive."""
-    n = int(sum(sizes))
-    dense = np.zeros((n, n))
-    own = []
-    start = 0
-    for j, size in enumerate(sizes):
-        dense[start : start + size, start : start + size] = vectors[j, :size, :size]
-        own.extend(values[j, :size])
-        start += size
+    own = np.concatenate([values[j, :size] for j, size in enumerate(sizes)])
     order = np.argsort(own, kind="stable")
-    dense = dense[:, order]
-    peak = dense[np.abs(dense).argmax(axis=0), np.arange(n)]
-    return np.array(own)[order], dense * np.copysign(1.0, peak)
+    full = dense_matrix(BlockDiagonal(vectors, np.array(sizes)))[:, order]
+    peak = full[np.abs(full).argmax(axis=0), np.arange(own.size)]
+    return own[order], full * np.copysign(1.0, peak)
 
 
 @settings(deadline=None, max_examples=150)
@@ -231,7 +227,7 @@ class TestBlockSolve:
             assert lap.sizes.tolist() == [1, 4, 2] and lap.blocks.shape == (3, 4, 4)
             dec = eigh_symmetric(lap)
             assert dec.n == 7
-            assert dec.values.max() <= np.abs(lap.to_dense()).sum(axis=1).max()
+            assert dec.values.max() <= np.abs(dense_matrix(lap)).sum(axis=1).max()
 
 
 class TestChooseK:
@@ -363,6 +359,34 @@ class TestCutObjectives:
             )
 
 
+def dense_cut(w, parts, kind):
+    """The cut objective by its definition, over the dense matrix."""
+    full = dense_matrix(w)
+    degrees = full.sum(axis=1)
+    total = 0.0
+    for part in parts:
+        inside = np.isin(np.arange(w.n), part)
+        boundary = full[np.ix_(inside, ~inside)].sum()
+        size = inside.sum() if kind is CutKind.RATIO else degrees[inside].sum()
+        total += boundary / size if size > 0 else 0.0
+    return total
+
+
+@settings(deadline=None, max_examples=200)
+@given(cut_bands(), st.data())
+def test_cut_objective_matches_dense_reference(w, data):
+    # Some diagonal entries are 0, so a node cut off on both sides makes a
+    # part of zero volume; parts are drawn as labels, so most are not
+    # contiguous.
+    zero = data.draw(st.lists(st.booleans(), min_size=w.n, max_size=w.n))
+    w = ConnectionMatrix(np.where(zero, 0.0, w.diag), w.off1, w.off2)
+    labels = np.array(data.draw(st.lists(st.integers(0, w.n - 1), min_size=w.n, max_size=w.n)))
+    parts = [np.flatnonzero(labels == j).tolist() for j in np.unique(labels)]
+    for kind in CutKind:
+        got, want = cut_objective(w, parts, kind), dense_cut(w, parts, kind)
+        assert abs(got - want) <= 1e-12 * abs(want), (kind, got, want)
+
+
 class TestBruteForce:
     def test_enumeration(self):
         got = list(contiguous_partitions(4, 2))
@@ -382,9 +406,9 @@ class TestBruteForce:
         assert parts == [[0], [1, 2]]
 
     def test_guards(self):
-        w = ConnectionMatrix.identity(17)
+        w = ConnectionMatrix(np.ones(17), np.zeros(16), np.zeros(15))
         with pytest.raises(ValueError, match="enumeration guard"):
             brute_force_best_contiguous(w, 2, CutKind.RATIO)
-        small = ConnectionMatrix.identity(3)
+        small = ConnectionMatrix(np.ones(3), np.zeros(2), np.zeros(1))
         with pytest.raises(ValueError, match="out of range"):
             brute_force_best_contiguous(small, 4, CutKind.RATIO)
