@@ -23,7 +23,7 @@ from . import __version__
 from .evaluation import SynthSpec, generate_synthetic, parse_segmented, score_corpus
 from .graph import Lexicon, WordStats, load_lexicon, load_word_stats
 from .model_io import ModelIOError, load_model, save_model
-from .ngram import CorpusEncodingError, ingest_corpus, iter_corpus_lines
+from .ngram import ingest_corpus, iter_corpus_lines
 from .pipeline import RECIPES, SegmenterConfig, trace_document
 from .spectral import LaplacianForm
 
@@ -57,9 +57,19 @@ class DataError(Exception):
     """Bad data encountered while running; exits with status 1."""
 
 
-def _cannot_read(path, exc: Exception) -> UsageError:
-    """A path that exists but cannot be read, such as a directory."""
-    return UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+@contextlib.contextmanager
+def _reading(path, role: str):
+    """Around the code that reads the file at path: a missing file is a
+    usage error naming its role, as is any other OSError; a ValueError
+    raised on the file's contents is a data error."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise UsageError(f"{role} file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 def _coerce(key: str, value, want: type):
@@ -82,16 +92,14 @@ def load_config(path: str | None) -> dict:
         path = os.environ.get("SEGSPECTRAL_CONFIG") or None
     if path is None:
         return cfg
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _cannot_read(path, exc) from None
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    # A config file that is not UTF-8 or not JSON is a usage error too.
+    with _reading(path, "config"):
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot read {path}: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - set(cfg))
@@ -102,15 +110,9 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
+def _read_lines(path: str, role: str) -> list[str]:
+    with _reading(path, role):
         return list(iter_corpus_lines(path))
-    except FileNotFoundError:
-        raise UsageError(f"input file not found: {path}") from None
-    except OSError as exc:
-        raise _cannot_read(path, exc) from None
-    except CorpusEncodingError as exc:
-        raise DataError(str(exc)) from None
 
 
 def _cannot_write(path, exc: OSError) -> UsageError:
@@ -146,21 +148,12 @@ def _open_outputs(*paths: str | None):
         yield files
 
 
-def _write_lines(path: str, lines) -> None:
-    with _open_outputs(path) as (out,):
-        for line in lines:
-            out.write(line + "\n")
-
-
 def _load_model(path: str):
-    if not Path(path).exists():
-        raise UsageError(f"model file not found: {path}")
-    try:
-        return load_model(path)
-    except OSError as exc:
-        raise _cannot_read(path, exc) from None
-    except ModelIOError as exc:
-        raise DataError(f"cannot load model {path}: {exc}") from None
+    with _reading(path, "model"):
+        try:
+            return load_model(path)
+        except ModelIOError as exc:
+            raise DataError(f"cannot load model {path}: {exc}") from None
 
 
 def _build_recipe(args, cfg: dict):
@@ -179,37 +172,36 @@ def _build_recipe(args, cfg: dict):
     path = getattr(args, flag[2:].replace("-", "_"))
     if path is None:
         raise UsageError(f"--recipe {args.recipe} requires {flag} PATH")
-    if not Path(path).exists():
-        raise UsageError(f"{flag[2:]} file not found: {path}")
-    try:
+    with _reading(path, flag[2:]):
         return load(path, **kwargs)
-    except OSError as exc:
-        raise _cannot_read(path, exc) from None
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
 
 
-def _build_segmenter_config(args, cfg: dict) -> SegmenterConfig:
+def _segmenter_config(args) -> SegmenterConfig:
+    """The config, then the recipe, then the segmenter config of segment
+    and sweep; flags beat the config file, which beats the defaults."""
+    cfg = load_config(args.config)
     recipe = _build_recipe(args, cfg)
-    base = SegmenterConfig.for_recipe(recipe)
-    form = LaplacianForm(args.form) if args.form else base.form
-    eig_cut = args.eig_cut if args.eig_cut is not None else cfg[_cut_key(args.recipe)]
+    overrides = {"eig_cut": cfg[_cut_key(args.recipe)] if args.eig_cut is None else args.eig_cut}
+    if args.form:
+        overrides["form"] = LaplacianForm(args.form)
     try:
-        return SegmenterConfig(recipe=recipe, form=form, eig_cut=eig_cut)
+        return SegmenterConfig.for_recipe(recipe, **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _report_failed(errors) -> int:
+    """Print each failed line's (line number, message) on stderr; the exit
+    status is 1 if any line failed."""
+    for lineno, msg in errors:
+        print(f"line {lineno}: {msg}", file=sys.stderr)
+    return 1 if errors else 0
+
+
 def cmd_train(args) -> int:
-    if not Path(args.input).exists():
-        raise UsageError(f"input file not found: {args.input}")
     source = args.source if args.source is not None else Path(args.input).name
-    try:
+    with _reading(args.input, "input"):
         model = ingest_corpus(iter_corpus_lines(args.input), source=source)
-    except OSError as exc:
-        raise _cannot_read(args.input, exc) from None
-    except CorpusEncodingError as exc:
-        raise DataError(str(exc)) from None
     try:
         save_model(model, args.model)
     except OSError as exc:
@@ -222,10 +214,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cfg = load_config(args.config)
-    scfg = _build_segmenter_config(args, cfg)
+    scfg = _segmenter_config(args)
     model = _load_model(args.model)
-    lines = _read_lines(args.input)
+    lines = _read_lines(args.input, "input")
 
     # The input is read, so --output may name it; both outputs are opened
     # before any line is segmented, so a bad path fails at once.
@@ -241,14 +232,12 @@ def cmd_segment(args) -> int:
                     row = {"line": lineno, "n": len(trace.text), "k": trace.k}
                     row["eigenvalues"] = trace.eigenvalues.tolist()
                     dump.write(json.dumps(row) + "\n")
-    for lineno, msg in errors:
-        print(f"line {lineno}: {msg}", file=sys.stderr)
-    return 1 if errors else 0
+    return _report_failed(errors)
 
 
 def cmd_eval(args) -> int:
-    gold = [parse_segmented(line) for line in _read_lines(args.gold)]
-    pred = [parse_segmented(line) for line in _read_lines(args.pred)]
+    gold = [parse_segmented(line) for line in _read_lines(args.gold, "gold")]
+    pred = [parse_segmented(line) for line in _read_lines(args.pred, "pred")]
     try:
         report = score_corpus(gold, pred)
     except ValueError as exc:
@@ -268,14 +257,13 @@ def _parse_cuts(text: str) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    scfg = _build_segmenter_config(args, cfg)
+    scfg = _segmenter_config(args)
     cuts = _parse_cuts(args.cuts)
     model = _load_model(args.model)
-    lines = _read_lines(args.input)
+    lines = _read_lines(args.input, "input")
     gold = None
     if args.gold is not None:
-        gold = [parse_segmented(line) for line in _read_lines(args.gold)]
+        gold = [parse_segmented(line) for line in _read_lines(args.gold, "gold")]
         if len(gold) != len(lines):
             raise DataError(
                 f"gold has {len(gold)} lines but input has {len(lines)}"
@@ -310,10 +298,7 @@ def cmd_sweep(args) -> int:
                 raise DataError(str(exc)) from None
         rows.append("\t".join(row))
     print("\n".join(rows))
-
-    for lineno, msg in errors:
-        print(f"line {lineno}: {msg}", file=sys.stderr)
-    return 1 if errors else 0
+    return _report_failed(errors)
 
 
 def cmd_synth(args) -> int:
@@ -323,13 +308,14 @@ def cmd_synth(args) -> int:
             word_len=tuple(args.word_len),
             sentence_len=tuple(args.sentence_len),
             sentences=args.sentences,
-            seed=args.seed if args.seed is not None else 0,
+            seed=args.seed,
         )
         lines, gold = generate_synthetic(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _write_lines(args.lines, lines)
-    _write_lines(args.gold, (" ".join(words) for words in gold))
+    with _open_outputs(args.lines, args.gold) as (lines_out, gold_out):
+        lines_out.writelines(line + "\n" for line in lines)
+        gold_out.writelines(" ".join(words) + "\n" for words in gold)
     return 0
 
 
@@ -381,12 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic corpus with known boundaries")
     p.add_argument("--lines", required=True, help="raw sentence file to write")
     p.add_argument("--gold", required=True, help="gold segmentation file to write")
-    p.add_argument("--vocab-size", type=int, default=20)
-    p.add_argument("--word-len", type=int, nargs=2, default=(2, 4), metavar=("LO", "HI"))
-    p.add_argument("--sentence-len", type=int, nargs=2, default=(5, 10), metavar=("LO", "HI"))
-    p.add_argument("--sentences", type=int, default=500)
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--word-len", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--sentence-len", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--sentences", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, **{f.name: f.default for f in fields(SynthSpec)})
 
     return parser
 

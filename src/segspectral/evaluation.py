@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
+from .chars import DEFAULT_CJK_RANGES
 from .graph import SINGLE_CHAR_WORDS, WEAKEN_SET_1, WEAKEN_SET_2
 
 
@@ -110,15 +112,12 @@ _EXCLUDED = frozenset(WEAKEN_SET_1) | frozenset(WEAKEN_SET_2) | frozenset(SINGLE
 
 
 def _char_inventory(count: int) -> list[str]:
-    chars = []
-    cp = 0x4E00
-    while len(chars) < count:
-        if cp > 0x9FFF:
-            raise ValueError("character inventory exhausted")
-        ch = chr(cp)
-        if ch not in _EXCLUDED:
-            chars.append(ch)
-        cp += 1
+    """The first count Chinese characters, range by range in
+    DEFAULT_CJK_RANGES order, that are not in _EXCLUDED."""
+    codes = (cp for lo, hi in DEFAULT_CJK_RANGES for cp in range(lo, hi + 1))
+    chars = list(islice((ch for ch in map(chr, codes) if ch not in _EXCLUDED), count))
+    if len(chars) < count:
+        raise ValueError("character inventory exhausted")
     return chars
 
 

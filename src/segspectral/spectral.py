@@ -119,9 +119,12 @@ def _check_partition(parts, n: int) -> list[np.ndarray]:
     seen: set[int] = set()
     total = 0
     for part in parts:
-        idx = np.asarray(sorted(part), dtype=int)
+        idx = np.asarray(sorted(part))
         if idx.size == 0:
             raise ValueError("partition contains an empty part")
+        # Converting to int would truncate 1.4 to node 1.
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"partition indices must be integers, got {idx.dtype}")
         if idx.min() < 0 or idx.max() >= n:
             raise ValueError(f"partition index out of range [0, {n})")
         total += idx.size

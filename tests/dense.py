@@ -1,9 +1,12 @@
-"""The n×n matrix behind the package's banded and block-diagonal types,
-for tests that check those types against textbook dense formulas."""
+"""Dense references for tests: the n×n matrix behind the package's banded
+and block-diagonal types, the Laplacian by the textbook formulas, and the
+contiguous k-means DP over its full (n+1)² cost table. Tests check the
+package's banded, block-wise forms against these."""
 
 import numpy as np
 
 from segspectral.eigen import BlockDiagonal
+from segspectral.spectral import LaplacianForm
 
 
 def dense_matrix(m) -> np.ndarray:
@@ -21,3 +24,75 @@ def dense_matrix(m) -> np.ndarray:
         i = np.arange(band.size)
         out[i, i + d] = out[i + d, i] = band
     return out
+
+
+def dense_laplacian(w, form):
+    """The Laplacian as one n x n matrix, by the textbook formulas."""
+    deg = w.degrees()
+    if form is LaplacianForm.UNNORMALIZED:
+        return np.diag(deg) - dense_matrix(w)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return np.eye(w.n) - dense_matrix(w) * np.outer(inv_sqrt, inv_sqrt)
+
+
+def _full_cost_table(x):
+    """cost[s, e]: squared error about its mean of rows s .. e - 1, from a
+    Gram product of prefix sums (inf unless s < e); and the tie tolerance."""
+    n = x.shape[0]
+    y = x - x.mean(axis=0)
+    sums = np.vstack([np.zeros(x.shape[1]), np.cumsum(y, axis=0)])
+    sq = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", y, y))])
+    gram = sums @ sums.T
+    norms = np.diag(gram)
+    size = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
+    spread = norms[None, :] + norms[:, None] - 2.0 * gram
+    cost = sq[None, :] - sq[:, None] - spread / np.maximum(size, 1)
+    cost = np.where(size > 0, np.maximum(cost, 0.0), np.inf)
+    return cost, 1e-12 * float(np.einsum("ij,ij->", x, x))
+
+
+def full_table_labels(points, k):
+    """The DP over every (start, end) pair that the banded DP replaced,
+    with its (n+1)² cost table from a Gram product: the reference whose
+    labels the banded DP must match exactly."""
+    x = np.asarray(points, dtype=float)
+    n = x.shape[0]
+    cost, tol = _full_cost_table(x)
+
+    # best[m][t]: least error of rows 0 .. m + t in m + 1 runs.
+    w = n - k + 1
+    best = [cost[0, 1 : w + 1]]
+    for m in range(1, k):
+        total = best[-1][:, None] + cost[m : m + w, m + 1 : m + 1 + w]
+        best.append(total.min(axis=0))
+
+    # From the last run back, each run starts at the earliest row whose
+    # candidate is within tol of the least error up to the run's end.
+    labels = np.zeros(n, dtype=int)
+    end = n
+    for m in range(k - 1, 0, -1):
+        candidates = best[m - 1] + cost[m : m + w, end]
+        begin = m + int(np.argmax(candidates <= best[m][end - m - 1] + tol))
+        labels[begin:end] = m
+        end = begin
+    return labels
+
+
+def least_errors(points, k, count):
+    """The count least errors over all splits of the rows into k
+    contiguous runs, ascending (inf past the last split), and the tie
+    tolerance."""
+    x = np.asarray(points, dtype=float)
+    n = x.shape[0]
+    cost, tol = _full_cost_table(x)
+
+    # least[:, t]: the count least errors of rows 0 .. m + t in m + 1 runs.
+    # Splits whose last runs start apart differ, so the count least of a
+    # step are among the count least of each last run's prefix.
+    w = n - k + 1
+    least = np.full((count, w), np.inf)
+    least[0] = cost[0, 1 : w + 1]
+    for m in range(1, k):
+        total = least[:, :, None] + cost[m : m + w, m + 1 : m + 1 + w]
+        least = np.sort(total.reshape(count * w, w), axis=0)[:count]
+    return least[:, -1], tol

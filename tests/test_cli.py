@@ -391,10 +391,14 @@ def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, comm
         "train": ["train", "--input", lines, "--model", out["m.bin"]],
         "synth": ["synth", "--sentences", "3", "--lines", out["l.txt"], "--gold", out["g.txt"]],
     }[command]
+    for path in out.values():
+        Path(path).write_text("keep\n", encoding="utf-8")
     bad = tmp_path / "absent" / "out"
     argv[argv.index(flag) + 1] = str(bad)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+    # Every output is opened before any is emptied.
+    assert all(Path(path).read_text(encoding="utf-8") == "keep\n" for path in out.values())
 
 
 def test_unwritable_output_fails_before_any_line_is_segmented(workdir, tmp_path, monkeypatch, capsys):
@@ -622,25 +626,25 @@ def test_invalid_utf8_input_is_a_data_error(workdir, tmp_path, capsys, command):
     assert "invalid UTF-8 at byte offset 10" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("segment", "--input"),
-        ("sweep", "--input"),
-        ("train", "--input"),
-        ("eval", "--gold"),
-        ("sweep", "--gold"),
-        ("eval", "--pred"),
-        ("segment", "--model"),
-        ("segment", "--lexicon"),
-        ("segment", "--word-stats"),
-        ("segment", "--config"),
-    ],
-)
-def test_unreadable_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
-    # A directory exists, so it is not "not found", but it cannot be read.
-    folder = tmp_path / "folder"
-    folder.mkdir()
+# Every flag that names a file a command reads, the file's role being the
+# flag's name: input, gold, pred, model, lexicon, word-stats and config.
+_READ_FLAGS = [
+    ("segment", "--input"),
+    ("sweep", "--input"),
+    ("train", "--input"),
+    ("eval", "--gold"),
+    ("sweep", "--gold"),
+    ("eval", "--pred"),
+    ("segment", "--model"),
+    ("segment", "--lexicon"),
+    ("segment", "--word-stats"),
+    ("segment", "--config"),
+]
+
+
+def _reading_argv(workdir, tmp_path, command, flag, path) -> list[str]:
+    """Arguments for command that read path through flag and good files
+    everywhere else."""
     model, lines, gold = (str(workdir / name) for name in ("model.bin", "lines.txt", "gold.txt"))
     out = str(tmp_path / "o.txt")
     argv = {
@@ -650,12 +654,33 @@ def test_unreadable_path_is_a_usage_error(workdir, tmp_path, capsys, command, fl
         "eval": ["eval", "--gold", gold, "--pred", gold],
     }[command]
     if flag in argv:
-        argv[argv.index(flag) + 1] = str(folder)
+        argv[argv.index(flag) + 1] = str(path)
     else:
         recipe = {"--lexicon": ["--recipe", "lexicon"], "--word-stats": ["--recipe", "train-words"]}
-        argv += [*recipe.get(flag, []), flag, str(folder)]
-    assert main(argv) == 2
+        argv += [*recipe.get(flag, []), flag, str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("command, flag", _READ_FLAGS)
+def test_unreadable_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
+    # A directory exists, so it is not "not found", but it cannot be read.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main(_reading_argv(workdir, tmp_path, command, flag, folder)) == 2
     assert capsys.readouterr().err == f"error: cannot read {folder}: {os.strerror(errno.EISDIR)}\n"
+
+
+@pytest.mark.parametrize("command, flag", _READ_FLAGS)
+def test_bad_path_names_its_role(workdir, tmp_path, capsys, command, flag):
+    missing = tmp_path / "missing"
+    assert main(_reading_argv(workdir, tmp_path, command, flag, missing)) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:]} file not found: {missing}\n"
+    # A path under a regular file is not missing: it cannot be read.
+    regular = tmp_path / "regular"
+    regular.write_text("x\n", encoding="utf-8")
+    under = regular / "x"
+    assert main(_reading_argv(workdir, tmp_path, command, flag, under)) == 2
+    assert capsys.readouterr().err == f"error: cannot read {under}: {os.strerror(errno.ENOTDIR)}\n"
 
 
 def test_config_that_is_not_utf8_is_a_usage_error(workdir, tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 from segspectral import EvalReport, SynthSpec, generate_synthetic, score_corpus
 from segspectral.chars import CHINESE_RUN
-from segspectral.evaluation import _EXCLUDED, count_matches, parse_segmented
+from segspectral.evaluation import _EXCLUDED, _char_inventory, count_matches, parse_segmented
 
 
 class TestScoring:
@@ -106,6 +106,15 @@ class TestGenerateSynthetic:
         with pytest.warns(UserWarning, match="boundary"):
             generate_synthetic(SynthSpec(vocab_size=1, sentences=1))
 
+    def test_inventory_spills_into_extension_a(self):
+        # More characters than CJK Unified Ideographs holds.
+        chars = _char_inventory(24000)
+        assert len(set(chars)) == len(chars) == 24000
+        assert 0x3400 <= ord(chars[-1]) <= 0x4DBF
+        assert CHINESE_RUN.fullmatch("".join(chars))
+        assert _EXCLUDED.isdisjoint(chars)
+
     def test_inventory_exhaustion(self):
+        # 28,000 characters: more than both ranges of DEFAULT_CJK_RANGES hold.
         with pytest.raises(ValueError, match="exhausted"):
-            generate_synthetic(SynthSpec(vocab_size=6000, word_len=(4, 4), sentences=0))
+            generate_synthetic(SynthSpec(vocab_size=7000, word_len=(4, 4), sentences=0))

@@ -19,6 +19,8 @@ from segspectral import (
 )
 from segspectral.spectral import contiguous_partitions
 
+from dense import full_table_labels
+
 
 def two_blobs(rng, n_per=20, sep=10.0):
     a = rng.normal(size=(n_per, 2))
@@ -125,42 +127,6 @@ def test_validation():
         x[3, 1] = bad
         with pytest.raises(ValueError, match="rows must be finite"):
             kmeans_cluster(x, 3)
-
-
-def full_table_labels(points, k):
-    """The DP over every (start, end) pair that the banded DP replaced,
-    with its (n+1)² cost table from a Gram product: the reference whose
-    labels the banded DP must match exactly."""
-    x = np.asarray(points, dtype=float)
-    n = x.shape[0]
-    y = x - x.mean(axis=0)
-    sums = np.vstack([np.zeros(x.shape[1]), np.cumsum(y, axis=0)])
-    sq = np.concatenate([[0.0], np.cumsum(np.einsum("ij,ij->i", y, y))])
-    gram = sums @ sums.T
-    norms = np.diag(gram)
-    size = np.arange(n + 1)[None, :] - np.arange(n + 1)[:, None]
-    spread = norms[None, :] + norms[:, None] - 2.0 * gram
-    cost = sq[None, :] - sq[:, None] - spread / np.maximum(size, 1)
-    cost = np.where(size > 0, np.maximum(cost, 0.0), np.inf)
-    tol = 1e-12 * float(np.einsum("ij,ij->", x, x))
-
-    # best[m][t]: least error of rows 0 .. m + t in m + 1 runs.
-    w = n - k + 1
-    best = [cost[0, 1 : w + 1]]
-    for m in range(1, k):
-        total = best[-1][:, None] + cost[m : m + w, m + 1 : m + 1 + w]
-        best.append(total.min(axis=0))
-
-    # From the last run back, each run starts at the earliest row whose
-    # candidate is within tol of the least error up to the run's end.
-    labels = np.zeros(n, dtype=int)
-    end = n
-    for m in range(k - 1, 0, -1):
-        candidates = best[m - 1] + cost[m : m + w, end]
-        begin = m + int(np.argmax(candidates <= best[m][end - m - 1] + tol))
-        labels[begin:end] = m
-        end = begin
-    return labels
 
 
 @st.composite

@@ -28,6 +28,8 @@ from segspectral.ngram import iter_corpus_lines
 from segspectral.pipeline import DATA_ERRORS, build_w, labels_to_words, postprocess_merge
 from segspectral.spectral import choose_k
 
+from dense import dense_laplacian, full_table_labels, least_errors
+
 
 class TestLabelsToWords:
     def test_splits_at_label_changes(self):
@@ -230,15 +232,25 @@ class TestSegmentSentence:
 
 
 @pytest.fixture(scope="module")
-def recipe_cfgs(synth_corpus):
-    """The ehr recipe and a lexicon of the gold words, each in both forms."""
+def recipes(synth_corpus):
+    """Each recipe by its command-line name; the lexicon ranks the gold
+    words by count, and the word stats count them."""
     _, gold = synth_corpus
     counts = Counter(word for words in gold for word in words)
     ranked = sorted(counts, key=lambda word: (-counts[word], word))
-    lexicon = Lexicon(entries={word: rank for rank, word in enumerate(ranked, 1)})
+    return {
+        "ehr": EhrParams(),
+        "lexicon": Lexicon(entries={word: rank for rank, word in enumerate(ranked, 1)}),
+        "train-words": WordStats(words=dict(counts)),
+    }
+
+
+@pytest.fixture(scope="module")
+def recipe_cfgs(recipes):
+    """The ehr recipe and a lexicon of the gold words, each in both forms."""
     return [
-        SegmenterConfig.for_recipe(recipe, form=form)
-        for recipe in (EhrParams(), lexicon)
+        SegmenterConfig.for_recipe(recipes[name], form=form)
+        for name in ("ehr", "lexicon")
         for form in LaplacianForm
     ]
 
@@ -376,3 +388,56 @@ def test_lines_survive_reader_and_segmenter(synth_model, lines):
     segs, _ = segment_document(lines, synth_model, SegmenterConfig.for_recipe(EhrParams()))
     assert len(segs) == len(lines)
     assert ["".join(words) for words in segs] == lines
+
+
+def _reference_lines(vocab):
+    """Words of the synthetic corpus, single characters of it, and a
+    function character, digits, a unit, a letter and a space, which the
+    recipes treat apart."""
+    chars = sorted(set("".join(vocab)))
+    token = st.one_of(st.sampled_from(vocab), st.sampled_from(chars), st.sampled_from("的了12年a "))
+    return st.lists(token, min_size=1, max_size=10).map("".join)
+
+
+@pytest.mark.parametrize("form", LaplacianForm)
+@pytest.mark.parametrize("recipe_name", ["ehr", "lexicon", "train-words"])
+def test_matches_a_dense_reference_pipeline(synth_model, recipes, recipe_name, form):
+    # The dense Laplacian, one np.linalg.eigh of it, and the full-table DP
+    # on its first k eigenvectors give segment_sentence's words. A line is
+    # skipped only where rounding may part the two: where an eigenvalue
+    # lies so near the cut that it may move k, or a split so near the tie
+    # tolerance that it may move the boundaries.
+    recipe = recipes[recipe_name]
+    drawn, skipped = [], []
+
+    @settings(deadline=None, max_examples=80, database=None)
+    @given(_reference_lines(sorted(recipes["train-words"].words)), st.floats(-4.0, 0.5))
+    def check(line, log_cut):
+        cfg = SegmenterConfig.for_recipe(recipe, form=form, eig_cut=10.0**log_cut)
+        drawn.append(line)
+        lap = dense_laplacian(build_w(line, synth_model, recipe), form)
+        values, vectors = np.linalg.eigh(lap)
+        if np.abs(values - cfg.eig_cut).min() <= 1e-9:
+            skipped.append(line)
+            return
+        k = max(1, int(np.count_nonzero(values <= cfg.eig_cut)))
+        u = vectors[:, :k]
+        if form is LaplacianForm.SYMMETRIC_NORMALIZED:
+            norms = np.linalg.norm(u, axis=1, keepdims=True)
+            u = np.divide(u, norms, out=u.copy(), where=norms > 0.0)
+        # Both pipelines split by the same tie rule, which takes the earliest
+        # boundaries among splits within tol of the least error. Their
+        # errors differ by rounding, which moves only a split near that
+        # line across it; exact ties, as of a word that occurs twice, fall
+        # alike. So skip where a split lies in (tol / 4, tol], or where all
+        # of the least errors drawn lie within tol and so may others.
+        errors, tol = least_errors(u, k, 8)
+        gaps = errors - errors[0]
+        if np.any((gaps > tol / 4) & (gaps <= tol)) or gaps[-1] <= tol:
+            skipped.append(line)
+            return
+        words = postprocess_merge(labels_to_words(line, full_table_labels(u, k)))
+        assert segment_sentence(line, synth_model, cfg) == words
+
+    check()
+    assert len(skipped) < 0.1 * len(drawn), (len(skipped), len(drawn))

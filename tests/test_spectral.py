@@ -23,7 +23,7 @@ from segspectral import (
 from segspectral.eigen import BlockDiagonal
 from segspectral.spectral import contiguous_partitions
 
-from dense import dense_matrix
+from dense import dense_laplacian, dense_matrix
 
 
 def two_block_w():
@@ -58,15 +58,6 @@ class TestLaplacian:
         w = ConnectionMatrix([0.0, 1.0], [0.0], [])
         with pytest.raises(ValueError, match="positive degrees"):
             build_laplacian(w, LaplacianForm.SYMMETRIC_NORMALIZED)
-
-
-def dense_laplacian(w, form):
-    """The Laplacian as one n x n matrix, by the textbook formulas."""
-    deg = w.degrees()
-    if form is LaplacianForm.UNNORMALIZED:
-        return np.diag(deg) - dense_matrix(w)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(w.n) - dense_matrix(w) * np.outer(inv_sqrt, inv_sqrt)
 
 
 @st.composite
@@ -322,9 +313,18 @@ class TestZeroEigenspace:
             indicator_span_residual(dec, [[0, 1], [1, 2, 3, 4]], form)
         with pytest.raises(ValueError, match="exactly once"):
             indicator_span_residual(dec, [[0, 1], [2, 3]], form)
+        with pytest.raises(ValueError, match="must be integers"):
+            indicator_span_residual(dec, [[0, 1], [2, 3, 3.5]], form)
 
 
 class TestCutObjectives:
+    def test_non_integer_index_is_refused(self):
+        w = ConnectionMatrix(np.ones(3), [1.0, 1.0], [0.5])
+        for kind in CutKind:
+            # Truncating 1.4 would score [[0, 1], [2]].
+            with pytest.raises(ValueError, match="must be integers"):
+                cut_objective(w, [[0, 1.4], [2]], kind)
+
     def test_frozen_two_node_values(self):
         w = ConnectionMatrix([1.0, 1.0], [0.5], [])
         split = [[0], [1]]
