@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -120,23 +121,32 @@ def _cannot_write(path, exc: OSError) -> UsageError:
 
 
 @contextlib.contextmanager
-def _open_outputs(*paths: str | None):
-    """Yield one text file per path to write lines to: None for None,
-    stdout for "-", else the file at path, emptied. Every file is opened
-    before any is emptied, so a path that cannot be written leaves the
+def _open_outputs(*outputs: tuple[str, str | None]):
+    """Yield one text file per (flag, path) to write lines to: None for a
+    None path, stdout for "-", else the file at path, emptied. Every file
+    is opened before any is emptied, so a path that cannot be written, or
+    two outputs that are one regular file or both stdout, leave the
     others' contents as they were."""
     with contextlib.ExitStack() as stack:
-        files, opened = [], []
-        for path in paths:
+        files, opened, seen = [], [], {}
+        for flag, path in outputs:
             if path is None or path == "-":
                 files.append(None if path is None else sys.stdout)
-                continue
-            try:
-                f = stack.enter_context(open(path, "a", encoding="utf-8", newline="\n"))
-            except OSError as exc:
-                raise _cannot_write(path, exc) from None
-            files.append(f)
-            opened.append((path, f))
+                key = path
+            else:
+                try:
+                    f = stack.enter_context(open(path, "a", encoding="utf-8", newline="\n"))
+                except OSError as exc:
+                    raise _cannot_write(path, exc) from None
+                files.append(f)
+                opened.append((path, f))
+                st = os.fstat(f.fileno())
+                # A device or pipe may take two streams; a regular file may not.
+                key = (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+            if key in seen:
+                raise UsageError(f"{seen[key]} and {flag} {path} name the same file")
+            if key is not None:
+                seen[key] = f"{flag} {path}"
         # Appending starts at the end: a non-empty regular file is emptied;
         # pipes and devices are left alone, as opening with "w" would.
         for path, f in opened:
@@ -222,7 +232,7 @@ def cmd_segment(args) -> int:
     # before any line is segmented, so a bad path fails at once.
     errors = []
     output = "-" if args.output is None else args.output
-    with _open_outputs(output, args.dump_eigen) as (out, dump):
+    with _open_outputs(("--output", output), ("--dump-eigen", args.dump_eigen)) as (out, dump):
         for lineno, words, traces, error in trace_document(lines, model, scfg):
             out.write(" ".join(words[0]) + "\n")
             if error is not None:
@@ -313,7 +323,7 @@ def cmd_synth(args) -> int:
         lines, gold = generate_synthetic(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _open_outputs(args.lines, args.gold) as (lines_out, gold_out):
+    with _open_outputs(("--lines", args.lines), ("--gold", args.gold)) as (lines_out, gold_out):
         lines_out.writelines(line + "\n" for line in lines)
         gold_out.writelines(" ".join(words) + "\n" for words in gold)
     return 0

@@ -24,7 +24,8 @@ strength, and a ratio whose context was never seen is 0. A standardized
 log-count divides ln(count) by the model's sd of ln(count) over the
 distinct stored keys of the same order, and is 0 for an unseen n-gram.
 Each builder looks every character, adjacent pair and triple of the
-sentence up once and computes its bands with array arithmetic.
+sentence up in one NGramModel.lookup, a single search of the model's
+sorted integer keys, and computes its bands with array arithmetic.
 
 All builders are pure functions of immutable inputs.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -219,18 +219,9 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
 
 
-def _standardized_log(counts: np.ndarray, log_sd: float) -> np.ndarray:
-    """ln(count) / log_sd per n-gram, and 0 for an unseen one."""
-    # math.log, not np.log: the two differ in the last bit for some counts.
-    seen = counts > 0.0
-    logs = np.zeros(counts.size)
-    logs[seen] = list(map(math.log, counts[seen].tolist()))
-    return logs / log_sd
-
-
-def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Base strength for each adjacent character pair, plus the line's
-    unigram and trigram counts.
+    unigram and trigram counts and its standardized trigram log-counts.
 
     The strength is the largest of the transition probabilities that are
     defined at this position, scaled by the standardized bigram log-count.
@@ -238,17 +229,13 @@ def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, 
     the pair and P(a | b c) one after it, so those two drop out at the
     first and last pair.
     """
-    # Float counts are exact below 2**53, and a larger one in a model file
-    # still converts instead of making an object array.
     n = len(s)
-    pairs = list(map(add, s, s[1:]))
-    uni = np.fromiter(map(model.uni.get, s, repeat(0)), float, n)
-    bi = np.fromiter(map(model.bi.get, pairs, repeat(0)), float, n - 1)
-    tri = np.fromiter(map(model.tri.get, map(add, pairs, s[2:]), repeat(0)), float, max(n - 2, 0))
+    counts, logs = model.lookup(s)
+    uni, bi, tri = counts[:n], counts[n : 2 * n - 1], counts[2 * n - 1 :]
     p = _ratio(bi, uni[:-1])
     p[1:] = np.maximum(p[1:], _ratio(tri, bi[:-1]))
     p[:-1] = np.maximum(p[:-1], _ratio(tri, bi[1:]))
-    return p * _standardized_log(bi, model.log_sd_bi), uni, tri
+    return p * logs[n : 2 * n - 1], uni, tri, logs[2 * n - 1 :]
 
 
 def _members(s: str, chars: frozenset) -> np.ndarray:
@@ -266,12 +253,12 @@ def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> C
     _require_nonempty(s)
     if params is None:
         params = EhrParams()
-    off1, uni, tri = _adjacent_bonds(s, model)
+    off1, uni, tri, tri_logs = _adjacent_bonds(s, model)
     weak1, weak2 = _members(s, params.weaken_set_1), _members(s, params.weaken_set_2)
     # Both weakenings stack when a pair hits both sets.
     off1 = np.where(weak1[:-1] | weak1[1:], off1 / params.factor_1, off1)
     off1 = np.where(weak2[:-1] | weak2[1:], off1 / params.factor_2, off1)
-    off2 = _ratio(tri, uni[:-2]) * _standardized_log(tri, model.log_sd_tri)
+    off2 = _ratio(tri, uni[:-2]) * tri_logs
     off2 = np.where(weak2[:-2] | weak2[1:-1] | weak2[2:], 0.0, off2)
     return ConnectionMatrix(np.ones(len(s)), off1, off2)
 
@@ -287,7 +274,7 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     """
     _require_nonempty(s)
     n = len(s)
-    off1, _, _ = _adjacent_bonds(s, model)
+    off1 = _adjacent_bonds(s, model)[0]
     bigrams, singles = vocab.frequent_bigrams, vocab.single_char_set
     boosted = np.array([pair in bigrams for pair in map(add, s, s[1:])], dtype=bool)
     # Every other character divides by 1.0, which is exact.

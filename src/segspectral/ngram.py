@@ -16,6 +16,15 @@ characters). Counting conventions:
 
 The bigram and trigram sds are population standard deviations of
 ln(count) taken over the distinct stored keys of each order.
+
+NGramModel.lookup reads counts from NGramModel.key_table, built at the
+first lookup (not at ingest or load), 24 bytes per stored n-gram: sorted
+uint64 keys of 21-bit code points, first character highest, each beside
+its float count and standardized log-count, then a sentinel of zeros that
+answers every miss. Bigram keys set bit 63, above the 63 bits of trigram
+codes, and unigram keys bits 63 and 62, above the 42 bits of bigram
+codes, so orders never collide. The table is not model state, and goes
+stale if the dicts change.
 """
 
 from __future__ import annotations
@@ -23,10 +32,43 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import add
 from pathlib import Path
 
+import numpy as np
+
 from .chars import CHINESE_RUN
+
+_SHIFT = np.uint64(21)
+_TAGS = {1: np.uint64(3 << 62), 2: np.uint64(1 << 63), 3: np.uint64(0)}
+# Above every key, so every query lands on or before it.
+_SENTINEL = np.uint64(2**64 - 1)
+
+
+def _code_points(text: str) -> np.ndarray:
+    # surrogatepass keeps a lone surrogate one code point, as str counts it
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
+
+
+def _order_table(counts: dict[str, int], order: int, log_sd: float):
+    """Keys, float counts and standardized log-counts of the stored
+    n-grams of one order; a key of another length never matches, so is left out."""
+    lengths = np.fromiter(map(len, counts), np.intp, len(counts))
+    kept = lengths == order
+    starts = (np.cumsum(lengths) - lengths)[kept]
+    points = _code_points("".join(counts))
+    keys = points[starts]
+    for i in range(1, order):
+        keys = keys << _SHIFT | points[starts + i]
+    # Float counts are exact below 2**53, and a larger one in a model file
+    # still converts instead of making an object array.
+    values = np.fromiter(counts.values(), float, len(counts))[kept]
+    # math.log, not np.log: the two differ in the last bit for some
+    # counts. Counts repeat, so each distinct one is logged once.
+    distinct, inverse = np.unique(values, return_inverse=True)
+    logs = np.array([math.log(c) / log_sd if c > 0.0 else 0.0 for c in distinct.tolist()])
+    return keys | _TAGS[order], values, logs[inverse]
 
 
 class CorpusEncodingError(ValueError):
@@ -55,6 +97,33 @@ class NGramModel:
     log_sd_bi: float = 1.0
     log_sd_tri: float = 1.0
     meta: ModelMeta = field(default_factory=ModelMeta)
+
+    @cached_property
+    def key_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted keys, float counts and standardized log-counts (0 for
+        count 0 and for unigrams), ending in the sentinel."""
+        # An infinite sd zeroes the unigram log-counts, which no bond reads.
+        tables = (
+            _order_table(self.uni, 1, math.inf),
+            _order_table(self.bi, 2, self.log_sd_bi),
+            _order_table(self.tri, 3, self.log_sd_tri),
+            ([_SENTINEL], [0.0], [0.0]),
+        )
+        keys, counts, logs = map(np.concatenate, zip(*tables))
+        order = np.argsort(keys)
+        return keys[order], counts[order], logs[order]
+
+    def lookup(self, s: str) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and standardized log-counts of the n characters, n - 1
+        adjacent pairs and n - 2 triples of s, in that order."""
+        points = _code_points(s)
+        # each trigram's key is built on its first pair's untagged key
+        pairs = points[:-1] << _SHIFT | points[1:]
+        queries = np.concatenate((points | _TAGS[1], pairs | _TAGS[2], pairs[:-1] << _SHIFT | points[2:]))
+        keys, counts, logs = self.key_table
+        at = np.searchsorted(keys, queries)
+        at[keys[at] != queries] = -1
+        return counts[at], logs[at]
 
 
 def _log_sd(counts: dict[str, int]) -> float:

@@ -425,6 +425,35 @@ def test_output_may_overwrite_the_input(workdir, tmp_path):
     assert src.read_text(encoding="utf-8").replace(" ", "") == text
 
 
+@pytest.mark.parametrize("alias", ["same path", "symlink", "stdout twice"])
+@pytest.mark.parametrize("command", ["segment", "synth"])
+def test_two_outputs_naming_one_file_are_a_usage_error(workdir, tmp_path, capsys, command, alias):
+    first, second = {"segment": ("--output", "--dump-eigen"), "synth": ("--lines", "--gold")}[command]
+    target = tmp_path / "o.txt"
+    target.write_text("keep\n", encoding="utf-8")
+    if alias == "symlink":
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        paths = (str(target), str(link))
+    else:
+        paths = ("-", "-") if alias == "stdout twice" else (str(target), str(target))
+    argv = {
+        "segment": ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")],
+        "synth": ["synth", "--sentences", "3"],
+    }[command]
+    assert main(argv + [first, paths[0], second, paths[1]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {first} {paths[0]} and {second} {paths[1]} name the same file\n"
+    assert captured.out == ""
+    assert target.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_two_outputs_may_share_a_device(workdir):
+    # Only a regular file is refused twice: both outputs may go to os.devnull.
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    assert main(argv + ["--output", os.devnull, "--dump-eigen", os.devnull]) == 0
+
+
 def test_lexicon_recipe_flags(workdir, tmp_path, capsys):
     args = [
         "segment",

@@ -15,6 +15,7 @@ from segspectral import (
     LaplacianForm,
     Lexicon,
     NGramModel,
+    SegmenterConfig,
     WordStats,
     build_laplacian,
     ingest_corpus,
@@ -22,6 +23,7 @@ from segspectral import (
     load_model,
     load_word_stats,
     save_model,
+    segment_sentence,
 )
 from segspectral.chars import CHINESE_RUN
 from segspectral.graph import build_w_ehr, build_w_vocab
@@ -225,12 +227,21 @@ def reference_bands(s, model, recipe):
 
 def _hand_built_model():
     """A model no corpus yields: 安 and 和的 are stored with count 0, 广场
-    is stored while 广 has no unigram, and 场天 and 广场天 have counts
-    beyond 64 bits. The model file accepts all three."""
+    is stored while 广 has no unigram, 场天 and 广场天 have counts beyond
+    64 bits, some keys are not as long as their order (门广场 among the
+    bigrams, 天安 among the trigrams, 广场 among the unigrams), some start
+    with NUL and some are outside the Basic Multilingual Plane. The model
+    file accepts all of them."""
     model = NGramModel(
-        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1},
-        bi={"天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**65, "的天": 2},
-        tri={"天安门": 2, "安门和": 0, "广场天": 2**64, "门和的": 1, "和的了": 3, "门的天": 2},
+        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1, "广场": 6, "\U00020000": 2, "\x00": 3},
+        bi={
+            "天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**65, "的天": 2,
+            "门广场": 5, "\U00020000\U00020001": 2, "\x00天": 3, "\x00\x00": 0,
+        },
+        tri={
+            "天安门": 2, "安门和": 0, "广场天": 2**64, "门和的": 1, "和的了": 3, "门的天": 2,
+            "天安": 4, "\U00020000\U00020001天": 1, "\x00天安": 2,
+        },
         total_uni=15,
         log_sd_bi=0.8,
         log_sd_tri=1.7,
@@ -241,10 +252,13 @@ def _hand_built_model():
     return load_model(buf)
 
 
-# Lines of 1-12 characters of _MIXED, drawn in pieces that include the
-# hand-built model's trigrams, so that stored and repeated n-grams, and so
-# nonzero bonds in both bands, are common.
-_PIECES = [*_MIXED, "天安门", "安门和", "广场天", "门和的", "和的了", "门的天"]
+# Lines of 1-12 characters of _MIXED, NUL and a lone surrogate, drawn in
+# pieces that include the hand-built model's trigrams, so that stored and
+# repeated n-grams, and so nonzero bonds in both bands, are common.
+_PIECES = [
+    *_MIXED, "\x00", "\ud800", "天安门", "安门和", "广场天", "门和的", "和的了", "门的天",
+    "\U00020000\U00020001天", "\x00天安",
+]
 _LINES = st.lists(
     st.lists(st.sampled_from(_PIECES), min_size=1, max_size=4).map("".join), min_size=1, max_size=6
 )
@@ -276,6 +290,34 @@ def test_bands_match_per_position_reference(kind, lines, words, counts, rank_thr
             w = build_w(s, model, recipe)
             for got, want in zip((w.diag, w.off1, w.off2), reference_bands(s, model, recipe)):
                 assert np.array_equal(got, want), (s, recipe, got, want)
+
+
+def test_key_table_holds_each_stored_ngram_once():
+    model = _hand_built_model()
+    keys, counts, logs = model.key_table
+    stored = [(key, count) for order, table in enumerate((model.uni, model.bi, model.tri), 1)
+              for key, count in table.items() if len(key) == order]
+    # one entry per stored n-gram of its order's length, then the sentinel
+    assert keys.size == counts.size == logs.size == len(stored) + 1
+    assert np.all(keys[1:] > keys[:-1])
+    assert sorted(counts[:-1].tolist()) == sorted(float(count) for _, count in stored)
+    assert (counts[-1], logs[-1]) == (0.0, 0.0)
+
+
+def test_key_table_is_not_model_state():
+    # The table is built on the first lookup, and neither equality nor the
+    # model file sees it.
+    model, twin = _hand_built_model(), _hand_built_model()
+    saved = io.BytesIO()
+    save_model(model, saved)
+    assert "key_table" not in vars(model)
+    assert "key_table" not in vars(ingest_corpus(["天安门"]))
+    segment_sentence("天安门广场天", model, SegmenterConfig.for_recipe(EhrParams()))
+    assert "key_table" in vars(model)
+    assert model == twin
+    again = io.BytesIO()
+    save_model(model, again)
+    assert again.getvalue() == saved.getvalue()
 
 
 class TestLexiconRecipe:
