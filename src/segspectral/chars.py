@@ -5,15 +5,18 @@ Every Unicode scalar value is either Chinese (a CJK ideograph) or Other
 statistics are only kept for runs of Chinese characters; Other characters
 never carry probability mass and end up isolated in the sentence graph.
 
-DEFAULT_CJK_RANGES is the one rule, and CHINESE_RUN (a maximal run of
-Chinese characters) is built from it. The rule is applied once, when
-ngram.ingest_corpus counts a corpus: it counts n-grams inside the runs
-CHINESE_RUN finds, and every later query trusts those keys.
+DEFAULT_CJK_RANGES is the one rule. CHINESE_RUN (a maximal run of Chinese
+characters) and chinese_mask are built from it, and a test checks that
+they agree on every code point. The rule is applied once, when
+ngram.ingest_corpus masks a corpus with chinese_mask, and every later
+query trusts the keys it counts.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 # CJK Unified Ideographs plus Extension A. Extend here for corpora that
 # use the supplementary ideographic planes.
@@ -25,3 +28,8 @@ DEFAULT_CJK_RANGES: tuple[tuple[int, int], ...] = (
 CHINESE_RUN = re.compile(
     "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in DEFAULT_CJK_RANGES) + "]+"
 )
+
+
+def chinese_mask(points: np.ndarray) -> np.ndarray:
+    """Which of an array of code points are Chinese."""
+    return np.any([(lo <= points) & (points <= hi) for lo, hi in DEFAULT_CJK_RANGES], axis=0)

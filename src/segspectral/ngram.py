@@ -4,18 +4,23 @@ Counts are plain dictionaries keyed by the n-gram string (1, 2, or 3
 characters). Counting conventions:
 
 - one input line is one record; n-grams never span line boundaries
-- an n-gram is stored only if every character in it is Chinese: ingestion
-  counts the 1-, 2- and 3-grams inside each maximal Chinese run of a line
-  (chars.CHINESE_RUN), so n-grams touching letters, digits, punctuation
+- an n-gram is stored only if every character in it is Chinese
+  (chars.chinese_mask), so n-grams touching letters, digits, punctuation
   or whitespace are never counted. This is the only place the rule is
   applied: the bond formulas (graph.py) trust the stored keys, so a
   non-Chinese character finds count 0 and carries no probability mass
 - an absent key means count 0
-- each count dict keeps the order in which its keys first occur in the
-  corpus, which fixes the summation order of the log-count sds
+- each count dict is in code-point order of its keys, as model_io writes
+  and load_model returns it, so a trained model iterates like its copy
 
-The bigram and trigram sds are population standard deviations of
-ln(count) taken over the distinct stored keys of each order.
+ingest_corpus reads lines lazily, in chunks of whole lines of at most
+_CHUNK_CHARS characters (a longer line comes alone), gives the n-grams in
+each Chinese run of each line of a chunk the integer keys described below
+and counts them with one sort. Chunk counts are merged by key, so memory
+stays O(chunk + distinct n-grams). The bigram and trigram sds, population
+sds of ln(count) over the distinct stored keys of each order, are summed
+with math.fsum, so they depend neither on key order nor on the Python
+version.
 
 NGramModel.lookup reads counts from NGramModel.key_table, built at the
 first lookup (not at ingest or load), 24 bytes per stored n-gram: sorted
@@ -30,16 +35,17 @@ stale if the dicts change.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
 from pathlib import Path
 
 import numpy as np
 
-from .chars import CHINESE_RUN
+from .chars import chinese_mask
 
+# Characters, line ends included, per chunk that ingest_corpus counts at
+# once; its arrays then take a few hundred kilobytes.
+_CHUNK_CHARS = 1 << 14
 _SHIFT = np.uint64(21)
 _TAGS = {1: np.uint64(3 << 62), 2: np.uint64(1 << 63), 3: np.uint64(0)}
 # Above every key, so every query lands on or before it.
@@ -49,6 +55,14 @@ _SENTINEL = np.uint64(2**64 - 1)
 def _code_points(text: str) -> np.ndarray:
     # surrogatepass keeps a lone surrogate one code point, as str counts it
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
+
+
+def _decode(keys: np.ndarray, order: int) -> list[str]:
+    """The n-grams of keys of one order, tagged or not."""
+    shifts = _SHIFT * np.arange(order - 1, -1, -1, dtype=np.uint64)
+    points = (keys[:, None] >> shifts & np.uint64(0x1FFFFF)).astype(np.uint32)
+    # A <U view drops trailing NULs, but a counted key holds none.
+    return points.view(f"<U{order}").ravel().tolist()
 
 
 def _order_table(counts: dict[str, int], order: int, log_sd: float):
@@ -136,11 +150,48 @@ def _log_sd(counts: dict[str, int]) -> float:
     """
     if len(counts) < 2:
         return 1.0
-    logs = [math.log(c) for c in counts.values()]
-    mean = sum(logs) / len(logs)
-    var = sum((x - mean) ** 2 for x in logs) / len(logs)
-    sd = math.sqrt(var)
+    # Counts repeat, so each distinct one is logged and squared once.
+    values = counts.values()
+    logs = {c: math.log(c) for c in set(values)}
+    mean = math.fsum(map(logs.__getitem__, values)) / len(values)
+    squares = {c: (x - mean) ** 2 for c, x in logs.items()}
+    sd = math.sqrt(math.fsum(map(squares.__getitem__, values)) / len(values))
     return sd if sd > 0.0 else 1.0
+
+
+def _chunks(lines):
+    """Lists of whole lines, of at most _CHUNK_CHARS characters and line
+    ends each, but for a longer line, which comes alone."""
+    chunk, size = [], 0
+    for line in lines:
+        if chunk and size + len(line) >= _CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(line)
+        size += len(line) + 1
+    if chunk:
+        yield chunk
+
+
+def _chunk_keys(chunk: list[str]) -> np.ndarray:
+    """Tagged keys of the all-Chinese 1-, 2- and 3-grams of the lines."""
+    points = _code_points("".join(chunk))
+    chinese = chinese_mask(points)
+    # pair i, points i and i + 1, lies in one run unless a line ends at i
+    joined = chinese[:-1] & chinese[1:]
+    ends = np.cumsum(list(map(len, chunk)))
+    joined[ends[(ends > 0) & (ends < len(points))] - 1] = False
+    pairs = points[:-1] << _SHIFT | points[1:]
+    triples = (pairs[:-1] << _SHIFT | points[2:])[joined[:-1] & joined[1:]]
+    return np.concatenate((points[chinese] | _TAGS[1], pairs[joined] | _TAGS[2], triples))
+
+
+def _merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and their summed int64 counts."""
+    keys, at = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    counts = np.zeros(len(keys), np.int64)
+    np.add.at(counts, at, np.concatenate([c for _, c in parts]))
+    return keys, counts
 
 
 def ingest_corpus(lines, source: str = "") -> NGramModel:
@@ -150,22 +201,26 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
     maximal Chinese run of a line is counted on its own. Returns a model
     that should be treated as immutable.
     """
-    uni: Counter[str] = Counter()
-    bi: Counter[str] = Counter()
-    tri: Counter[str] = Counter()
+    parts = [(np.empty(0, np.uint64), np.empty(0, np.int64))]  # merged counts, then newer chunks'
     line_count = 0
-    for line in lines:
-        line_count += 1
-        for run in CHINESE_RUN.findall(line):
-            # pairs[i] is run[i : i + 2], so pairs[i] + run[i + 2] is run[i : i + 3]
-            pairs = list(map(add, run, run[1:]))
-            uni.update(run)
-            bi.update(pairs)
-            tri.update(map(add, pairs, run[2:]))
+    for chunk in _chunks(lines):
+        line_count += len(chunk)
+        parts.append(np.unique(_chunk_keys(chunk), return_counts=True))
+        # Merging once the newer counts outgrow the merged ones keeps memory
+        # O(distinct n-grams) and the merge time amortised linear.
+        if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
+            parts = [_merge(parts)]
+    keys, counts = _merge(parts)
+    # Tags sort trigrams first, then bigrams, then unigrams.
+    at = np.searchsorted(keys, np.array([_TAGS[2], _TAGS[1]]))
+    tri, bi, uni = (
+        dict(zip(_decode(k, order), c.tolist()))
+        for order, k, c in zip((3, 2, 1), np.split(keys, at), np.split(counts, at))
+    )
     return NGramModel(
-        uni=dict(uni),
-        bi=dict(bi),
-        tri=dict(tri),
+        uni=uni,
+        bi=bi,
+        tri=tri,
         total_uni=sum(uni.values()),
         log_sd_bi=_log_sd(bi),
         log_sd_tri=_log_sd(tri),

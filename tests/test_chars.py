@@ -1,4 +1,6 @@
-from segspectral.chars import CHINESE_RUN
+import numpy as np
+
+from segspectral.chars import CHINESE_RUN, DEFAULT_CJK_RANGES, chinese_mask
 
 
 def test_common_ideographs():
@@ -18,3 +20,13 @@ def test_range_boundaries():
 def test_other_scripts_and_symbols():
     for ch in "aZ3 ,。！・の한🙂％":
         assert not CHINESE_RUN.fullmatch(ch), ch
+
+
+def test_mask_and_run_agree_on_every_code_point():
+    points = np.arange(0x110000, dtype=np.uint64)
+    text = "".join(map(chr, range(0x110000)))
+    want = np.zeros(len(points), bool)
+    for run in CHINESE_RUN.finditer(text):
+        want[run.start() : run.end()] = True
+    assert np.array_equal(chinese_mask(points), want)
+    assert want.sum() == sum(hi - lo + 1 for lo, hi in DEFAULT_CJK_RANGES)

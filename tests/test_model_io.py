@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import struct
@@ -12,6 +13,8 @@ from segspectral import (
     ModelTruncatedError,
     ModelVersionError,
     NGramModel,
+    SynthSpec,
+    generate_synthetic,
     ingest_corpus,
     load_model,
     save_model,
@@ -44,6 +47,30 @@ def test_roundtrip_via_path(tmp_path):
     path = tmp_path / "model.bin"
     save_model(m, path)
     assert load_model(path) == m
+
+
+def golden_lines() -> list[str]:
+    """A fixed synthetic corpus of several ingest chunks, then edge lines:
+    mixed scripts, a NUL, a lone surrogate, U+20000 (not Chinese here),
+    Extension A, and CRLF-ended text."""
+    lines, _ = generate_synthetic(SynthSpec(vocab_size=60, sentences=2000, seed=11))
+    return lines + [
+        "天安门abc广场123。",
+        "天\x00安门",
+        "门\ud800场广",
+        "天\U00020000安门",
+        "\u3400\u4dbf\u3400\u4e00",
+        "天安门广场\r\n广场\r\n",
+    ]
+
+
+def test_golden_model_bytes():
+    # One corpus gives one file, on every supported Python version.
+    buf = io.BytesIO()
+    save_model(ingest_corpus(golden_lines(), source="golden"), buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+        "b1e8f114c01150705ecf6d35213db0cfee5013b38fc217bd7e8c556284055060"
+    )
 
 
 def test_encoding_is_canonical():

@@ -1,10 +1,13 @@
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segspectral import CorpusEncodingError, NGramModel, ingest_corpus
+from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, load_model, save_model
+from segspectral import ngram
 from segspectral.chars import CHINESE_RUN
 from segspectral.graph import build_w_ehr
 from segspectral.ngram import _log_sd, iter_corpus_lines
@@ -129,9 +132,9 @@ def reference_counts(lines):
 
 # Chinese characters including the range ends and Extension A; their
 # non-Chinese neighbours, Extension B (U+20000, not Chinese here), emoji,
-# ASCII, punctuation and whitespace.
+# a lone surrogate, ASCII, punctuation and whitespace, a line feed included.
 CHINESE = "天安门广场\u4e00\u9fff\u3400\u4dbf"
-OTHER = "\u33ff\u4dc0\ua000\U00020000\U0001f642aZ3 ,。\t\r\x85"
+OTHER = "\u33ff\u4dc0\ua000\U00020000\U0001f642\ud800aZ3 ,。\t\r\n\x85"
 
 
 @given(
@@ -144,15 +147,45 @@ OTHER = "\u33ff\u4dc0\ua000\U00020000\U0001f642aZ3 ,。\t\r\x85"
     )
 )
 def test_ingest_matches_per_character_reference(lines):
-    m = ingest_corpus(lines)
     uni, bi, tri = reference_counts(lines)
-    for got, want in ((m.uni, uni), (m.bi, bi), (m.tri, tri)):
-        assert type(got) is dict
-        assert got == want
-        assert list(got) == list(want)  # first-occurrence key order
-    # _log_sd sums in key order, so equal order gives equal bits
-    assert m.log_sd_bi == _log_sd(bi)
-    assert m.log_sd_tri == _log_sd(tri)
+    # With a chunk of a few characters most lines are chunks of their own,
+    # so chunks end between every pair of lines, and a line longer than the
+    # chunk comes alone.
+    for chunk_chars in (ngram._CHUNK_CHARS, 1, 5):
+        with mock.patch.object(ngram, "_CHUNK_CHARS", chunk_chars):
+            m = ingest_corpus(iter(lines))
+        for got, want in ((m.uni, uni), (m.bi, bi), (m.tri, tri)):
+            assert type(got) is dict
+            assert got == want
+            assert list(got) == sorted(want)  # code-point key order
+        assert m.total_uni == sum(uni.values()) and m.meta.line_count == len(lines)
+        assert m.log_sd_bi == _log_sd(bi)
+        assert m.log_sd_tri == _log_sd(tri)
+
+
+def test_trained_and_reloaded_models_iterate_alike():
+    m = ingest_corpus(["门广场天安", "a天安门b", "场广门安天"] * 3)
+    buf = io.BytesIO()
+    save_model(m, buf)
+    back = load_model(io.BytesIO(buf.getvalue()))
+    for got, want in ((back.uni, m.uni), (back.bi, m.bi), (back.tri, m.tri)):
+        assert list(got) == list(want)
+
+
+def test_log_sd_bits_are_pinned():
+    # fsum rounds correctly, so these bits hold on every Python version and
+    # in every key order. The builtin sum of Python 3.10 and 3.11 gives
+    # 0x1.127644458bf62p+0 in this order.
+    counts = {str(i): i * i % 1009 + 1 for i in range(2999, 0, -1)}
+    assert _log_sd(counts).hex() == "0x1.127644458bf60p+0"
+
+
+@given(st.lists(st.integers(1, 10**12), min_size=2, max_size=200), st.randoms(use_true_random=False))
+def test_log_sd_is_independent_of_key_order(values, rng):
+    items = [(str(i), c) for i, c in enumerate(values)]
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    assert _log_sd(dict(items)).hex() == _log_sd(dict(shuffled)).hex()
 
 
 def test_iter_corpus_lines(tmp_path):

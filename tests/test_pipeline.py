@@ -410,7 +410,7 @@ def test_matches_a_dense_reference_pipeline(synth_model, recipes, recipe_name, f
     recipe = recipes[recipe_name]
     drawn, skipped = [], []
 
-    @settings(deadline=None, max_examples=80, database=None)
+    @settings(deadline=None, max_examples=80, database=None, print_blob=True)
     @given(_reference_lines(sorted(recipes["train-words"].words)), st.floats(-4.0, 0.5))
     def check(line, log_cut):
         cfg = SegmenterConfig.for_recipe(recipe, form=form, eig_cut=10.0**log_cut)
@@ -440,4 +440,4 @@ def test_matches_a_dense_reference_pipeline(synth_model, recipes, recipe_name, f
         assert segment_sentence(line, synth_model, cfg) == words
 
     check()
-    assert len(skipped) < 0.1 * len(drawn), (len(skipped), len(drawn))
+    assert len(skipped) < 0.1 * len(drawn), (len(skipped), len(drawn), skipped)
