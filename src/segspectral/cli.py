@@ -38,16 +38,10 @@ def _cut_key(recipe_name: str) -> str:
     return "eig_cut_" + recipe_name.replace("-", "_")
 
 
-# One key per defaulted field of the recipe classes and SegmenterConfig
-# (recipes that share a field name share its key), plus each recipe's
-# `eig_cut_<name>`. Set-valued fields default to strings, so every default
-# here is a str, int or float.
-DEFAULT_CONFIG = {
-    f.name: f.default
-    for cls in (*RECIPES, SegmenterConfig)
-    for f in fields(cls)
-    if f.default is not MISSING
-}
+# One key per defaulted field of the recipe classes (recipes that share a
+# field name share its key), plus each recipe's `eig_cut_<name>`. Set-valued
+# fields default to strings, so every default here is a str, int or float.
+DEFAULT_CONFIG = {f.name: f.default for cls in RECIPES for f in fields(cls) if f.default is not MISSING}
 DEFAULT_CONFIG.update({_cut_key(name): cut for name, _, cut in RECIPES.values()})
 
 class UsageError(Exception):
@@ -75,7 +69,8 @@ def _reading(path, role: str):
 
 def _coerce(key: str, value, want: type):
     if want is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        # The bound refuses NaN, the infinities and an int too large to convert.
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
     elif want is int:
         if isinstance(value, int) and not isinstance(value, bool):

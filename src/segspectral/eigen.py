@@ -16,10 +16,10 @@ degenerate eigenspace the basis is whatever that build's LAPACK returns.
 
 Output convention: eigenvalues ascending (equal ones in block order).
 The eigenvectors stay in the (b, m, m) stack the solve returns, one
-column per eigenpair of a block, with the sign of each column fixed so
-that its entry of largest magnitude (first such index on ties) is
-positive. Each eigenpair records its block and column, and each block row
-its row of the line, so the first k eigenvectors are gathered as an n×k
+column per eigenpair of a block, signed as LAPACK returned it: an
+eigenvector is defined only up to sign, and no k, label or word depends on
+it. Each eigenpair records its block and column, and each block row its
+row of the line, so the first k eigenvectors are gathered as an n×k
 matrix on demand; no n×n eigenvector matrix is built.
 """
 
@@ -107,17 +107,12 @@ def eigh_symmetric(a) -> EigenDecomposition:
             raise ValueError(f"matrix is not symmetric: max|a - a^T| = {asym:g}")
     # A padding diagonal above the bound puts the padding's eigenvalues
     # last, so each block's own come first.
-    cols = np.arange(m)
-    pad = cols >= sizes[:, None]
+    pad = np.arange(m) >= sizes[:, None]
     sym.reshape(b, m * m)[:, :: m + 1][pad] = 2.0 * bound + 1.0
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
-    # argmax returns the first index on ties, which is the sign rule's
-    # tie-break; padding rows of a block's eigenvectors are 0 and never peak.
-    peak = vectors[np.arange(b)[:, None], np.abs(vectors).argmax(axis=1), cols]
-    vectors *= np.copysign(1.0, peak)[:, None, :]
 
     # Eigenpairs are numbered block by block, and block rows row by row,
     # in the line's order; padding goes to row n.

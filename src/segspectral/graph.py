@@ -33,6 +33,7 @@ All builders are pure functions of immutable inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -146,6 +147,8 @@ class Lexicon:
         ranks = list(self.entries.values())
         if any(r < 1 for r in ranks):
             raise ValueError("ranks must be positive integers")
+        if any(len(w) == 1 and r > sys.float_info.max for w, r in self.entries.items()):
+            raise ValueError("a one-character word's rank must fit in a float")
         if len(set(ranks)) != len(ranks):
             raise ValueError("ranks must be unique")
         if any(not w for w in self.entries):
@@ -188,6 +191,8 @@ class WordStats:
             raise ValueError("boost and damp_divisor must be positive")
         if any(c < 1 for c in self.words.values()):
             raise ValueError("word counts must be >= 1")
+        if any(len(w) == 1 and c > sys.float_info.max for w, c in self.words.items()):
+            raise ValueError("a one-character word's count must fit in a float")
         if any(not w for w in self.words):
             raise ValueError("training words must be nonempty")
 

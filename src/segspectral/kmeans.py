@@ -7,9 +7,10 @@ within-run squared error, the k-means objective restricted to runs
 (Fisher, "On grouping for maximum homogeneity", JASA 1958). The result
 uses no random numbers and depends only on the distances between rows, so
 it does not change when the rows are rotated, as an eigensolver may do
-inside a degenerate eigenspace. Ties go to early boundaries: from the
-last run back, each run starts at the earliest row whose best split before
-it comes within a tie tolerance of the least error up to the run's end.
+inside a degenerate eigenspace, or when a column changes sign, as any
+eigenvector may. Ties go to early boundaries: from the last run back, each
+run starts at the earliest row whose best split before it comes within a
+tie tolerance of the least error up to the run's end.
 
 The optimal runs are short next to the sentence, so the DP only considers
 runs of at most L rows, starting from twice the mean run length, and

@@ -5,7 +5,7 @@ Layout:
     header   struct "<4sHQ": magic b"SGSP", version (currently 2), payload
              byte length, all little-endian
     payload  a UTF-8 JSON object with exactly the keys
-                 uni, bi, tri             n-gram -> count (int >= 0)
+                 uni, bi, tri             n-gram -> count (int >= 0, at most float max)
                  log_sd_bi, log_sd_tri    float > 0, finite
                  total_uni, line_count    int >= 0
                  source                   str
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import zlib
 from pathlib import Path
 
@@ -107,6 +108,8 @@ def _decode_payload(payload: bytes) -> dict:
         counts = obj[key]
         if not isinstance(counts, dict) or not all(map(_is_count, counts.values())):
             raise ModelFormatError(f"{key} must map n-grams to non-negative integers")
+        if max(counts.values(), default=0) > sys.float_info.max:
+            raise ModelFormatError(f"{key} holds a count too large for a float")
     for key in ("log_sd_bi", "log_sd_tri"):
         # the bond formulas divide by the sd, and _log_sd never writes one <= 0
         if type(obj[key]) is not float or not 0.0 < obj[key] < math.inf:

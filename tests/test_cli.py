@@ -611,6 +611,37 @@ def test_nonfinite_config_value_is_a_usage_error(workdir, tmp_path, capsys, comm
     _exits_2_with_one_usage_message(argv, capsys)
 
 
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+@pytest.mark.parametrize("key", ["boost", "eig_cut_ehr"])
+def test_config_int_too_large_for_a_float_is_a_usage_error(workdir, tmp_path, capsys, key, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--output", str(tmp_path / "o.txt"), "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} expects float, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "recipe, flag, what", [("lexicon", "--lexicon", "rank"), ("train-words", "--word-stats", "count")]
+)
+def test_one_character_word_number_too_large_for_a_float_is_a_data_error(
+    workdir, tmp_path, capsys, recipe, flag, what
+):
+    # A bond touching a one-character word is damped by a divisor computed
+    # from the word's rank or count as a float; a longer word's is never
+    # converted, so it may be as large as it likes.
+    lines = tmp_path / "lines.txt"
+    lines.write_text("天安的门\n", encoding="utf-8")
+    resource = tmp_path / "words.tsv"
+    resource.write_text(f"天安\t{10**400}\n的\t{10**401}\n", encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(lines)]
+    argv += ["--output", str(tmp_path / "o.txt"), "--recipe", recipe, flag, str(resource)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: a one-character word's {what} must fit in a float\n"
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

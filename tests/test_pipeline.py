@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -441,3 +442,40 @@ def test_matches_a_dense_reference_pipeline(synth_model, recipes, recipe_name, f
 
     check()
     assert len(skipped) < 0.1 * len(drawn), (len(skipped), len(drawn), skipped)
+
+
+@pytest.mark.parametrize("form", LaplacianForm)
+@pytest.mark.parametrize("recipe_name", ["ehr", "lexicon", "train-words"])
+def test_segmentation_does_not_depend_on_eigenvector_signs(synth_model, recipes, recipe_name, form):
+    # LAPACK may return any eigenvector negated. Negating a random subset
+    # of the columns it returns must leave every k, label and word alone.
+    recipe = recipes[recipe_name]
+    eigh = np.linalg.eigh
+
+    @settings(deadline=None, max_examples=60, database=None, print_blob=True)
+    @given(
+        st.lists(_reference_lines(sorted(recipes["train-words"].words)), min_size=1, max_size=3),
+        st.lists(st.floats(-4.0, 0.5), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(lines, log_cuts, seed):
+        cfg = SegmenterConfig.for_recipe(recipe, form=form)
+        cuts = [10.0**c for c in log_cuts]
+        rng = np.random.default_rng(seed)
+
+        def negating_eigh(a):
+            values, vectors = eigh(a)
+            b, m, _ = vectors.shape
+            return values, vectors * rng.choice([-1.0, 1.0], size=(b, 1, m))
+
+        want = list(trace_document(lines, synth_model, cfg, cuts))
+        want_words = [segment_sentence(line, synth_model, cfg) for line in lines]
+        with mock.patch.object(np.linalg, "eigh", negating_eigh):
+            got = list(trace_document(lines, synth_model, cfg, cuts))
+            assert [segment_sentence(line, synth_model, cfg) for line in lines] == want_words
+        assert len(got) == len(want)
+        for (_, words, traces, error), (_, want_cut_words, want_traces, want_error) in zip(got, want):
+            assert (words, error) == (want_cut_words, want_error)
+            assert [(t.k, t.labels.tolist()) for t in traces] == [(t.k, t.labels.tolist()) for t in want_traces]
+
+    check()

@@ -138,13 +138,10 @@ def solve_with_raw_output(lap):
 def dense_eigenvectors(sizes, values, vectors):
     """Eigenvalues and n×n eigenvectors from a batched block solve: each
     block's own eigenpairs scattered into its diagonal block, columns in
-    stable eigenvalue order, then each column's sign fixed so that its
-    first entry of largest magnitude is positive."""
+    stable eigenvalue order."""
     own = np.concatenate([values[j, :size] for j, size in enumerate(sizes)])
     order = np.argsort(own, kind="stable")
-    full = dense_matrix(BlockDiagonal(vectors, np.array(sizes)))[:, order]
-    peak = full[np.abs(full).argmax(axis=0), np.arange(own.size)]
-    return own[order], full * np.copysign(1.0, peak)
+    return own[order], dense_matrix(BlockDiagonal(vectors, np.array(sizes)))[:, order]
 
 
 @settings(deadline=None, max_examples=150)
