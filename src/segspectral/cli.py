@@ -94,7 +94,8 @@ def load_config(path: str | None) -> dict:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise UsageError(f"cannot read {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, an integer past Python's digit limit, or nesting too deep
             raise UsageError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")

@@ -17,6 +17,9 @@ Three recipes fill the bands:
 - train words: like lexicon but driven by the words of a pre-segmented
   training corpus, damping by a count-based divisor.
 
+Each vocabulary recipe hands the builder its two tables, built once with
+the recipe: the bigrams to boost and each damped character's divisor.
+
 This module is the one home of the bond formulas. Conditional transition
 probabilities are maximum-likelihood ratios of the model's n-gram counts,
 with no smoothing: an unseen bigram genuinely carries zero connection
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
@@ -65,7 +68,7 @@ class ConnectionMatrix:
         self.off2 = np.asarray(self.off2, dtype=float)
         n = self.diag.size
         if n == 0:
-            raise ValueError("connection matrix needs at least one node")
+            raise ValueError("connection matrix is empty; it needs at least one node")
         if self.off1.size != max(n - 1, 0) or self.off2.size != max(n - 2, 0):
             raise ValueError(
                 f"band lengths {self.off1.size}/{self.off2.size} do not match n={n}"
@@ -134,6 +137,8 @@ class Lexicon:
     boost: float = 20.0
     rank_floor: float = 20.0
     rank_scale: float = 1e6
+    # Damping divisor of each character of single_char_set.
+    divisors: dict[str, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.single_char_set = frozenset(self.single_char_set)
@@ -153,6 +158,12 @@ class Lexicon:
             raise ValueError("ranks must be unique")
         if any(not w for w in self.entries):
             raise ValueError("lexicon words must be nonempty")
+        self.divisors = dict.fromkeys(self.single_char_set, self.rank_floor)
+        for ch in sorted(self.single_char_set & self.entries.keys()):
+            ratio = self.rank_scale / self.entries[ch]
+            if ratio == 0.0:
+                raise ValueError(f"rank_scale {self.rank_scale!r} over the rank of {ch!r} underflows to 0")
+            self.divisors[ch] = max(self.rank_floor, math.log(ratio))
 
     @cached_property
     def frequent_bigrams(self) -> frozenset:
@@ -164,18 +175,6 @@ class Lexicon:
             for pair in map(add, word, word[1:])
         )
 
-    def damp_divisor_for(self, ch: str) -> float:
-        """Divisor for a bond touching a common single-character word.
-
-        Falls back to the floor when the character has no single-character
-        lexicon entry; with the default scale any real rank lands on the
-        floor anyway.
-        """
-        rank = self.entries.get(ch)
-        if rank is None:
-            return self.rank_floor
-        return max(self.rank_floor, math.log(self.rank_scale / rank))
-
 
 @dataclass
 class WordStats:
@@ -184,6 +183,8 @@ class WordStats:
     words: dict[str, int]
     boost: float = 20.0
     damp_divisor: float = 250.0
+    # Damping divisor of each one-character training word.
+    divisors: dict[str, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_finite(self, "boost", "damp_divisor")
@@ -195,27 +196,14 @@ class WordStats:
             raise ValueError("a one-character word's count must fit in a float")
         if any(not w for w in self.words):
             raise ValueError("training words must be nonempty")
+        self.divisors = {
+            w: max(1.0, count / self.damp_divisor) for w, count in self.words.items() if len(w) == 1
+        }
 
     @cached_property
     def frequent_bigrams(self) -> frozenset:
         """All two-character substrings of the training words."""
         return frozenset(pair for word in self.words for pair in map(add, word, word[1:]))
-
-    @cached_property
-    def single_char_set(self) -> frozenset:
-        """The one-character training words; bonds touching them get damped."""
-        return frozenset(w for w in self.words if len(w) == 1)
-
-    def damp_divisor_for(self, ch: str) -> float:
-        count = self.words.get(ch)
-        if count is None:
-            return 1.0
-        return max(1.0, count / self.damp_divisor)
-
-
-def _require_nonempty(s: str) -> None:
-    if len(s) == 0:
-        raise ValueError("cannot build a connection matrix for an empty sentence")
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -255,7 +243,6 @@ def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> C
     standardized trigram log-count, and 0 when any of the three is in
     weaken set 2.
     """
-    _require_nonempty(s)
     if params is None:
         params = EhrParams()
     off1, uni, tri, tri_logs = _adjacent_bonds(s, model)
@@ -274,16 +261,15 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     Adjacent bonds inside a frequent vocabulary bigram are boosted; the
     others are damped once per character that is a single-character word,
     so a pair of two standalone words is divided twice. Boost and damping
-    are mutually exclusive, boost first. Only the divisor rule differs
-    between a Lexicon and WordStats.
+    are mutually exclusive, boost first. A Lexicon and WordStats each hand
+    the builder their two tables: frequent_bigrams and divisors.
     """
-    _require_nonempty(s)
     n = len(s)
     off1 = _adjacent_bonds(s, model)[0]
-    bigrams, singles = vocab.frequent_bigrams, vocab.single_char_set
+    bigrams, divisors = vocab.frequent_bigrams, vocab.divisors
     boosted = np.array([pair in bigrams for pair in map(add, s, s[1:])], dtype=bool)
     # Every other character divides by 1.0, which is exact.
-    divisor = np.array([vocab.damp_divisor_for(ch) if ch in singles else 1.0 for ch in s])
+    divisor = np.array([divisors.get(ch, 1.0) for ch in s])
     off1 = np.where(boosted, off1 * vocab.boost, off1 / divisor[:-1] / divisor[1:])
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 

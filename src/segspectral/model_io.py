@@ -96,7 +96,8 @@ def _decode_payload(payload: bytes) -> dict:
     """Parse and check the JSON object; any violation is a ModelFormatError."""
     try:
         obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8, bad JSON, or an integer past Python's digit limit
         raise ModelFormatError(f"payload is not UTF-8 JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ModelFormatError(f"payload is a JSON {type(obj).__name__}, expected an object")

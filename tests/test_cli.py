@@ -642,6 +642,39 @@ def test_one_character_word_number_too_large_for_a_float_is_a_data_error(
     assert capsys.readouterr().err == f"error: a one-character word's {what} must fit in a float\n"
 
 
+def test_lexicon_rank_that_underflows_rank_scale_is_refused_at_load(workdir, tmp_path, capsys):
+    # 1e-300 / 10**300 underflows to 0, which has no log: the lexicon is
+    # refused once, before any line is written, not on each line holding 的.
+    lines = tmp_path / "lines.txt"
+    lines.write_text("天安的门\n的\n", encoding="utf-8")
+    resource = tmp_path / "lex.tsv"
+    resource.write_text(f"天安\t1\n的\t{10**300}\n", encoding="utf-8")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"rank_scale": 1e-300}), encoding="utf-8")
+    out = tmp_path / "o.txt"
+    out.write_text("keep\n", encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(lines), "--output", str(out)]
+    argv += ["--recipe", "lexicon", "--lexicon", str(resource), "--config", str(config)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: rank_scale 1e-300 over the rank of '的' underflows to 0\n"
+    assert out.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "text", ['{"boost": ' + "9" * 5000 + "}", "[" * 100_000], ids=["5000-digit-integer", "deeply-nested"]
+)
+def test_config_json_loads_cannot_parse_is_a_usage_error(workdir, tmp_path, capsys, text):
+    # json.loads raises neither as a JSONDecodeError: a plain ValueError for
+    # an integer past Python's 4300-digit limit, a RecursionError for nesting.
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--output", str(tmp_path / "o.txt"), "--config", str(config)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config} is not valid JSON: ") and err.count("\n") == 1, err
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

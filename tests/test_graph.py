@@ -220,9 +220,24 @@ def reference_bands(s, model, recipe):
                 off1[i] *= recipe.boost
                 continue
             for ch in pair:
-                if ch in recipe.single_char_set:
-                    off1[i] /= recipe.damp_divisor_for(ch)
+                divisor = reference_divisor(ch, recipe)
+                if divisor is not None:
+                    off1[i] /= divisor
     return np.ones(n), off1, off2
+
+
+def reference_divisor(ch, recipe):
+    """README's damping divisor of a bond touching ch, or None for a
+    character that damps nothing."""
+    if isinstance(recipe, Lexicon):
+        if ch not in recipe.single_char_set:
+            return None
+        rank = recipe.entries.get(ch)
+        if rank is None:
+            return recipe.rank_floor
+        return max(recipe.rank_floor, math.log(recipe.rank_scale / rank))
+    count = recipe.words.get(ch)
+    return None if count is None else max(1.0, count / recipe.damp_divisor)
 
 
 def _hand_built_model():
@@ -354,8 +369,8 @@ class TestLexiconRecipe:
     def test_default_scale_lands_on_floor(self):
         # ln(1e6 / rank) < 20 for every positive rank, so the floor rules.
         lex = Lexicon(entries={"的": 2})
-        assert lex.damp_divisor_for("的") == 20.0
-        assert lex.damp_divisor_for("天") == 20.0
+        assert lex.divisors["的"] == 20.0
+        assert lex.divisors["了"] == 20.0  # not a lexicon word
 
     def test_boost_wins_over_damp(self):
         m = ingest_corpus(["的天", "的天"])
@@ -378,6 +393,20 @@ class TestLexiconRecipe:
         with pytest.raises(ValueError, match="boost"):
             Lexicon(entries={}, boost=0.0)
 
+    def test_rank_that_underflows_rank_scale_is_refused(self):
+        Lexicon(entries={"的": 10**300}, rank_scale=1e-10)  # a subnormal ratio has a log
+        with pytest.raises(ValueError, match="rank_scale 1e-300 over the rank of '的' underflows to 0"):
+            Lexicon(entries={"的": 10**300}, rank_scale=1e-300)
+        # a word outside single_char_set is never divided by
+        Lexicon(entries={"天": 10**300}, rank_scale=1e-300)
+
+    def test_divisors_are_derived_state(self):
+        lex = Lexicon(entries={"的": 2}, rank_scale=1e12)
+        assert lex.divisors.keys() == lex.single_char_set
+        assert "divisors" not in repr(lex)
+        with pytest.raises(TypeError):
+            Lexicon(entries={}, divisors={})
+
 
 class TestTrainWordsRecipe:
     def test_boost_from_training_words(self):
@@ -393,8 +422,8 @@ class TestTrainWordsRecipe:
 
     def test_small_count_divisor_clamps_to_one(self):
         stats = WordStats(words={"的": 100})
-        assert stats.damp_divisor_for("的") == 1.0
-        assert stats.damp_divisor_for("天") == 1.0  # not a training word
+        assert stats.divisors["的"] == 1.0
+        assert "天" not in stats.divisors  # not a training word: the builder divides by 1.0
 
     def test_no_one_gap_band(self):
         m = ingest_corpus(["天安门", "天安门"])
@@ -406,6 +435,20 @@ class TestTrainWordsRecipe:
             WordStats(words={"天": 0})
         with pytest.raises(ValueError, match="positive"):
             WordStats(words={}, damp_divisor=0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s, m: build_w_ehr(s, m),
+        lambda s, m: build_w_vocab(s, m, Lexicon(entries={"的": 1})),
+        lambda s, m: build_w_vocab(s, m, WordStats(words={"的": 1})),
+    ],
+    ids=["ehr", "lexicon", "train-words"],
+)
+def test_empty_sentence_is_refused(build):
+    with pytest.raises(ValueError, match="at least one node"):
+        build("", ingest_corpus(["的天"]))
 
 
 def test_builtin_character_sets_are_disjoint_weaken_sets():
@@ -439,7 +482,7 @@ def test_load_word_stats(tmp_path):
     p.write_text("天安门\t7\n的\t9000\n", encoding="utf-8")
     stats = load_word_stats(p, damp_divisor=100.0)
     assert stats.words == {"天安门": 7, "的": 9000}
-    assert stats.damp_divisor_for("的") == 90.0
+    assert stats.divisors["的"] == 90.0
     bad = tmp_path / "bad.tsv"
     bad.write_text("的\tnine\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.tsv:1"):

@@ -228,6 +228,16 @@ def test_crc_valid_payload_that_is_not_a_utf8_json_object(payload):
         load_model(io.BytesIO(framed(payload)))
 
 
+def test_crc_valid_payload_with_an_integer_past_the_digit_limit():
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer of more than 4300 digits.
+    obj = payload_object()
+    obj["bi"][next(iter(obj["bi"]))] = "count"
+    payload = json.dumps(obj).replace('"count"', "9" * 5000).encode("utf-8")
+    with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
+        load_model(io.BytesIO(framed(payload)))
+
+
 def test_utf16_payload_is_rejected():
     # json.loads(bytes) would detect UTF-16 and accept this valid object
     payload = json.dumps(payload_object(), ensure_ascii=False).encode("utf-16")
