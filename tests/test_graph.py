@@ -220,24 +220,22 @@ def reference_bands(s, model, recipe):
                 off1[i] *= recipe.boost
                 continue
             for ch in pair:
-                divisor = reference_divisor(ch, recipe)
-                if divisor is not None:
-                    off1[i] /= divisor
+                off1[i] /= reference_divisor(ch, recipe)
     return np.ones(n), off1, off2
 
 
 def reference_divisor(ch, recipe):
-    """README's damping divisor of a bond touching ch, or None for a
-    character that damps nothing."""
+    """README's damping divisor of a bond touching ch, and 1.0 (an exact
+    division) for a character that damps nothing."""
     if isinstance(recipe, Lexicon):
         if ch not in recipe.single_char_set:
-            return None
+            return 1.0
         rank = recipe.entries.get(ch)
         if rank is None:
             return recipe.rank_floor
         return max(recipe.rank_floor, math.log(recipe.rank_scale / rank))
     count = recipe.words.get(ch)
-    return None if count is None else max(1.0, count / recipe.damp_divisor)
+    return 1.0 if count is None else max(1.0, count / recipe.damp_divisor)
 
 
 def _hand_built_model():
