@@ -92,14 +92,11 @@ class ConnectionMatrix:
 
     def degrees(self) -> np.ndarray:
         """Row sums, including the diagonal entry."""
-        n = self.n
         d = self.diag.copy()
-        if n >= 2:
-            d[:-1] += self.off1
-            d[1:] += self.off1
-        if n >= 3:
-            d[:-2] += self.off2
-            d[2:] += self.off2
+        d[:-1] += self.off1
+        d[1:] += self.off1
+        d[:-2] += self.off2
+        d[2:] += self.off2
         return d
 
 

@@ -17,9 +17,8 @@ runs of at most L rows, starting from twice the mean run length, and
 certifies its answer afterwards: when every run of L + 1 rows costs more
 than the banded optimum plus the tie tolerance of all k steps, no longer
 run can appear in any split the full DP would pick, and the labels are
-the full DP's. Otherwise L doubles, up to the longest run a split allows;
-the costs of the runs already tabled are kept, and only the longer runs'
-are added.
+the full DP's. Otherwise L doubles, up to the longest run a split allows,
+and the wider band's table is built again.
 """
 
 from __future__ import annotations
@@ -75,26 +74,21 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
 
     # A split has k - 1 runs besides the longest, so no run exceeds w rows.
     longest = min(w, -2 * (-n // k))
-    most = longest + 1
-    cost = _run_costs(sums[lead - most :], sq[lead - most :], most, 1)
     while True:
+        most = longest + 1
+        cost = _run_costs(sums[lead - most :], sq[lead - most :], most)
         labels, error = _banded_split(cost, k, tol)
         # A longer run costs at least as much as each run of longest + 1
         # rows inside it, so when those all cost more than the error found
         # plus k tie tolerances, no split the full DP could pick has one.
         if longest == w or cost[0, longest + 1 :].min() > error + k * tol:
             return labels
-        # The rows for runs of up to longest + 1 rows stay as they are.
-        wider = min(w, 2 * longest)
-        most = wider + 1
-        wide = _run_costs(sums[lead - most :], sq[lead - most :], most, longest + 2)
-        cost = np.concatenate([wide, cost])
-        longest = wider
+        longest = min(w, 2 * longest)
 
 
-def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int, least: int) -> np.ndarray:
+def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int) -> np.ndarray:
     """cost[r, e]: squared error about its mean of the run of most - r rows
-    that ends before row e, for runs of most down to least rows, given the
+    that ends before row e, for runs of most rows down to 1, given the
     prefix sums of n rows (and of their squared norms), each preceded by
     most zero rows. Entries for runs that would start before row 0 are
     finite and meaningless; each row depends only on its run length.
@@ -104,19 +98,18 @@ def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int, least: int) -> np.nd
     makes one subtract and one einsum in all, a long line one of each per
     run length."""
     n = sq.size - most - 1
-    rows = most - least + 1
     # lagged[r, e] is the prefix sum at e - (most - r), the row where the
     # run of most - r rows ending before row e starts.
-    lagged = _windows(sums[: rows + n], rows)
+    lagged = _windows(sums[: most + n], most)
     ends = sums[most:]
     batch = max(1, _BATCH_FLOATS // max(1, ends.size))
-    diff = np.empty((min(batch, rows), *ends.shape))
-    spread = np.empty((rows, n + 1))
-    for first in range(0, rows, batch):
-        d = np.subtract(ends, lagged[first : first + batch], out=diff[: min(batch, rows - first)])
+    diff = np.empty((min(batch, most), *ends.shape))
+    spread = np.empty((most, n + 1))
+    for first in range(0, most, batch):
+        d = np.subtract(ends, lagged[first : first + batch], out=diff[: min(batch, most - first)])
         np.einsum("rej,rej->re", d, d, out=spread[first : first + batch])
-    cost = sq[most:] - _windows(sq[: rows + n], rows)
-    cost -= spread / np.arange(most, least - 1, -1)[:, None]
+    cost = sq[most:] - _windows(sq[: most + n], most)
+    cost -= spread / np.arange(most, 0, -1)[:, None]
     return np.maximum(cost, 0.0, out=cost)
 
 

@@ -274,17 +274,18 @@ def _direct_run_costs(sums, sq, most, least):
 @pytest.mark.parametrize("budget", [1, 40, 200, kmeans._BATCH_FLOATS])
 def test_batched_run_costs_equal_a_direct_computation(monkeypatch, budget):
     # Tables built in batches of every size, from one run length at a time
-    # to all at once, including the rows added when the band widens.
+    # to all at once, including the wider tables built when the band widens.
     monkeypatch.setattr(kmeans, "_BATCH_FLOATS", budget)
     run_costs, built = kmeans._run_costs, []
 
-    def spy(sums, sq, most, least):
-        cost = run_costs(sums, sq, most, least)
-        built.append((sums.copy(), sq.copy(), most, least, cost.copy()))
+    def spy(sums, sq, most):
+        cost = run_costs(sums, sq, most)
+        built.append((sums.copy(), sq.copy(), most, cost.copy()))
         return cost
 
     monkeypatch.setattr(kmeans, "_run_costs", spy)
     rng = np.random.default_rng(3)
+    tables = []
     for _ in range(40):
         k = int(rng.integers(3, 7))
         lengths = rng.integers(1, 3, k)
@@ -292,13 +293,16 @@ def test_batched_run_costs_equal_a_direct_computation(monkeypatch, budget):
         pool = rng.normal(size=(2, int(rng.integers(1, 4))))
         x = np.repeat(pool[rng.integers(0, 2, k)], lengths, axis=0)
         x += 1e-3 * rng.normal(size=x.shape)
+        before = len(built)
         kmeans_cluster(x, k)
+        tables.append(len(built) - before)
         kmeans_cluster(rng.normal(size=(int(rng.integers(1, 30)), 3)), 1)
-    assert any(least > 1 for _, _, _, least, _ in built)
-    for sums, sq, most, least, cost in built:
+    # Some calls widen the band twice.
+    assert 3 in tables
+    for sums, sq, most, cost in built:
         # The prefix sums start with most zero rows, the prefix before row 0.
         assert not sums[:most].any() and not sq[:most].any()
-        want = _direct_run_costs(sums, sq, most, least)
+        want = _direct_run_costs(sums, sq, most, 1)
         valid = ~np.isnan(want)
         assert cost[valid].tobytes() == want[valid].tobytes()
         # Runs that would start before row 0 are finite, so the DP's
