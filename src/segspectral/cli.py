@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .evaluation import SynthSpec, generate_synthetic, parse_segmented, score_corpus
-from .graph import Lexicon, WordStats, load_lexicon, load_word_stats
+from .graph import Lexicon, WordStats, check_boost, load_lexicon, load_word_stats
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import ingest_corpus, iter_corpus_lines
 from .pipeline import RECIPES, SegmenterConfig, trace_document
@@ -154,12 +154,19 @@ def _open_outputs(*outputs: tuple[str, str | None]):
         yield files
 
 
-def _load_model(path: str):
+def _load_model(path: str, scfg: SegmenterConfig):
+    """The model at path, once its recipe's boost is known to keep every
+    bond built from it finite."""
     with _reading(path, "model"):
         try:
-            return load_model(path)
+            model = load_model(path)
         except ModelIOError as exc:
             raise DataError(f"cannot load model {path}: {exc}") from None
+    try:
+        check_boost(model, scfg.recipe)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    return model
 
 
 def _build_recipe(args, cfg: dict):
@@ -221,7 +228,7 @@ def cmd_train(args) -> int:
 
 def cmd_segment(args) -> int:
     scfg = _segmenter_config(args)
-    model = _load_model(args.model)
+    model = _load_model(args.model, scfg)
     lines = _read_lines(args.input, "input")
 
     # The input is read, so --output may name it; both outputs are opened
@@ -265,7 +272,7 @@ def _parse_cuts(text: str) -> list[float]:
 def cmd_sweep(args) -> int:
     scfg = _segmenter_config(args)
     cuts = _parse_cuts(args.cuts)
-    model = _load_model(args.model)
+    model = _load_model(args.model, scfg)
     lines = _read_lines(args.input, "input")
     gold = None
     if args.gold is not None:

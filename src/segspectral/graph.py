@@ -271,6 +271,28 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 
 
+def check_boost(model: NGramModel, recipe) -> None:
+    """Raise ValueError if a boosted bond built from model under recipe,
+    a Lexicon or WordStats, could overflow; other recipes boost nothing.
+
+    A transition probability is a count over a count of at least 1, and a
+    standardized bigram log-count grows with the count, so no base bond
+    exceeds the largest bigram or trigram count times the standardized
+    log-count of the largest bigram count.
+    """
+    boost = getattr(recipe, "boost", None)
+    top_bi = float(model.of_order(2)[1].max(initial=0))
+    if boost is None or top_bi <= 1.0:  # with no log-count above 0, every bond is 0
+        return
+    top = max(top_bi, float(model.of_order(3)[1].max(initial=0)))
+    bound = top * (math.log(top_bi) / model.log_sd_bi)
+    # A bound that is not finite is the model's fault, not the boost's.
+    if math.isfinite(bound) and not math.isfinite(bound * boost):
+        raise ValueError(
+            f"boost {boost!r} could overflow a bond of this model, which reaches {bound:.6g} unboosted"
+        )
+
+
 def _read_word_numbers(path, what: str) -> dict[str, int]:
     """Read a "word<TAB>number" file, skipping blank lines. A word listed
     twice is an error, naming both lines."""

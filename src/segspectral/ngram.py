@@ -1,7 +1,7 @@
 """Character n-gram statistics over a raw text corpus.
 
-Counts are plain dictionaries keyed by the n-gram string (1, 2, or 3
-characters). Counting conventions:
+A model is its sorted key table: one tagged uint64 key per stored n-gram
+(1, 2 or 3 characters) and one count beside it. Counting conventions:
 
 - one input line is one record; n-grams never span line boundaries
 - an n-gram is stored only if every character in it is Chinese
@@ -10,26 +10,29 @@ characters). Counting conventions:
   applied: the bond formulas (graph.py) trust the stored keys, so a
   non-Chinese character finds count 0 and carries no probability mass
 - an absent key means count 0
-- each count dict is in code-point order of its keys, as model_io writes
-  and load_model returns it, so a trained model iterates like its copy
+
+A key holds the 21-bit code points of its n-gram, first character
+highest. Bigram keys set bit 63, above the 63 bits of trigram codes, and
+unigram keys bits 63 and 62, above the 42 bits of bigram codes, so
+orders never collide, and sorted keys hold the trigrams, then the
+bigrams, then the unigrams, each in code-point order of their n-grams.
+Every other bit is zero.
 
 ingest_corpus reads lines lazily, in chunks of whole lines of at most
 _CHUNK_CHARS characters (a longer line comes alone), gives the n-grams in
-each Chinese run of each line of a chunk the integer keys described below
-and counts them with one sort. Chunk counts are merged by key, so memory
-stays O(chunk + distinct n-grams). The bigram and trigram sds, population
-sds of ln(count) over the distinct stored keys of each order, are summed
-with math.fsum, so they depend neither on key order nor on the Python
-version.
+each Chinese run of each line of a chunk their keys and counts them with
+one sort. Chunk counts are merged by key, so memory stays O(chunk +
+distinct n-grams), and the merged keys and counts are the model. The
+bigram and trigram sds, population sds of ln(count) over the distinct
+stored keys of each order, are summed with math.fsum, so they depend
+neither on key order nor on the Python version.
 
 NGramModel.lookup reads counts from NGramModel.key_table, built at the
-first lookup (not at ingest or load), 24 bytes per stored n-gram: sorted
-uint64 keys of 21-bit code points, first character highest, each beside
-its float count and standardized log-count, then a sentinel of zeros that
-answers every miss. Bigram keys set bit 63, above the 63 bits of trigram
-codes, and unigram keys bits 63 and 62, above the 42 bits of bigram
-codes, so orders never collide. The table is not model state, and goes
-stale if the dicts change.
+first lookup (not at ingest or load), 24 bytes per stored n-gram: the
+keys, each beside its float count and standardized log-count, then a
+sentinel key of all ones, with both 0, that answers every miss. The uni,
+bi and tri count dicts are decoded from the keys only when read. Neither
+the table nor the dicts are model state.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .chars import chinese_mask
 # once; its arrays then take a few hundred kilobytes.
 _CHUNK_CHARS = 1 << 14
 _SHIFT = np.uint64(21)
+_POINT = np.uint64(0x1FFFFF)
 _TAGS = {1: np.uint64(3 << 62), 2: np.uint64(1 << 63), 3: np.uint64(0)}
 # Above every key, so every query lands on or before it.
 _SENTINEL = np.uint64(2**64 - 1)
@@ -57,32 +61,46 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
 
 
+def _encode(ngrams: list[str], order: int) -> np.ndarray:
+    """The tagged keys of n-grams of one order."""
+    for ngram in ngrams:
+        if len(ngram) != order:
+            raise ValueError(f"n-gram {ngram!r} of order {order} does not have {order} characters")
+    points = _code_points("".join(ngrams)).reshape(-1, order)
+    keys = points[:, 0]
+    for i in range(1, order):
+        keys = keys << _SHIFT | points[:, i]
+    return keys | _TAGS[order]
+
+
 def _decode(keys: np.ndarray, order: int) -> list[str]:
     """The n-grams of keys of one order, tagged or not."""
     shifts = _SHIFT * np.arange(order - 1, -1, -1, dtype=np.uint64)
-    points = (keys[:, None] >> shifts & np.uint64(0x1FFFFF)).astype(np.uint32)
-    # A <U view drops trailing NULs, but a counted key holds none.
-    return points.view(f"<U{order}").ravel().tolist()
+    points = (keys[:, None] >> shifts & _POINT).astype("<u4")
+    text = points.tobytes().decode("utf-32-le", "surrogatepass")
+    return [text[i : i + order] for i in range(0, len(text), order)]
 
 
-def _order_table(counts: dict[str, int], order: int, log_sd: float):
-    """Keys, float counts and standardized log-counts of the stored
-    n-grams of one order; a key of another length never matches, so is left out."""
-    lengths = np.fromiter(map(len, counts), np.intp, len(counts))
-    kept = lengths == order
-    starts = (np.cumsum(lengths) - lengths)[kept]
-    points = _code_points("".join(counts))
-    keys = points[starts]
-    for i in range(1, order):
-        keys = keys << _SHIFT | points[starts + i]
-    # Float counts are exact below 2**53, and a larger one in a model file
-    # still converts instead of making an object array.
-    values = np.fromiter(counts.values(), float, len(counts))[kept]
-    # math.log, not np.log: the two differ in the last bit for some
-    # counts. Counts repeat, so each distinct one is logged once.
-    distinct, inverse = np.unique(values, return_inverse=True)
-    logs = np.array([math.log(c) / log_sd if c > 0.0 else 0.0 for c in distinct.tolist()])
-    return keys | _TAGS[order], values, logs[inverse]
+def _orders(keys: np.ndarray) -> dict[int, slice]:
+    """Where the keys of each order lie in sorted keys."""
+    tri_end, bi_end = np.searchsorted(keys, (_TAGS[2], _TAGS[1])).tolist()
+    return {1: slice(bi_end, len(keys)), 2: slice(tri_end, bi_end), 3: slice(0, tri_end)}
+
+
+def check_keys(keys: np.ndarray) -> None:
+    """Raise ValueError unless keys are strictly increasing, no key sets a
+    bit its order leaves unused (so none is the sentinel), and every code
+    point is at most U+10FFFF."""
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("keys are not strictly increasing")
+    for order, at in _orders(keys).items():
+        part = keys[at]
+        # sorted, so the last key of an order has its highest bits
+        if part.size and int(part[-1]) >> 21 * order != int(_TAGS[order]) >> 21 * order:
+            raise ValueError(f"key {int(part[-1]):#018x} sets bits its order {order} leaves unused")
+        for i in range(order):
+            if (part >> _SHIFT * np.uint64(i) & _POINT).max(initial=0) > 0x10FFFF:
+                raise ValueError(f"a key of order {order} holds a code point past U+10FFFF")
 
 
 class CorpusEncodingError(ValueError):
@@ -95,37 +113,83 @@ class ModelMeta:
     line_count: int = 0
 
 
-@dataclass
+def _empty() -> np.ndarray:
+    return np.empty(0, np.uint64)
+
+
+@dataclass(eq=False)
 class NGramModel:
     """Unigram/bigram/trigram counts plus the bigram and trigram log-count
     sds.
 
-    The counts hold only all-Chinese keys, as ingest_corpus writes them and
-    the model file round-trips them.
+    keys are sorted tagged uint64 keys, as described above, and counts
+    holds one uint64 count per key. Only all-Chinese n-grams are stored,
+    as ingest_corpus counts them and the model file round-trips them.
+    Treat a model as immutable.
     """
 
-    uni: dict[str, int] = field(default_factory=dict)
-    bi: dict[str, int] = field(default_factory=dict)
-    tri: dict[str, int] = field(default_factory=dict)
+    keys: np.ndarray = field(default_factory=_empty)
+    counts: np.ndarray = field(default_factory=_empty)
     total_uni: int = 0
     log_sd_bi: float = 1.0
     log_sd_tri: float = 1.0
     meta: ModelMeta = field(default_factory=ModelMeta)
 
+    @classmethod
+    def from_counts(cls, uni=None, bi=None, tri=None, **fields) -> NGramModel:
+        """A model of dicts of counts by n-gram; fields are the other
+        constructor arguments. An n-gram whose length is not its order is
+        refused. A count that is negative or needs more than 64 bits is
+        kept, and save_model refuses it."""
+        maps = {1: uni or {}, 2: bi or {}, 3: tri or {}}
+        keys = np.concatenate([_encode(list(counts), order) for order, counts in maps.items()])
+        values = [count for counts in maps.values() for count in counts.values()]
+        try:
+            counts = np.array(values, np.uint64)
+        except OverflowError:
+            counts = np.array(values, object)
+        by_key = np.argsort(keys)
+        return cls(keys[by_key], counts[by_key], **fields)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NGramModel):
+            return NotImplemented
+        scalars = (self.total_uni, self.log_sd_bi, self.log_sd_tri, self.meta)
+        return bool(
+            np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.counts, other.counts)
+            and scalars == (other.total_uni, other.log_sd_bi, other.log_sd_tri, other.meta)
+        )
+
+    def of_order(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys and counts of the stored n-grams of one order."""
+        at = _orders(self.keys)[order]
+        return self.keys[at], self.counts[at]
+
+    def _dict(self, order: int) -> dict[str, int]:
+        keys, counts = self.of_order(order)
+        return dict(zip(_decode(keys, order), counts.tolist()))
+
+    # Counts by n-gram in code-point order, decoded when first read; the
+    # model reads none of them, so changing one changes nothing.
+    uni = cached_property(lambda self: self._dict(1))
+    bi = cached_property(lambda self: self._dict(2))
+    tri = cached_property(lambda self: self._dict(3))
+
     @cached_property
     def key_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted keys, float counts and standardized log-counts (0 for
         count 0 and for unigrams), ending in the sentinel."""
-        # An infinite sd zeroes the unigram log-counts, which no bond reads.
-        tables = (
-            _order_table(self.uni, 1, math.inf),
-            _order_table(self.bi, 2, self.log_sd_bi),
-            _order_table(self.tri, 3, self.log_sd_tri),
-            ([_SENTINEL], [0.0], [0.0]),
-        )
-        keys, counts, logs = map(np.concatenate, zip(*tables))
-        order = np.argsort(keys)
-        return keys[order], counts[order], logs[order]
+        logs = np.zeros(len(self.keys) + 1)
+        for order, sd in ((2, self.log_sd_bi), (3, self.log_sd_tri)):
+            at = _orders(self.keys)[order]
+            # math.log, not np.log: the two differ in the last bit for
+            # some counts. Counts repeat, so each distinct one is logged once.
+            distinct, inverse = np.unique(self.counts[at], return_inverse=True)
+            distinct = distinct.astype(float).tolist()
+            logs[at] = np.array([math.log(c) / sd if c > 0.0 else 0.0 for c in distinct])[inverse]
+        # Float counts are exact below 2**53.
+        return np.append(self.keys, _SENTINEL), np.append(self.counts.astype(float), 0.0), logs
 
     def lookup(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """Counts and standardized log-counts of the n characters, n - 1
@@ -140,18 +204,20 @@ class NGramModel:
         return counts[at], logs[at]
 
 
-def _log_sd(counts: dict[str, int]) -> float:
+def _log_sd(counts) -> float:
     """Population sd of ln(count) over distinct keys; 1.0 when degenerate.
 
-    Each distinct stored key contributes one ln(count) sample regardless of
-    how frequent it is. With fewer than two keys, or all counts equal, the
-    sd would be 0 and standardization meaningless, so fall back to 1 and
-    let a standardized log-count reduce to a bare ln(count).
+    counts holds one count per distinct stored key, in a sequence or as
+    the values of a dict. Each key contributes one ln(count) sample
+    regardless of how frequent it is. With fewer than two keys, or all
+    counts equal, the sd would be 0 and standardization meaningless, so
+    fall back to 1 and let a standardized log-count reduce to a bare
+    ln(count).
     """
-    if len(counts) < 2:
+    values = counts.values() if isinstance(counts, dict) else counts
+    if len(values) < 2:
         return 1.0
     # Counts repeat, so each distinct one is logged and squared once.
-    values = counts.values()
     logs = {c: math.log(c) for c in set(values)}
     mean = math.fsum(map(logs.__getitem__, values)) / len(values)
     squares = {c: (x - mean) ** 2 for c, x in logs.items()}
@@ -201,7 +267,7 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
     maximal Chinese run of a line is counted on its own. Returns a model
     that should be treated as immutable.
     """
-    parts = [(np.empty(0, np.uint64), np.empty(0, np.int64))]  # merged counts, then newer chunks'
+    parts = [(_empty(), np.empty(0, np.int64))]  # merged counts, then newer chunks'
     line_count = 0
     for chunk in _chunks(lines):
         line_count += len(chunk)
@@ -211,19 +277,14 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
         if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
             parts = [_merge(parts)]
     keys, counts = _merge(parts)
-    # Tags sort trigrams first, then bigrams, then unigrams.
-    at = np.searchsorted(keys, np.array([_TAGS[2], _TAGS[1]]))
-    tri, bi, uni = (
-        dict(zip(_decode(k, order), c.tolist()))
-        for order, k, c in zip((3, 2, 1), np.split(keys, at), np.split(counts, at))
-    )
+    counts = counts.astype(np.uint64)
+    at = _orders(keys)
     return NGramModel(
-        uni=uni,
-        bi=bi,
-        tri=tri,
-        total_uni=sum(uni.values()),
-        log_sd_bi=_log_sd(bi),
-        log_sd_tri=_log_sd(tri),
+        keys=keys,
+        counts=counts,
+        total_uni=int(counts[at[1]].sum()),
+        log_sd_bi=_log_sd(counts[at[2]].tolist()),
+        log_sd_tri=_log_sd(counts[at[3]].tolist()),
         meta=ModelMeta(source=source, line_count=line_count),
     )
 

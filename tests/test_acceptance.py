@@ -264,7 +264,7 @@ def _random_model(rnd: random.Random) -> sg.NGramModel:
         return {key(length): rnd.randint(1, 2**50) for _ in range(how_many)}
 
     uni = counts(1, rnd.randint(0, 10))
-    return sg.NGramModel(
+    return sg.NGramModel.from_counts(
         uni=uni,
         bi=counts(2, rnd.randint(0, 10)),
         tri=counts(3, rnd.randint(0, 10)),

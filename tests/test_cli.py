@@ -660,6 +660,31 @@ def test_lexicon_rank_that_underflows_rank_scale_is_refused_at_load(workdir, tmp
     assert out.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("command", ["segment", "sweep"])
+@pytest.mark.parametrize("recipe, flag", [("lexicon", "--lexicon"), ("train-words", "--word-stats")])
+def test_boost_that_overflows_a_bond_is_refused_once(workdir, tmp_path, capsys, command, recipe, flag):
+    # Boosted bonds of this model reach a few hundred, so 1e308 overflows
+    # them: the boost is refused once, before any line is written, not on
+    # each line holding a boosted pair. 1e300 keeps every bond finite.
+    words = dict.fromkeys((workdir / "gold.txt").read_text(encoding="utf-8").split())
+    resource = tmp_path / "words.tsv"
+    resource.write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(words, 1)), encoding="utf-8")
+    out = tmp_path / "o.txt"
+    out.write_text("keep\n", encoding="utf-8")
+    argv = [command, "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--recipe", recipe, flag, str(resource), "--config", str(tmp_path / "c.json")]
+    argv += ["--output", str(out)] if command == "segment" else ["--cuts", "1e-4,1e-3"]
+    for boost, status in ((1e308, 1), (1e300, 0)):
+        (tmp_path / "c.json").write_text(json.dumps({"boost": boost}), encoding="utf-8")
+        assert main(argv) == status
+        stdout, err = capsys.readouterr()
+        if status:
+            assert err.startswith("error: boost 1e+308 ") and err.count("\n") == 1
+            assert stdout == "" and out.read_text(encoding="utf-8") == "keep\n"
+        else:
+            assert err == ""
+
+
 @pytest.mark.parametrize(
     "text", ['{"boost": ' + "9" * 5000 + "}", "[" * 100_000], ids=["5000-digit-integer", "deeply-nested"]
 )

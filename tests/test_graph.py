@@ -241,19 +241,18 @@ def reference_divisor(ch, recipe):
 def _hand_built_model():
     """A model no corpus yields: 安 and 和的 are stored with count 0, 广场
     is stored while 广 has no unigram, 场天 and 广场天 have counts beyond
-    64 bits, some keys are not as long as their order (门广场 among the
-    bigrams, 天安 among the trigrams, 广场 among the unigrams), some start
-    with NUL and some are outside the Basic Multilingual Plane. The model
-    file accepts all of them."""
-    model = NGramModel(
-        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1, "广场": 6, "\U00020000": 2, "\x00": 3},
+    the 53 bits a float holds exactly, some keys start or end with NUL and
+    some are outside the Basic Multilingual Plane. The model file accepts
+    all of them."""
+    model = NGramModel.from_counts(
+        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1, "\U00020000": 2, "\x00": 3},
         bi={
-            "天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**65, "的天": 2,
-            "门广场": 5, "\U00020000\U00020001": 2, "\x00天": 3, "\x00\x00": 0,
+            "天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**64 - 1, "的天": 2,
+            "\U00020000\U00020001": 2, "\x00天": 3, "\x00\x00": 0, "门\x00": 1,
         },
         tri={
-            "天安门": 2, "安门和": 0, "广场天": 2**64, "门和的": 1, "和的了": 3, "门的天": 2,
-            "天安": 4, "\U00020000\U00020001天": 1, "\x00天安": 2,
+            "天安门": 2, "安门和": 0, "广场天": 2**63 + 1, "门和的": 1, "和的了": 3, "门的天": 2,
+            "\U00020000\U00020001天": 1, "\x00天安": 2,
         },
         total_uni=15,
         log_sd_bi=0.8,
@@ -308,9 +307,8 @@ def test_bands_match_per_position_reference(kind, lines, words, counts, rank_thr
 def test_key_table_holds_each_stored_ngram_once():
     model = _hand_built_model()
     keys, counts, logs = model.key_table
-    stored = [(key, count) for order, table in enumerate((model.uni, model.bi, model.tri), 1)
-              for key, count in table.items() if len(key) == order]
-    # one entry per stored n-gram of its order's length, then the sentinel
+    stored = [(key, count) for table in (model.uni, model.bi, model.tri) for key, count in table.items()]
+    # one entry per stored n-gram, then the sentinel
     assert keys.size == counts.size == logs.size == len(stored) + 1
     assert np.all(keys[1:] > keys[:-1])
     assert sorted(counts[:-1].tolist()) == sorted(float(count) for _, count in stored)

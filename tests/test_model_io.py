@@ -6,6 +6,7 @@ import sys
 import zlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,8 +25,6 @@ from segspectral import (
 from segspectral.cli import main
 from segspectral.model_io import MAGIC, VERSION, _encode_model
 from segspectral.ngram import ModelMeta
-
-FLOAT_MAX = int(sys.float_info.max)
 
 
 def roundtrip(model: NGramModel) -> NGramModel:
@@ -73,13 +72,13 @@ def test_golden_model_bytes():
     buf = io.BytesIO()
     save_model(ingest_corpus(golden_lines(), source="golden"), buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-        "7ebd0338080fef1c80e06fdcc0edde414b56214da630cb6f919d8f14a55d0e0c"
+        "4e53c9ca65f6583309e08921e6d0b006ce6727a0095205f6dc297f6bc10342b7"
     )
 
 
 def test_encoding_is_canonical():
-    a = NGramModel(uni={"天": 1, "安": 2}, bi={}, tri={}, total_uni=3)
-    b = NGramModel(uni={"安": 2, "天": 1}, bi={}, tri={}, total_uni=3)
+    a = NGramModel.from_counts(uni={"天": 1, "安": 2}, total_uni=3)
+    b = NGramModel.from_counts(uni={"安": 2, "天": 1}, total_uni=3)
     assert _encode_model(a) == _encode_model(b)
 
 
@@ -124,18 +123,26 @@ def test_magic_constant():
     assert _encode_model(NGramModel())[:4] == MAGIC == b"SGSP"
 
 
-counts = st.dictionaries(
-    st.text(min_size=1, max_size=3), st.integers(min_value=1, max_value=2**40), max_size=8
-)
+def counts_of_order(order, alphabet=st.characters(), counts=st.integers(min_value=1, max_value=2**40)):
+    return st.dictionaries(st.text(alphabet, min_size=order, max_size=order), counts, max_size=8)
+
+
 finite = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
-@given(uni=counts, bi=counts, tri=counts, sd_bi=finite, sd_tri=finite, source=st.text(max_size=20))
+@given(
+    uni=counts_of_order(1),
+    bi=counts_of_order(2),
+    tri=counts_of_order(3),
+    sd_bi=finite,
+    sd_tri=finite,
+    source=st.text(max_size=20),
+)
 def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
-    m = NGramModel(
-        uni=uni,
-        bi=bi,
-        tri=tri,
+    m = NGramModel.from_counts(
+        uni,
+        bi,
+        tri,
         total_uni=sum(uni.values()),
         log_sd_bi=sd_bi,
         log_sd_tri=sd_tri,
@@ -144,29 +151,47 @@ def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
     assert roundtrip(m) == m
 
 
-# Keys from an alphabet holding the first two separator candidates, NUL,
-# a character outside the Basic Multilingual Plane, and the empty key.
-hostile_counts = st.dictionaries(
-    st.text(alphabet=["\n", "\x0b", "\x00", "\U00020000", "天", "a"], max_size=3),
-    st.integers(min_value=0, max_value=FLOAT_MAX),
-    max_size=8,
+# Keys of Chinese characters, the range ends among them, characters
+# outside the Basic Multilingual Plane up to the last code point, a lone
+# surrogate and NUL; counts over the whole 64-bit range.
+hostile = st.sampled_from(["天", "门", "一", "鿿", "\U00020000", "\U0010ffff", "\ud800", "\x00"])
+hostile_counts = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@given(
+    uni=counts_of_order(1, hostile, hostile_counts),
+    bi=counts_of_order(2, hostile, hostile_counts),
+    tri=counts_of_order(3, hostile, hostile_counts),
+    sd_bi=finite,
+    sd_tri=finite,
 )
-
-
-@given(uni=hostile_counts, bi=hostile_counts, tri=hostile_counts, sd_bi=finite, sd_tri=finite)
 def test_roundtrip_property_on_hostile_keys(uni, bi, tri, sd_bi, sd_tri):
-    # bi always holds both candidates, and a count past 64 bits
-    bi = {**bi, "\n": 2**64, "\x0b\x00": 0}
-    m = NGramModel(
-        uni=uni, bi=bi, tri=tri, total_uni=sum(uni.values()), log_sd_bi=sd_bi, log_sd_tri=sd_tri
-    )
-    data = _encode_model(m)
-    assert split_payload(data)[0]["bi"]["sep"] == "\x0c"
-    back = load_model(io.BytesIO(data))
+    m = NGramModel.from_counts(uni, bi, tri, total_uni=sum(uni.values()), log_sd_bi=sd_bi, log_sd_tri=sd_tri)
+    back = load_model(io.BytesIO(_encode_model(m)))
     assert back == m
+    assert back.counts.dtype == np.uint64 and back.counts.tobytes() == m.counts.tobytes()
     assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (sd_bi.hex(), sd_tri.hex())
     for got, want in ((back.uni, uni), (back.bi, bi), (back.tri, tri)):
+        assert got == want
         assert list(got) == sorted(want)  # code-point key order
+
+
+@pytest.mark.parametrize(
+    "order, counts",
+    [("uni", {"天安": 1}), ("bi", {"天": 1, "天安": 2}), ("tri", {"天安": 3}), ("bi", {"": 1})],
+)
+def test_from_counts_refuses_a_key_of_another_length(order, counts):
+    with pytest.raises(ValueError, match="does not have"):
+        NGramModel.from_counts(**{order: counts})
+
+
+@pytest.mark.parametrize("count", [2**64, 2**70, -1])
+def test_count_past_64_bits_is_refused_at_save(count):
+    model = NGramModel.from_counts(bi={"天安": 1, "安门": count})
+    with pytest.raises(ValueError, match=f"count {count} does not fit the model file's 64-bit counts"):
+        save_model(model, io.BytesIO())
+    # the largest 64-bit count is saved
+    assert roundtrip(NGramModel.from_counts(bi={"天安": 2**64 - 1})).bi == {"天安": 2**64 - 1}
 
 
 def framed(payload: bytes) -> bytes:
@@ -202,16 +227,18 @@ def test_framed_payload_round_trips():
 
 
 DROP = object()
+# A map entry of the version-3 header, which a version-4 header no longer holds.
+V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
 
 
 @pytest.mark.parametrize(
     "key, field, value",
     [
-        ("bi", "keys", "1"),
-        ("uni", "bytes", True),
-        ("tri", "keys", -1),
-        ("uni", "keys", 1.0),
-        ("bi", None, [["天安", 1]]),
+        ("keys", None, "1"),
+        ("keys", None, True),
+        ("keys", None, -1),
+        ("keys", None, 6.0),
+        ("keys", None, [6]),
         ("log_sd_bi", None, 1),
         ("log_sd_tri", None, None),
         ("log_sd_bi", None, 0.0),
@@ -223,7 +250,7 @@ DROP = object()
         ("source", None, 3),
         ("extra", None, 0),
         ("source", None, DROP),
-        ("uni", None, DROP),
+        ("uni", None, V3_ENTRY),
         ("tri", "big", DROP),
         ("bi", "order", 2),
         ("bi", "sep", ""),
@@ -252,9 +279,12 @@ DROP = object()
     ],
 )
 def test_crc_valid_payload_with_wrong_content(key, field, value):
-    # each case breaks the header of a file whose sections stay valid
+    # Each case breaks the header of a file whose sections stay valid. A
+    # case with a field puts a version-3 map entry, that field changed or
+    # dropped, into the header, and so does missing-uni: a version-4
+    # header holds no map entries, whatever they hold.
     header, sections = payload_parts()
-    target, name = (header, key) if field is None else (header[key], field)
+    target, name = (header, key) if field is None else (header.setdefault(key, dict(V3_ENTRY)), field)
     if value is DROP:
         del target[name]
     else:
@@ -263,40 +293,38 @@ def test_crc_valid_payload_with_wrong_content(key, field, value):
         load_model(io.BytesIO(assembled(header, sections)))
 
 
-@pytest.mark.parametrize("key", ["uni", "bi", "tri"])
-def test_count_too_large_for_a_float_is_refused_at_load(key):
-    # Segmenting reads counts as floats; the largest float, as an int, loads.
+def sections_of(keys, counts) -> bytes:
+    return np.asarray(keys, "<u8").tobytes() + np.asarray(counts, "<u8").tobytes()
+
+
+def keys_file(change) -> bytes:
+    """The file of ingest_corpus(["天安门"]) with its key list changed by
+    change, each new key with count 1."""
     header, sections = payload_parts()
-    header[key]["big"] = [[0, FLOAT_MAX]]
-    assert getattr(load_model(io.BytesIO(assembled(header, sections))), key)[
-        next(iter(getattr(ingest_corpus(["天安门"]), key)))
-    ] == FLOAT_MAX
-    header[key]["big"] = [[0, 10**400]]
-    with pytest.raises(ModelFormatError, match=f"{key} holds a count too large for a float"):
-        load_model(io.BytesIO(assembled(header, sections)))
+    n = header["keys"]
+    keys = np.frombuffer(sections, "<u8", n).tolist()
+    counts = dict(zip(keys, np.frombuffer(sections, "<u8", n, 8 * n).tolist()))
+    keys = change(keys)
+    return assembled({**header, "keys": len(keys)}, sections_of(keys, [counts.get(k, 1) for k in keys]))
 
 
-def edited(header: dict, key: str, **fields) -> dict:
-    """header with fields of one map's entry replaced."""
-    return {**header, key: {**header[key], **fields}}
+BI, UNI = 1 << 63, 3 << 62
+TIAN, AN = ord("天"), ord("安")
 
 
-def duplicate_key_file() -> bytes:
-    # both bigrams are two characters, so the key text keeps its length
-    header, sections = split_payload(_encode_model(NGramModel(bi={"天安": 1, "安门": 2})))
-    return assembled(header, sections.replace("安门".encode(), "天安".encode()))
+def added(*extra):
+    return lambda keys: sorted(keys + list(extra))
 
 
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda h, s: assembled(h, s[:-1]), "tri section runs past the payload"),
-        (lambda h, s: assembled(h, s + b"\x00"), "1 bytes left after the last section"),
-        (lambda h, s: assembled(edited(h, "bi", sep="\x0b"), s), "bi key text splits into 1 keys"),
-        # the trigram's key text, but no key and no count
-        (lambda h, s: assembled(edited(h, "tri", keys=0), s[:-8]), "tri key text splits into 1 keys"),
-        (lambda h, s: assembled(h, b"\xff" + s[1:]), "uni key text is not UTF-8"),
-        (lambda h, s: duplicate_key_file(), "bi holds a duplicate key"),
+        (lambda h, s: assembled(h, s[:-8]), "6 keys and counts take 96 bytes, but 88 follow it"),
+        (lambda h, s: assembled(h, s + b"\x00"), "take 96 bytes, but 97 follow it"),
+        (lambda h, s: assembled({**h, "keys": 5}, s), "5 keys and counts take 80 bytes, but 96 follow it"),
+        (lambda h, s: assembled({**h, "keys": 0}, s), "0 keys and counts take 0 bytes, but 96 follow it"),
+        (lambda h, s: keys_file(added(UNI | 0x110000)), "order 1 holds a code point past U\\+10FFFF"),
+        (lambda h, s: keys_file(lambda k: k[:3] + k[2:5]), "not strictly increasing"),
         (lambda h, s: framed(struct.pack("<I", 10**6) + b"{}"), "header runs past the payload"),
         (lambda h, s: framed(b"{}"), "holds no header length"),
     ],
@@ -307,8 +335,47 @@ def duplicate_key_file() -> bytes:
     ],
 )
 def test_crc_valid_payload_with_broken_sections(make, message):
+    # key-text-not-utf8: a key's code points must make text, as the
+    # version-3 key text had to be UTF-8
     with pytest.raises(ModelFormatError, match=message):
         load_model(io.BytesIO(make(*payload_parts())))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda k: [k[1], k[0], *k[2:]], "not strictly increasing"),
+        (lambda k: k[:-1] + [k[-1], k[-1]], "not strictly increasing"),
+        (added(UNI | 1 << 40 | TIAN), "sets bits its order 1 leaves unused"),
+        (added(BI | 1 << 50 | TIAN << 21 | AN), "sets bits its order 2 leaves unused"),
+        # a bigram key with bit 62 set sorts among the unigrams
+        (added(UNI | TIAN << 21 | AN), "sets bits its order 1 leaves unused"),
+        (added(2**64 - 1), "sets bits its order 1 leaves unused"),
+        (added(BI | 0x110000 << 21 | AN), "order 2 holds a code point past U\\+10FFFF"),
+        (added(BI | TIAN << 21 | 0x1FFFFF), "order 2 holds a code point past U\\+10FFFF"),
+        (added(0x110000 << 42 | TIAN << 21 | AN), "order 3 holds a code point past U\\+10FFFF"),
+        (added(TIAN << 42 | 0x110000 << 21 | AN), "order 3 holds a code point past U\\+10FFFF"),
+        (added(TIAN << 42 | AN << 21 | 0x110000), "order 3 holds a code point past U\\+10FFFF"),
+    ],
+    ids=[
+        "out-of-order", "duplicated", "uni-unused-bits", "bi-unused-bits", "bi-bit-62",
+        "sentinel", "bi-first-past-max", "bi-second-past-max", "tri-first-past-max",
+        "tri-second-past-max", "tri-third-past-max",
+    ],
+)
+def test_crc_valid_payload_with_bad_keys(change, message):
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(io.BytesIO(keys_file(change)))
+
+
+def test_last_code_point_and_full_counts_load():
+    # U+10FFFF is a code point, and a count may take all 64 bits
+    data = keys_file(added(UNI | 0x10FFFF, BI | 0x10FFFF << 21 | 0x10FFFF))
+    header, sections = split_payload(data)
+    counts = np.frombuffer(sections, "<u8", header["keys"], 8 * header["keys"]).copy()
+    counts[:] = 2**64 - 1
+    model = load_model(io.BytesIO(assembled(header, sections[: 8 * len(counts)] + counts.tobytes())))
+    assert model.uni["\U0010ffff"] == model.bi["\U0010ffff" * 2] == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -332,7 +399,7 @@ def test_crc_valid_payload_with_an_integer_past_the_digit_limit():
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an
     # integer of more than 4300 digits.
     header, sections = payload_parts()
-    header["bi"]["big"] = [[0, "count"]]
+    header["total_uni"] = "count"
     raw = json.dumps(header).replace('"count"', "9" * 5000).encode("utf-8")
     with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
         load_model(io.BytesIO(with_header(raw, sections)))
@@ -385,19 +452,36 @@ V2_EMPTY_MODEL = bytes.fromhex(
     "2e302c22736f75726365223a22222c22746f74616c5f756e69223a302c2274726922"
     "3a7b7d2c22756e69223a7b7d7d3d2b9244"
 )
+# An empty model as the version-3 format wrote it: SGSP, u16 version 3,
+# u64 payload length, u32 header length, a JSON header with one entry per
+# count map, no key text and no counts, CRC-32.
+V3_EMPTY_MODEL = bytes.fromhex(
+    "534753500300db00000000000000d70000007b226269223a7b22626967223a5b5d2c"
+    "226279746573223a302c226b657973223a302c22736570223a225c6e227d2c226c69"
+    "6e655f636f756e74223a302c226c6f675f73645f6269223a312e302c226c6f675f73"
+    "645f747269223a312e302c22736f75726365223a22222c22746f74616c5f756e6922"
+    "3a302c22747269223a7b22626967223a5b5d2c226279746573223a302c226b657973"
+    "223a302c22736570223a225c6e227d2c22756e69223a7b22626967223a5b5d2c2262"
+    "79746573223a302c226b657973223a302c22736570223a225c6e227d7d58f27acd"
+)
+
+
+def refused_as_old(version: int, data: bytes, tmp_path, capsys) -> None:
+    message = f"unsupported model version {version}, expected 4"
+    with pytest.raises(ModelVersionError, match=message):
+        load_model(io.BytesIO(data))
+    rc, err = segment_exit(tmp_path, data, capsys)
+    assert rc == 1
+    assert message in err
 
 
 def test_version_1_file_must_be_retrained(tmp_path, capsys):
-    with pytest.raises(ModelVersionError, match="unsupported model version 1, expected 3"):
-        load_model(io.BytesIO(V1_EMPTY_MODEL))
-    rc, err = segment_exit(tmp_path, V1_EMPTY_MODEL, capsys)
-    assert rc == 1
-    assert "unsupported model version 1, expected 3" in err
+    refused_as_old(1, V1_EMPTY_MODEL, tmp_path, capsys)
 
 
 def test_version_2_file_must_be_retrained(tmp_path, capsys):
-    with pytest.raises(ModelVersionError, match="unsupported model version 2, expected 3"):
-        load_model(io.BytesIO(V2_EMPTY_MODEL))
-    rc, err = segment_exit(tmp_path, V2_EMPTY_MODEL, capsys)
-    assert rc == 1
-    assert "unsupported model version 2, expected 3" in err
+    refused_as_old(2, V2_EMPTY_MODEL, tmp_path, capsys)
+
+
+def test_version_3_file_must_be_retrained(tmp_path, capsys):
+    refused_as_old(3, V3_EMPTY_MODEL, tmp_path, capsys)

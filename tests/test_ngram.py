@@ -163,6 +163,34 @@ def test_ingest_matches_per_character_reference(lines):
         assert m.log_sd_tri == _log_sd(tri)
 
 
+def test_train_save_load_and_lookup_build_no_dicts():
+    # The model is its key table; the count dicts are decoded only when read.
+    trained = ingest_corpus(["天安门广场", "天安门"])
+    buf = io.BytesIO()
+    save_model(trained, buf)
+    loaded = load_model(io.BytesIO(buf.getvalue()))
+    for m in (trained, loaded):
+        m.lookup("天安门")
+        assert not {"uni", "bi", "tri"} & vars(m).keys()
+    assert loaded.bi == {"天安": 2, "安门": 2, "门广": 1, "广场": 1}
+    assert "bi" in vars(loaded)
+
+
+@given(
+    st.lists(
+        st.text(alphabet=st.sampled_from(CHINESE) | st.sampled_from(OTHER), max_size=12),
+        max_size=8,
+    )
+)
+def test_key_table_matches_the_table_of_the_decoded_counts(lines):
+    m = ingest_corpus(lines)
+    twin = NGramModel.from_counts(
+        m.uni, m.bi, m.tri, total_uni=m.total_uni, log_sd_bi=m.log_sd_bi, log_sd_tri=m.log_sd_tri
+    )
+    for got, want in zip(m.key_table, twin.key_table):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_trained_and_reloaded_models_iterate_alike():
     m = ingest_corpus(["门广场天安", "a天安门b", "场广门安天"] * 3)
     buf = io.BytesIO()
