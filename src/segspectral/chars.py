@@ -5,16 +5,12 @@ Every Unicode scalar value is either Chinese (a CJK ideograph) or Other
 statistics are only kept for runs of Chinese characters; Other characters
 never carry probability mass and end up isolated in the sentence graph.
 
-DEFAULT_CJK_RANGES is the one rule. CHINESE_RUN (a maximal run of Chinese
-characters) and chinese_mask are built from it, and a test checks that
-they agree on every code point. The rule is applied once, when
-ngram.ingest_corpus masks a corpus with chinese_mask, and every later
-query trusts the keys it counts.
+DEFAULT_CJK_RANGES is the one rule, and chinese_mask is built from it.
+The rule is applied once, when ngram.ingest_corpus masks a corpus with
+chinese_mask, and every later query trusts the keys it counts.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 
@@ -23,10 +19,6 @@ import numpy as np
 DEFAULT_CJK_RANGES: tuple[tuple[int, int], ...] = (
     (0x4E00, 0x9FFF),
     (0x3400, 0x4DBF),
-)
-
-CHINESE_RUN = re.compile(
-    "[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in DEFAULT_CJK_RANGES) + "]+"
 )
 
 

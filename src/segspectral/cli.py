@@ -219,10 +219,8 @@ def cmd_train(args) -> int:
         save_model(model, args.model)
     except OSError as exc:
         raise _cannot_write(args.model, exc) from None
-    print(
-        f"trained on {model.meta.line_count} lines: "
-        f"{len(model.uni)} unigrams, {len(model.bi)} bigrams, {len(model.tri)} trigrams"
-    )
+    uni, bi, tri = (len(model.of_order(order)[0]) for order in (1, 2, 3))
+    print(f"trained on {model.meta.line_count} lines: {uni} unigrams, {bi} bigrams, {tri} trigrams")
     return 0
 
 

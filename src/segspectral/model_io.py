@@ -2,7 +2,7 @@
 
 Layout:
 
-    frame    struct "<4sHQ": magic b"SGSP", version (currently 4), payload
+    frame    struct "<4sHQ": magic b"SGSP", version (currently 5), payload
              byte length, all little-endian
     payload  u32 header length, the header, then the model's keys, then
              its counts, each one little-endian uint64 per key
@@ -12,7 +12,7 @@ The header is a UTF-8 JSON object with exactly the keys
 
     keys                     int >= 0, the key count
     log_sd_bi, log_sd_tri    float > 0, finite
-    total_uni, line_count    int >= 0
+    line_count               int >= 0
     source                   str
 
 The keys are the model's sorted tagged keys (see ngram), so the file is
@@ -39,11 +39,11 @@ import numpy as np
 from .ngram import ModelMeta, NGramModel, check_keys
 
 MAGIC = b"SGSP"
-VERSION = 4
+VERSION = 5
 
 _FRAME = struct.Struct("<4sHQ")
 _U32 = struct.Struct("<I")  # the header length and the CRC
-_KEYS = frozenset(("keys", "log_sd_bi", "log_sd_tri", "total_uni", "line_count", "source"))
+_KEYS = frozenset(("keys", "log_sd_bi", "log_sd_tri", "line_count", "source"))
 
 
 class ModelIOError(Exception):
@@ -67,23 +67,16 @@ class ModelChecksumError(ModelIOError):
 
 
 def _encode_model(model: NGramModel) -> bytes:
-    counts = model.counts
-    # A model from NGramModel.from_counts may hold any integer count.
-    if counts.dtype != np.uint64:
-        bad = next((c for c in counts.tolist() if not 0 <= c < 2**64), None)
-        if bad is not None:
-            raise ValueError(f"count {bad} does not fit the model file's 64-bit counts")
     header = {
         "keys": len(model.keys),
         "log_sd_bi": float(model.log_sd_bi),
         "log_sd_tri": float(model.log_sd_tri),
-        "total_uni": model.total_uni,
         "line_count": model.meta.line_count,
         "source": model.meta.source,
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     raw = text.encode("utf-8")
-    arrays = (np.asarray(a, "<u8").tobytes() for a in (model.keys, counts))
+    arrays = (np.asarray(a, "<u8").tobytes() for a in (model.keys, model.counts))
     payload = b"".join((_U32.pack(len(raw)), raw, *arrays))
     return _FRAME.pack(MAGIC, VERSION, len(payload)) + payload + _U32.pack(zlib.crc32(payload))
 
@@ -114,7 +107,7 @@ def _decode_header(raw) -> dict:
         # the bond formulas divide by the sd, and _log_sd never writes one <= 0
         if type(obj[key]) is not float or not 0.0 < obj[key] < math.inf:
             raise ModelFormatError(f"{key} must be a positive finite float, got {obj[key]!r}")
-    for key in ("keys", "total_uni", "line_count"):
+    for key in ("keys", "line_count"):
         # JSON gives only int, float, str, bool, None, list and dict; bool
         # is an int subclass, so compare the type exactly.
         if type(obj[key]) is not int or obj[key] < 0:
@@ -178,7 +171,6 @@ def load_model(source) -> NGramModel:
     model = NGramModel(
         keys=keys,
         counts=counts,
-        total_uni=obj["total_uni"],
         log_sd_bi=obj["log_sd_bi"],
         log_sd_tri=obj["log_sd_tri"],
         meta=ModelMeta(source=obj["source"], line_count=obj["line_count"]),

@@ -30,9 +30,10 @@ neither on key order nor on the Python version.
 NGramModel.lookup reads counts from NGramModel.key_table, built at the
 first lookup (not at ingest or load), 24 bytes per stored n-gram: the
 keys, each beside its float count and standardized log-count, then a
-sentinel key of all ones, with both 0, that answers every miss. The uni,
-bi and tri count dicts are decoded from the keys only when read. Neither
-the table nor the dicts are model state.
+sentinel key of all ones, with both 0, that answers every miss. Neither
+the table nor the uni, bi and tri count dicts are model state: the dicts
+stay only as a view decoded from the keys when read, for tests and the
+bench tracer, and nothing in the package reads them.
 """
 
 from __future__ import annotations
@@ -130,7 +131,6 @@ class NGramModel:
 
     keys: np.ndarray = field(default_factory=_empty)
     counts: np.ndarray = field(default_factory=_empty)
-    total_uni: int = 0
     log_sd_bi: float = 1.0
     log_sd_tri: float = 1.0
     meta: ModelMeta = field(default_factory=ModelMeta)
@@ -138,27 +138,27 @@ class NGramModel:
     @classmethod
     def from_counts(cls, uni=None, bi=None, tri=None, **fields) -> NGramModel:
         """A model of dicts of counts by n-gram; fields are the other
-        constructor arguments. An n-gram whose length is not its order is
-        refused. A count that is negative or needs more than 64 bits is
-        kept, and save_model refuses it."""
+        constructor arguments. An n-gram whose length is not its order, or
+        a count that is not an int from 0 to 2**64 - 1, is refused."""
         maps = {1: uni or {}, 2: bi or {}, 3: tri or {}}
         keys = np.concatenate([_encode(list(counts), order) for order, counts in maps.items()])
         values = [count for counts in maps.values() for count in counts.values()]
-        try:
-            counts = np.array(values, np.uint64)
-        except OverflowError:
-            counts = np.array(values, object)
+        for count in values:
+            # bool is an int subclass, so compare the type exactly
+            if type(count) is not int or not 0 <= count < 2**64:
+                raise ValueError(f"count {count!r} is not an integer from 0 to 2**64 - 1")
+        counts = np.array(values, np.uint64)
         by_key = np.argsort(keys)
         return cls(keys[by_key], counts[by_key], **fields)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramModel):
             return NotImplemented
-        scalars = (self.total_uni, self.log_sd_bi, self.log_sd_tri, self.meta)
+        scalars = (self.log_sd_bi, self.log_sd_tri, self.meta)
         return bool(
             np.array_equal(self.keys, other.keys)
             and np.array_equal(self.counts, other.counts)
-            and scalars == (other.total_uni, other.log_sd_bi, other.log_sd_tri, other.meta)
+            and scalars == (other.log_sd_bi, other.log_sd_tri, other.meta)
         )
 
     def of_order(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,24 +204,22 @@ class NGramModel:
         return counts[at], logs[at]
 
 
-def _log_sd(counts) -> float:
+def _log_sd(counts: list[int]) -> float:
     """Population sd of ln(count) over distinct keys; 1.0 when degenerate.
 
-    counts holds one count per distinct stored key, in a sequence or as
-    the values of a dict. Each key contributes one ln(count) sample
-    regardless of how frequent it is. With fewer than two keys, or all
-    counts equal, the sd would be 0 and standardization meaningless, so
-    fall back to 1 and let a standardized log-count reduce to a bare
-    ln(count).
+    counts holds one count per distinct stored key. Each key contributes
+    one ln(count) sample regardless of how frequent it is. With fewer than
+    two keys, or all counts equal, the sd would be 0 and standardization
+    meaningless, so fall back to 1 and let a standardized log-count reduce
+    to a bare ln(count).
     """
-    values = counts.values() if isinstance(counts, dict) else counts
-    if len(values) < 2:
+    if len(counts) < 2:
         return 1.0
     # Counts repeat, so each distinct one is logged and squared once.
-    logs = {c: math.log(c) for c in set(values)}
-    mean = math.fsum(map(logs.__getitem__, values)) / len(values)
+    logs = {c: math.log(c) for c in set(counts)}
+    mean = math.fsum(map(logs.__getitem__, counts)) / len(counts)
     squares = {c: (x - mean) ** 2 for c, x in logs.items()}
-    sd = math.sqrt(math.fsum(map(squares.__getitem__, values)) / len(values))
+    sd = math.sqrt(math.fsum(map(squares.__getitem__, counts)) / len(counts))
     return sd if sd > 0.0 else 1.0
 
 
@@ -282,7 +280,6 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
     return NGramModel(
         keys=keys,
         counts=counts,
-        total_uni=int(counts[at[1]].sum()),
         log_sd_bi=_log_sd(counts[at[2]].tolist()),
         log_sd_tri=_log_sd(counts[at[3]].tolist()),
         meta=ModelMeta(source=source, line_count=line_count),

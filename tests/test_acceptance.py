@@ -263,12 +263,10 @@ def _random_model(rnd: random.Random) -> sg.NGramModel:
     def counts(length, how_many):
         return {key(length): rnd.randint(1, 2**50) for _ in range(how_many)}
 
-    uni = counts(1, rnd.randint(0, 10))
     return sg.NGramModel.from_counts(
-        uni=uni,
+        uni=counts(1, rnd.randint(0, 10)),
         bi=counts(2, rnd.randint(0, 10)),
         tri=counts(3, rnd.randint(0, 10)),
-        total_uni=sum(uni.values()),
         log_sd_bi=rnd.uniform(1e-6, 1e3),
         log_sd_tri=rnd.uniform(1e-6, 1e3),
         meta=sg.ModelMeta(source=key(rnd.randint(0, 5)) + "🙂.txt", line_count=rnd.randint(0, 2**40)),

@@ -1,6 +1,8 @@
 import numpy as np
 
-from segspectral.chars import CHINESE_RUN, DEFAULT_CJK_RANGES, chinese_mask
+from segspectral.chars import DEFAULT_CJK_RANGES, chinese_mask
+
+from cjk import CHINESE_RUN
 
 
 def test_common_ideographs():

@@ -90,8 +90,11 @@ def test_train_reports_counts(workdir, capsys):
     assert model.meta.line_count == 120
     assert model.meta.source == "lines.txt"
     main(["train", "--input", str(workdir / "lines.txt"), "--model", str(workdir / "m2.bin")])
-    out = capsys.readouterr().out
-    assert "trained on 120 lines" in out
+    uni, bi, tri = (len(model.of_order(order)[0]) for order in (1, 2, 3))
+    assert min(uni, bi, tri) > 0
+    assert capsys.readouterr().out == (
+        f"trained on 120 lines: {uni} unigrams, {bi} bigrams, {tri} trigrams\n"
+    )
 
 
 def test_segment_eval_round_trip(workdir, capsys):

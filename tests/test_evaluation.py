@@ -1,8 +1,9 @@
 import pytest
 
 from segspectral import EvalReport, SynthSpec, generate_synthetic, score_corpus
-from segspectral.chars import CHINESE_RUN
 from segspectral.evaluation import _EXCLUDED, _char_inventory, count_matches, parse_segmented
+
+from cjk import CHINESE_RUN
 
 
 class TestScoring:

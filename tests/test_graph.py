@@ -25,10 +25,10 @@ from segspectral import (
     save_model,
     segment_sentence,
 )
-from segspectral.chars import CHINESE_RUN
 from segspectral.graph import build_w_ehr, build_w_vocab
 from segspectral.pipeline import build_w
 
+from cjk import CHINESE_RUN
 from dense import dense_matrix
 
 LN2 = math.log(2)
@@ -254,7 +254,6 @@ def _hand_built_model():
             "天安门": 2, "安门和": 0, "广场天": 2**63 + 1, "门和的": 1, "和的了": 3, "门的天": 2,
             "\U00020000\U00020001天": 1, "\x00天安": 2,
         },
-        total_uni=15,
         log_sd_bi=0.8,
         log_sd_tri=1.7,
     )

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import struct
 import sys
 import zlib
@@ -72,13 +73,13 @@ def test_golden_model_bytes():
     buf = io.BytesIO()
     save_model(ingest_corpus(golden_lines(), source="golden"), buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-        "4e53c9ca65f6583309e08921e6d0b006ce6727a0095205f6dc297f6bc10342b7"
+        "79a34e67ef1703cd8f9f505ace8dc4de23ac038ade51058e849273e4d9b0af50"
     )
 
 
 def test_encoding_is_canonical():
-    a = NGramModel.from_counts(uni={"天": 1, "安": 2}, total_uni=3)
-    b = NGramModel.from_counts(uni={"安": 2, "天": 1}, total_uni=3)
+    a = NGramModel.from_counts(uni={"天": 1, "安": 2})
+    b = NGramModel.from_counts(uni={"安": 2, "天": 1})
     assert _encode_model(a) == _encode_model(b)
 
 
@@ -143,7 +144,6 @@ def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
         uni,
         bi,
         tri,
-        total_uni=sum(uni.values()),
         log_sd_bi=sd_bi,
         log_sd_tri=sd_tri,
         meta=ModelMeta(source=source, line_count=len(uni)),
@@ -166,7 +166,7 @@ hostile_counts = st.integers(min_value=0, max_value=2**64 - 1)
     sd_tri=finite,
 )
 def test_roundtrip_property_on_hostile_keys(uni, bi, tri, sd_bi, sd_tri):
-    m = NGramModel.from_counts(uni, bi, tri, total_uni=sum(uni.values()), log_sd_bi=sd_bi, log_sd_tri=sd_tri)
+    m = NGramModel.from_counts(uni, bi, tri, log_sd_bi=sd_bi, log_sd_tri=sd_tri)
     back = load_model(io.BytesIO(_encode_model(m)))
     assert back == m
     assert back.counts.dtype == np.uint64 and back.counts.tobytes() == m.counts.tobytes()
@@ -185,12 +185,12 @@ def test_from_counts_refuses_a_key_of_another_length(order, counts):
         NGramModel.from_counts(**{order: counts})
 
 
-@pytest.mark.parametrize("count", [2**64, 2**70, -1])
-def test_count_past_64_bits_is_refused_at_save(count):
-    model = NGramModel.from_counts(bi={"天安": 1, "安门": count})
-    with pytest.raises(ValueError, match=f"count {count} does not fit the model file's 64-bit counts"):
-        save_model(model, io.BytesIO())
-    # the largest 64-bit count is saved
+@pytest.mark.parametrize("count", [2**64, 2**70, -1, 1.5, True, "3"], ids=repr)
+def test_count_outside_uint64_is_refused_at_construction(count):
+    message = f"count {re.escape(repr(count))} is not an integer from 0 to 2\\*\\*64 - 1"
+    with pytest.raises(ValueError, match=message):
+        NGramModel.from_counts(uni={"天": 1, "安": count})
+    # the largest 64-bit count is kept, and saved
     assert roundtrip(NGramModel.from_counts(bi={"天安": 2**64 - 1})).bi == {"天安": 2**64 - 1}
 
 
@@ -227,7 +227,7 @@ def test_framed_payload_round_trips():
 
 
 DROP = object()
-# A map entry of the version-3 header, which a version-4 header no longer holds.
+# A map entry of the version-3 header, which a version-5 header no longer holds.
 V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
 
 
@@ -245,10 +245,11 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
         ("log_sd_tri", None, -1.5),
         ("log_sd_bi", None, float("nan")),
         ("log_sd_tri", None, float("inf")),
-        ("total_uni", None, -1),
+        ("line_count", None, -1),
         ("line_count", None, False),
         ("source", None, 3),
         ("extra", None, 0),
+        ("total_uni", None, 0),
         ("source", None, DROP),
         ("uni", None, V3_ENTRY),
         ("tri", "big", DROP),
@@ -270,8 +271,8 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
     ids=[
         "count-string", "count-true", "count-negative", "count-float", "counts-list",
         "sd-int", "sd-null", "sd-zero", "sd-negative", "sd-nan", "sd-inf",
-        "total-negative", "line-count-bool", "source-int",
-        "extra-key", "missing-source", "missing-uni",
+        "line-count-negative", "line-count-bool", "source-int",
+        "extra-key", "total-uni-key", "missing-source", "missing-uni",
         "missing-map-field", "extra-map-field", "sep-empty", "sep-two-chars", "sep-int",
         "big-not-a-list", "big-not-a-pair", "big-index-past-keys", "big-index-decreasing",
         "big-index-repeated", "big-index-negative", "big-count-below-2-64", "big-count-float",
@@ -281,8 +282,9 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
 def test_crc_valid_payload_with_wrong_content(key, field, value):
     # Each case breaks the header of a file whose sections stay valid. A
     # case with a field puts a version-3 map entry, that field changed or
-    # dropped, into the header, and so does missing-uni: a version-4
-    # header holds no map entries, whatever they hold.
+    # dropped, into the header, and so does missing-uni: a version-5
+    # header holds no map entries, whatever they hold. total-uni-key puts
+    # back the unigram total that version 4 wrote.
     header, sections = payload_parts()
     target, name = (header, key) if field is None else (header.setdefault(key, dict(V3_ENTRY)), field)
     if value is DROP:
@@ -399,7 +401,7 @@ def test_crc_valid_payload_with_an_integer_past_the_digit_limit():
     # json.loads raises a plain ValueError, not a JSONDecodeError, for an
     # integer of more than 4300 digits.
     header, sections = payload_parts()
-    header["total_uni"] = "count"
+    header["line_count"] = "count"
     raw = json.dumps(header).replace('"count"', "9" * 5000).encode("utf-8")
     with pytest.raises(ModelFormatError, match="not UTF-8 JSON"):
         load_model(io.BytesIO(with_header(raw, sections)))
@@ -464,10 +466,19 @@ V3_EMPTY_MODEL = bytes.fromhex(
     "223a302c22736570223a225c6e227d2c22756e69223a7b22626967223a5b5d2c2262"
     "79746573223a302c226b657973223a302c22736570223a225c6e227d7d58f27acd"
 )
+# An empty model as the version-4 format wrote it: SGSP, u16 version 4,
+# u64 payload length, u32 header length, a JSON header that holds the
+# unigram total, no keys and no counts, CRC-32.
+V4_EMPTY_MODEL = bytes.fromhex(
+    "5347535004005800000000000000540000007b226b657973223a302c226c696e655f"
+    "636f756e74223a302c226c6f675f73645f6269223a312e302c226c6f675f73645f74"
+    "7269223a312e302c22736f75726365223a22222c22746f74616c5f756e69223a307d"
+    "5a766551"
+)
 
 
 def refused_as_old(version: int, data: bytes, tmp_path, capsys) -> None:
-    message = f"unsupported model version {version}, expected 4"
+    message = f"unsupported model version {version}, expected 5"
     with pytest.raises(ModelVersionError, match=message):
         load_model(io.BytesIO(data))
     rc, err = segment_exit(tmp_path, data, capsys)
@@ -485,3 +496,7 @@ def test_version_2_file_must_be_retrained(tmp_path, capsys):
 
 def test_version_3_file_must_be_retrained(tmp_path, capsys):
     refused_as_old(3, V3_EMPTY_MODEL, tmp_path, capsys)
+
+
+def test_version_4_file_must_be_retrained(tmp_path, capsys):
+    refused_as_old(4, V4_EMPTY_MODEL, tmp_path, capsys)

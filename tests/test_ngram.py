@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 
 from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, load_model, save_model
 from segspectral import ngram
-from segspectral.chars import CHINESE_RUN
+from segspectral.cli import main
 from segspectral.graph import build_w_ehr
 from segspectral.ngram import _log_sd, iter_corpus_lines
+
+from cjk import CHINESE_RUN
 
 
 def test_basic_counts():
@@ -18,7 +20,6 @@ def test_basic_counts():
     assert m.uni == {"天": 3, "安": 2, "门": 3}
     assert m.bi == {"天安": 2, "安门": 2, "天门": 1}
     assert m.tri == {"天安门": 2}
-    assert m.total_uni == 8
 
 
 def test_non_chinese_breaks_ngrams():
@@ -97,13 +98,13 @@ def test_default_model_is_empty():
     m = NGramModel()
     w = build_w_ehr("天安门", m)
     assert np.array_equal(w.off1, [0.0, 0.0]) and np.array_equal(w.off2, [0.0])
-    assert m.total_uni == 0
+    assert len(m.keys) == len(m.counts) == 0
 
 
 @given(st.lists(st.text(alphabet="天安门广场和的", max_size=8), max_size=6))
 def test_count_consistency(lines):
     m = ingest_corpus(lines)
-    assert m.total_uni == sum(len(line) for line in lines)
+    assert sum(m.uni.values()) == sum(len(line) for line in lines)
     assert sum(m.bi.values()) == sum(max(len(line) - 1, 0) for line in lines)
     assert sum(m.tri.values()) == sum(max(len(line) - 2, 0) for line in lines)
     assert all(m.uni[k[:1]] >= 1 for k in m.bi)
@@ -158,12 +159,12 @@ def test_ingest_matches_per_character_reference(lines):
             assert type(got) is dict
             assert got == want
             assert list(got) == sorted(want)  # code-point key order
-        assert m.total_uni == sum(uni.values()) and m.meta.line_count == len(lines)
-        assert m.log_sd_bi == _log_sd(bi)
-        assert m.log_sd_tri == _log_sd(tri)
+        assert m.meta.line_count == len(lines)
+        assert m.log_sd_bi == _log_sd(list(bi.values()))
+        assert m.log_sd_tri == _log_sd(list(tri.values()))
 
 
-def test_train_save_load_and_lookup_build_no_dicts():
+def test_train_save_load_and_lookup_build_no_dicts(tmp_path, capsys):
     # The model is its key table; the count dicts are decoded only when read.
     trained = ingest_corpus(["天安门广场", "天安门"])
     buf = io.BytesIO()
@@ -174,6 +175,16 @@ def test_train_save_load_and_lookup_build_no_dicts():
         assert not {"uni", "bi", "tri"} & vars(m).keys()
     assert loaded.bi == {"天安": 2, "安门": 2, "门广": 1, "广场": 1}
     assert "bi" in vars(loaded)
+    # nor do the commands: a decoded dict would fail them
+    lines, gold, model = tmp_path / "lines.txt", tmp_path / "gold.txt", str(tmp_path / "model.bin")
+    lines.write_text("天安门广场\n天安门\n", encoding="utf-8")
+    gold.write_text("天安门 广场\n天安门\n", encoding="utf-8")
+    with mock.patch.object(ngram, "_decode", side_effect=AssertionError("count dict decoded")):
+        assert main(["train", "--input", str(lines), "--model", model]) == 0
+        assert main(["segment", "--model", model, "--input", str(lines)]) == 0
+        sweep = ["sweep", "--model", model, "--input", str(lines), "--gold", str(gold), "--cuts", "0.5,1.5"]
+        assert main(sweep) == 0
+    assert capsys.readouterr().err == ""
 
 
 @given(
@@ -184,9 +195,7 @@ def test_train_save_load_and_lookup_build_no_dicts():
 )
 def test_key_table_matches_the_table_of_the_decoded_counts(lines):
     m = ingest_corpus(lines)
-    twin = NGramModel.from_counts(
-        m.uni, m.bi, m.tri, total_uni=m.total_uni, log_sd_bi=m.log_sd_bi, log_sd_tri=m.log_sd_tri
-    )
+    twin = NGramModel.from_counts(m.uni, m.bi, m.tri, log_sd_bi=m.log_sd_bi, log_sd_tri=m.log_sd_tri)
     for got, want in zip(m.key_table, twin.key_table):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -204,16 +213,15 @@ def test_log_sd_bits_are_pinned():
     # fsum rounds correctly, so these bits hold on every Python version and
     # in every key order. The builtin sum of Python 3.10 and 3.11 gives
     # 0x1.127644458bf62p+0 in this order.
-    counts = {str(i): i * i % 1009 + 1 for i in range(2999, 0, -1)}
+    counts = [i * i % 1009 + 1 for i in range(2999, 0, -1)]
     assert _log_sd(counts).hex() == "0x1.127644458bf60p+0"
 
 
 @given(st.lists(st.integers(1, 10**12), min_size=2, max_size=200), st.randoms(use_true_random=False))
 def test_log_sd_is_independent_of_key_order(values, rng):
-    items = [(str(i), c) for i, c in enumerate(values)]
-    shuffled = items[:]
+    shuffled = values[:]
     rng.shuffle(shuffled)
-    assert _log_sd(dict(items)).hex() == _log_sd(dict(shuffled)).hex()
+    assert _log_sd(values).hex() == _log_sd(shuffled).hex()
 
 
 def test_iter_corpus_lines(tmp_path):
