@@ -9,7 +9,7 @@ in its module (graph, spectral, eigen, kmeans, pipeline, evaluation,
 ngram, model_io, chars) for the package's own use.
 """
 
-from .ngram import CorpusEncodingError, ModelMeta, NGramModel, ingest_corpus
+from .ngram import CorpusEncodingError, NGramModel, ingest_corpus
 from .model_io import (
     ModelChecksumError,
     ModelFormatError,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorpusEncodingError",
-    "ModelMeta",
     "NGramModel",
     "ingest_corpus",
     "ModelChecksumError",

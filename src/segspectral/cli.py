@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
     except OSError as exc:
         raise _cannot_write(args.model, exc) from None
     uni, bi, tri = (len(model.of_order(order)[0]) for order in (1, 2, 3))
-    print(f"trained on {model.meta.line_count} lines: {uni} unigrams, {bi} bigrams, {tri} trigrams")
+    print(f"trained on {model.line_count} lines: {uni} unigrams, {bi} bigrams, {tri} trigrams")
     return 0
 
 

@@ -11,9 +11,8 @@ Layout:
 The header is a UTF-8 JSON object with exactly the keys
 
     keys                     int >= 0, the key count
-    log_sd_bi, log_sd_tri    float > 0, finite
-    line_count               int >= 0
-    source                   str
+    log_sd_bi, log_sd_tri    the model's fields of those names
+    line_count, source
 
 The keys are the model's sorted tagged keys (see ngram), so the file is
 the model's arrays as they are in memory. The header is written with
@@ -23,20 +22,21 @@ identical files.
 Failure modes are kept distinct so callers can tell a stale format from a
 damaged file: ModelVersionError, ModelTruncatedError, ModelChecksumError,
 with ModelFormatError for everything else, including a CRC-valid payload
-that does not hold the layout above.
+that does not hold the layout above. Only the file is checked here: the
+NGramModel built from the header and sections checks what they hold, and
+its ValueError is raised as a ModelFormatError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .ngram import ModelMeta, NGramModel, check_keys
+from .ngram import NGramModel
 
 MAGIC = b"SGSP"
 VERSION = 5
@@ -69,10 +69,10 @@ class ModelChecksumError(ModelIOError):
 def _encode_model(model: NGramModel) -> bytes:
     header = {
         "keys": len(model.keys),
-        "log_sd_bi": float(model.log_sd_bi),
-        "log_sd_tri": float(model.log_sd_tri),
-        "line_count": model.meta.line_count,
-        "source": model.meta.source,
+        "log_sd_bi": model.log_sd_bi,
+        "log_sd_tri": model.log_sd_tri,
+        "line_count": model.line_count,
+        "source": model.source,
     }
     text = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     raw = text.encode("utf-8")
@@ -91,7 +91,7 @@ def save_model(model: NGramModel, sink) -> None:
 
 
 def _decode_header(raw) -> dict:
-    """Parse and check the header; any violation is a ModelFormatError."""
+    """Parse the header and check its shape; any violation is a ModelFormatError."""
     try:
         obj = json.loads(bytes(raw).decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -103,17 +103,9 @@ def _decode_header(raw) -> dict:
         missing = ", ".join(sorted(_KEYS - obj.keys())) or "none"
         extra = ", ".join(sorted(obj.keys() - _KEYS)) or "none"
         raise ModelFormatError(f"header keys: missing {missing}; unexpected {extra}")
-    for key in ("log_sd_bi", "log_sd_tri"):
-        # the bond formulas divide by the sd, and _log_sd never writes one <= 0
-        if type(obj[key]) is not float or not 0.0 < obj[key] < math.inf:
-            raise ModelFormatError(f"{key} must be a positive finite float, got {obj[key]!r}")
-    for key in ("keys", "line_count"):
-        # JSON gives only int, float, str, bool, None, list and dict; bool
-        # is an int subclass, so compare the type exactly.
-        if type(obj[key]) is not int or obj[key] < 0:
-            raise ModelFormatError(f"{key} must be a non-negative integer, got {obj[key]!r}")
-    if not isinstance(obj["source"], str):
-        raise ModelFormatError(f"source must be a string, got {obj['source']!r}")
+    # bool is an int subclass, so compare the type exactly
+    if type(obj["keys"]) is not int or obj["keys"] < 0:
+        raise ModelFormatError(f"keys must be a non-negative integer, got {obj['keys']!r}")
     return obj
 
 
@@ -155,8 +147,8 @@ def load_model(source) -> NGramModel:
     at = _U32.size + _U32.unpack_from(payload)[0]
     if at > len(payload):
         raise ModelFormatError("header runs past the payload")
-    obj = _decode_header(payload[_U32.size : at])
-    n = obj["keys"]
+    fields = _decode_header(payload[_U32.size : at])
+    n = fields.pop("keys")
     if len(payload) - at != 16 * n:
         raise ModelFormatError(
             f"the header's {n} keys and counts take {16 * n} bytes, but {len(payload) - at} follow it"
@@ -165,21 +157,6 @@ def load_model(source) -> NGramModel:
         np.frombuffer(payload, "<u8", n, offset).astype(np.uint64, copy=False) for offset in (at, at + 8 * n)
     )
     try:
-        check_keys(keys)
+        return NGramModel(keys, counts, **fields)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    model = NGramModel(
-        keys=keys,
-        counts=counts,
-        log_sd_bi=obj["log_sd_bi"],
-        log_sd_tri=obj["log_sd_tri"],
-        meta=ModelMeta(source=obj["source"], line_count=obj["line_count"]),
-    )
-    # key_table divides ln(count) by the sd of the count's order
-    for order, name in ((2, "bi"), (3, "tri")):
-        top, sd = float(model.of_order(order)[1].max(initial=0)), obj[f"log_sd_{name}"]
-        if top > 1.0 and not math.isfinite(math.log(top) / sd):
-            raise ModelFormatError(
-                f"log_sd_{name} {sd!r} is too small: ln of the largest {name} count over it is not finite"
-            )
-    return model

@@ -16,7 +16,8 @@ highest. Bigram keys set bit 63, above the 63 bits of trigram codes, and
 unigram keys bits 63 and 62, above the 42 bits of bigram codes, so
 orders never collide, and sorted keys hold the trigrams, then the
 bigrams, then the unigrams, each in code-point order of their n-grams.
-Every other bit is zero.
+Every other bit is zero. NGramModel checks these rules, like all its
+others, when it is built, so no model breaks them; model_io checks the file.
 
 ingest_corpus reads lines lazily, in chunks of whole lines of at most
 _CHUNK_CHARS characters (a longer line comes alone), gives the n-grams in
@@ -88,7 +89,7 @@ def _orders(keys: np.ndarray) -> dict[int, slice]:
     return {1: slice(bi_end, len(keys)), 2: slice(tri_end, bi_end), 3: slice(0, tri_end)}
 
 
-def check_keys(keys: np.ndarray) -> None:
+def _check_keys(keys: np.ndarray) -> None:
     """Raise ValueError unless keys are strictly increasing, no key sets a
     bit its order leaves unused (so none is the sentinel), and every code
     point is at most U+10FFFF."""
@@ -108,12 +109,6 @@ class CorpusEncodingError(ValueError):
     """Raised when corpus bytes are not valid UTF-8."""
 
 
-@dataclass
-class ModelMeta:
-    source: str = ""
-    line_count: int = 0
-
-
 def _empty() -> np.ndarray:
     return np.empty(0, np.uint64)
 
@@ -121,25 +116,52 @@ def _empty() -> np.ndarray:
 @dataclass(eq=False)
 class NGramModel:
     """Unigram/bigram/trigram counts plus the bigram and trigram log-count
-    sds.
+    sds, the corpus's name (source) and its line count.
 
     keys are sorted tagged uint64 keys, as described above, and counts
     holds one uint64 count per key. Only all-Chinese n-grams are stored,
     as ingest_corpus counts them and the model file round-trips them.
-    Treat a model as immutable.
+    Construction checks every field and raises ValueError naming the rule
+    broken, so every model saves and loads. Treat a model as immutable.
     """
 
     keys: np.ndarray = field(default_factory=_empty)
     counts: np.ndarray = field(default_factory=_empty)
     log_sd_bi: float = 1.0
     log_sd_tri: float = 1.0
-    meta: ModelMeta = field(default_factory=ModelMeta)
+    source: str = ""
+    line_count: int = 0
+
+    def __post_init__(self):
+        arrays = (self.keys, self.counts)
+        if len(self.keys) != len(self.counts) or not all(
+            isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.uint64 for a in arrays
+        ):
+            got = " and ".join(f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}" for a in arrays)
+            raise ValueError(f"keys and counts must be 1-d uint64 arrays of one length, got {got}")
+        _check_keys(self.keys)
+        for order, name, sd in ((2, "bi", self.log_sd_bi), (3, "tri", self.log_sd_tri)):
+            # the bond formulas divide by the sd, and _log_sd never gives one <= 0
+            if not isinstance(sd, float) or not 0.0 < sd < math.inf:
+                raise ValueError(f"log_sd_{name} must be a positive finite float, got {sd!r}")
+            # key_table divides ln(count) by the sd of the count's order
+            top = float(self.of_order(order)[1].max(initial=0))
+            if top > 1.0 and not math.isfinite(math.log(top) / sd):
+                raise ValueError(
+                    f"log_sd_{name} {sd!r} is too small: ln of the largest {name} count over it is not finite"
+                )
+        # bool is an int subclass, so compare the type exactly
+        if type(self.line_count) is not int or self.line_count < 0:
+            raise ValueError(f"line_count must be a non-negative integer, got {self.line_count!r}")
+        if not isinstance(self.source, str):
+            raise ValueError(f"source must be a string, got {self.source!r}")
 
     @classmethod
     def from_counts(cls, uni=None, bi=None, tri=None, **fields) -> NGramModel:
         """A model of dicts of counts by n-gram; fields are the other
-        constructor arguments. An n-gram whose length is not its order, or
-        a count that is not an int from 0 to 2**64 - 1, is refused."""
+        constructor arguments (log_sd_bi, log_sd_tri, source, line_count).
+        An n-gram whose length is not its order, or a count that is not an
+        int from 0 to 2**64 - 1, is refused."""
         maps = {1: uni or {}, 2: bi or {}, 3: tri or {}}
         keys = np.concatenate([_encode(list(counts), order) for order, counts in maps.items()])
         values = [count for counts in maps.values() for count in counts.values()]
@@ -154,11 +176,11 @@ class NGramModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramModel):
             return NotImplemented
-        scalars = (self.log_sd_bi, self.log_sd_tri, self.meta)
+        scalars = (self.log_sd_bi, self.log_sd_tri, self.source, self.line_count)
         return bool(
             np.array_equal(self.keys, other.keys)
             and np.array_equal(self.counts, other.counts)
-            and scalars == (other.log_sd_bi, other.log_sd_tri, other.meta)
+            and scalars == (other.log_sd_bi, other.log_sd_tri, other.source, other.line_count)
         )
 
     def of_order(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +304,8 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
         counts=counts,
         log_sd_bi=_log_sd(counts[at[2]].tolist()),
         log_sd_tri=_log_sd(counts[at[3]].tolist()),
-        meta=ModelMeta(source=source, line_count=line_count),
+        source=source,
+        line_count=line_count,
     )
 
 

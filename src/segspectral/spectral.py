@@ -62,7 +62,7 @@ def build_laplacian(w: ConnectionMatrix, form: LaplacianForm) -> BlockDiagonal:
         np.subtract(0.0, w.off1 * (inv_sqrt[:-1] * inv_sqrt[1:]), out=rows[:-1, 3])
         np.subtract(0.0, w.off2 * (inv_sqrt[:-2] * inv_sqrt[2:]), out=rows[:-2, 4])
     else:
-        raise ValueError(f"unknown Laplacian form {form!r}")
+        raise TypeError(f"unknown Laplacian form {form!r}")
     rows[1:, 1] = rows[:-1, 3]
     rows[2:, 0] = rows[:-2, 4]
 

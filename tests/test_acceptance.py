@@ -269,7 +269,8 @@ def _random_model(rnd: random.Random) -> sg.NGramModel:
         tri=counts(3, rnd.randint(0, 10)),
         log_sd_bi=rnd.uniform(1e-6, 1e3),
         log_sd_tri=rnd.uniform(1e-6, 1e3),
-        meta=sg.ModelMeta(source=key(rnd.randint(0, 5)) + "🙂.txt", line_count=rnd.randint(0, 2**40)),
+        source=key(rnd.randint(0, 5)) + "🙂.txt",
+        line_count=rnd.randint(0, 2**40),
     )
 
 

@@ -87,8 +87,8 @@ def test_bad_synth_spec_is_a_usage_error(tmp_path, capsys, flags, message):
 
 def test_train_reports_counts(workdir, capsys):
     model = load_model(workdir / "model.bin")
-    assert model.meta.line_count == 120
-    assert model.meta.source == "lines.txt"
+    assert model.line_count == 120
+    assert model.source == "lines.txt"
     main(["train", "--input", str(workdir / "lines.txt"), "--model", str(workdir / "m2.bin")])
     uni, bi, tri = (len(model.of_order(order)[0]) for order in (1, 2, 3))
     assert min(uni, bi, tri) > 0
@@ -851,7 +851,7 @@ def test_readme_tables_match_code():
 # at the top level, the names the acceptance gate reaches as sg.<name>,
 # the error classes public calls raise, and the recipe resources.
 PUBLIC_NAMES = {
-    "CorpusEncodingError", "ModelMeta", "NGramModel", "ingest_corpus",
+    "CorpusEncodingError", "NGramModel", "ingest_corpus",
     "ModelChecksumError", "ModelFormatError", "ModelIOError", "ModelTruncatedError",
     "ModelVersionError", "load_model", "save_model",
     "SINGLE_CHAR_WORDS", "WEAKEN_SET_1", "WEAKEN_SET_2", "ConnectionMatrix", "EhrParams",

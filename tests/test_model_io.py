@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from segspectral import (
     ModelChecksumError,
@@ -25,7 +25,6 @@ from segspectral import (
 )
 from segspectral.cli import main
 from segspectral.model_io import MAGIC, VERSION, _encode_model
-from segspectral.ngram import ModelMeta
 
 
 def roundtrip(model: NGramModel) -> NGramModel:
@@ -38,7 +37,7 @@ def roundtrip(model: NGramModel) -> NGramModel:
 def test_roundtrip_trained_model():
     m = ingest_corpus(["天安门广场", "天安门", "门口"], source="toy.txt")
     back = roundtrip(m)
-    assert back == m  # dataclass equality covers counts, sds, meta
+    assert back == m  # equality covers counts, sds, source and line count
     assert back.log_sd_bi == m.log_sd_bi  # float fields survive bit-exactly
 
 
@@ -146,7 +145,8 @@ def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
         tri,
         log_sd_bi=sd_bi,
         log_sd_tri=sd_tri,
-        meta=ModelMeta(source=source, line_count=len(uni)),
+        source=source,
+        line_count=len(uni),
     )
     assert roundtrip(m) == m
 
@@ -174,6 +174,26 @@ def test_roundtrip_property_on_hostile_keys(uni, bi, tri, sd_bi, sd_tri):
     for got, want in ((back.uni, uni), (back.bi, bi), (back.tri, tri)):
         assert got == want
         assert list(got) == sorted(want)  # code-point key order
+
+
+@given(
+    uni=counts_of_order(1, hostile, hostile_counts),
+    bi=counts_of_order(2, hostile, hostile_counts),
+    tri=counts_of_order(3, hostile, hostile_counts),
+    sd_bi=st.floats(min_value=5e-324, allow_infinity=False),
+    sd_tri=st.floats(min_value=5e-324, allow_infinity=False),
+    source=st.text(max_size=20),
+    line_count=st.integers(min_value=0, max_value=2**64),
+)
+def test_every_model_that_constructs_round_trips(uni, bi, tri, sd_bi, sd_tri, source, line_count):
+    fields = dict(log_sd_bi=sd_bi, log_sd_tri=sd_tri, source=source, line_count=line_count)
+    try:
+        m = NGramModel.from_counts(uni, bi, tri, **fields)
+    except ValueError:
+        reject()
+    back = roundtrip(m)
+    assert back == m
+    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (sd_bi.hex(), sd_tri.hex())
 
 
 @pytest.mark.parametrize(
@@ -429,7 +449,10 @@ def segment_exit(tmp_path, data: bytes, capsys) -> tuple[int, str]:
 def test_sd_that_overflows_the_log_counts_is_refused(key, tmp_path, capsys):
     # 5e-324 is a positive finite float, but ln 2 over it is not finite
     trained = ingest_corpus(["天安门", "天安门"], source="x")
-    data = _encode_model(replace(trained, **{f"log_sd_{key}": 5e-324}))
+    with pytest.raises(ValueError, match=f"log_sd_{key} 5e-324"):
+        replace(trained, **{f"log_sd_{key}": 5e-324})
+    header, sections = split_payload(_encode_model(trained))
+    data = assembled({**header, f"log_sd_{key}": 5e-324}, sections)
     with pytest.raises(ModelFormatError, match=f"log_sd_{key} 5e-324"):
         load_model(io.BytesIO(data))
     rc, err = segment_exit(tmp_path, data, capsys)

@@ -90,8 +90,39 @@ def test_sd_falls_back_to_one_when_degenerate():
 
 def test_meta():
     m = ingest_corpus(["天", "", "安"], source="toy")
-    assert m.meta.source == "toy"
-    assert m.meta.line_count == 3
+    assert m.source == "toy"
+    assert m.line_count == 3
+
+
+TIAN_AN = NGramModel.from_counts(uni={"天": 3, "安": 2}, bi={"天安": 2})
+KEYS, COUNTS = TIAN_AN.keys, TIAN_AN.counts
+
+
+@pytest.mark.parametrize(
+    "arrays, fields, message",
+    [
+        ((), {"line_count": -1}, "line_count must be a non-negative integer, got -1"),
+        ((), {"line_count": True}, "line_count .* got True"),
+        ((), {"source": 3}, "source must be a string, got 3"),
+        ((), {"log_sd_bi": 0.0}, "log_sd_bi must be a positive finite float, got 0.0"),
+        ((), {"log_sd_tri": math.nan}, "log_sd_tri must be .* got nan"),
+        ((), {"log_sd_bi": 1}, "log_sd_bi must be .* got 1$"),
+        ((), {"log_sd_bi": 5e-324}, "log_sd_bi 5e-324 is too small"),
+        ((KEYS[::-1], COUNTS[::-1]), {}, "not strictly increasing"),
+        ((KEYS, COUNTS[:-1]), {}, r"one length, got uint64 \(3,\) and uint64 \(2,\)"),
+        ((KEYS, COUNTS.astype(float)), {}, r"one length, got uint64 \(3,\) and float64"),
+        ((KEYS, COUNTS.tolist()), {}, r"one length, got uint64 \(3,\) and list"),
+        ((KEYS[:, None], COUNTS[:, None]), {}, "1-d uint64 arrays"),
+    ],
+    ids=[
+        "line-count-negative", "line-count-bool", "source-int", "sd-zero", "sd-nan", "sd-int",
+        "sd-overflows-log-count", "keys-reversed", "counts-shorter", "counts-float", "counts-list",
+        "arrays-2d",
+    ],
+)
+def test_model_breaking_a_rule_is_refused_at_construction(arrays, fields, message):
+    with pytest.raises(ValueError, match=message):
+        NGramModel(*(arrays or (KEYS, COUNTS)), **fields)
 
 
 def test_default_model_is_empty():
@@ -159,7 +190,7 @@ def test_ingest_matches_per_character_reference(lines):
             assert type(got) is dict
             assert got == want
             assert list(got) == sorted(want)  # code-point key order
-        assert m.meta.line_count == len(lines)
+        assert m.line_count == len(lines)
         assert m.log_sd_bi == _log_sd(list(bi.values()))
         assert m.log_sd_tri == _log_sd(list(tri.values()))
 

@@ -368,6 +368,13 @@ class TestSegmentDocument:
         with pytest.raises(TypeError, match="recipe"):
             segment_document(["天安", ""], synth_model, bad_cfg)
 
+    def test_unknown_laplacian_form_propagates(self, synth_model):
+        # a form given by its value, not as a LaplacianForm, is a programming
+        # error, not a fault of each line's data
+        bad_cfg = SegmenterConfig(EhrParams(), "sym", 0.3)
+        with pytest.raises(TypeError, match="unknown Laplacian form 'sym'"):
+            segment_document(["天安", ""], synth_model, bad_cfg)
+
 
 # Everything str.splitlines() breaks on except "\n", some whitespace, two
 # non-BMP characters, characters of the synthetic corpus, and any other
