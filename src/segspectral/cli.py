@@ -212,8 +212,17 @@ def _report_failed(errors) -> int:
 
 
 def cmd_train(args) -> int:
-    source = args.source if args.source is not None else Path(args.input).name
+    source = args.source
+    if source is not None:
+        try:
+            source.encode("utf-8")  # as the model file stores it
+        except UnicodeEncodeError:
+            raise UsageError(f"--source must be encodable as UTF-8, got {source!r}") from None
     with _reading(args.input, "input"):
+        if source is None:
+            # The bytes of a file name that the file system could not decode
+            # are lone surrogates here; the model's source holds U+FFFD instead.
+            source = Path(args.input).name.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
         model = ingest_corpus(iter_corpus_lines(args.input), source=source)
     try:
         save_model(model, args.model)

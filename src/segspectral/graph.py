@@ -31,6 +31,12 @@ sentence up in one NGramModel.lookup, a single search of the model's
 sorted integer keys, and computes its bands with array arithmetic.
 
 All builders are pure functions of immutable inputs.
+
+load_lexicon and load_word_stats parse all lines of their files at once,
+and Lexicon and WordStats check their numbers with builtins (min, set,
+max), so a large vocabulary costs a few C-level passes, not a Python loop
+per word. Both accept the files, and give the dicts and messages, of a
+line-by-line parse.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import add
 
 import numpy as np
@@ -124,6 +131,15 @@ class EhrParams:
             raise ValueError("weakening factors must be >= 1")
 
 
+def _single_fits_float(numbers: dict[str, int]) -> bool:
+    """Whether the number of every one-character word fits in a float."""
+    top = sys.float_info.max
+    # The largest number of all settles it, unless it is that large.
+    if max(numbers.values(), default=0) <= top:
+        return True
+    return max(compress(numbers.values(), map((1).__eq__, map(len, numbers))), default=0) <= top
+
+
 @dataclass
 class Lexicon:
     """Frequency-ranked vocabulary (rank 1 = most frequent)."""
@@ -147,13 +163,13 @@ class Lexicon:
         if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
             raise ValueError(f"rank_threshold must be an integer >= 1, got {threshold!r}")
         ranks = list(self.entries.values())
-        if any(r < 1 for r in ranks):
+        if min(ranks, default=1) < 1:
             raise ValueError("ranks must be positive integers")
-        if any(len(w) == 1 and r > sys.float_info.max for w, r in self.entries.items()):
+        if not _single_fits_float(self.entries):
             raise ValueError("a one-character word's rank must fit in a float")
         if len(set(ranks)) != len(ranks):
             raise ValueError("ranks must be unique")
-        if any(not w for w in self.entries):
+        if "" in self.entries:
             raise ValueError("lexicon words must be nonempty")
         self.divisors = dict.fromkeys(self.single_char_set, self.rank_floor)
         for ch in sorted(self.single_char_set & self.entries.keys()):
@@ -187,11 +203,11 @@ class WordStats:
         _require_finite(self, "boost", "damp_divisor")
         if self.boost <= 0.0 or self.damp_divisor <= 0.0:
             raise ValueError("boost and damp_divisor must be positive")
-        if any(c < 1 for c in self.words.values()):
+        if min(self.words.values(), default=1) < 1:
             raise ValueError("word counts must be >= 1")
-        if any(len(w) == 1 and c > sys.float_info.max for w, c in self.words.items()):
+        if not _single_fits_float(self.words):
             raise ValueError("a one-character word's count must fit in a float")
-        if any(not w for w in self.words):
+        if "" in self.words:
             raise ValueError("training words must be nonempty")
         self.divisors = {
             w: max(1.0, count / self.damp_divisor) for w, count in self.words.items() if len(w) == 1
@@ -293,12 +309,12 @@ def check_boost(model: NGramModel, recipe) -> None:
         )
 
 
-def _read_word_numbers(path, what: str) -> dict[str, int]:
-    """Read a "word<TAB>number" file, skipping blank lines. A word listed
-    twice is an error, naming both lines."""
+def _walk_word_numbers(path, what: str, lines: list[str]) -> dict[str, int]:
+    """The lines of a "word<TAB>number" file read one by one, so the first
+    faulty line is named."""
     out: dict[str, int] = {}
     first: dict[str, int] = {}
-    for lineno, line in enumerate(iter_corpus_lines(path), 1):
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -311,6 +327,34 @@ def _read_word_numbers(path, what: str) -> dict[str, int]:
         first[word] = lineno
         out[word] = value
     return out
+
+
+def _read_word_numbers(path, what: str) -> dict[str, int]:
+    """Read a "word<TAB>number" file, skipping blank lines. A line without
+    exactly one tab, or whose number int() refuses, is an error naming it;
+    a word listed twice is an error naming both lines.
+
+    Every line is read before any is parsed, so an invalid byte anywhere in
+    the file is reported before a faulty line. The non-blank lines are then
+    parsed at once: one split of all of them, one int() per number and one
+    dict. Only a file that fails that is walked line by line, to name its
+    first faulty line; the two agree on every file."""
+    lines = list(iter_corpus_lines(path))
+    rows = list(filter(str.strip, lines))
+    # Split at every tab with "\n\t" between rows, a piece ending in "\n"
+    # ends a row. Every row holds one tab just when there are two pieces a
+    # row and no word piece holds a "\n"; int() ignores a number's "\n".
+    pieces = "\n\t".join(rows).split("\t")
+    words, numbers = pieces[::2], pieces[1::2]
+    if len(pieces) == 2 * len(rows) and "\n" not in "".join(words):
+        try:
+            out = dict(zip(words, map(int, numbers)))
+        except ValueError:
+            pass
+        else:
+            if len(out) == len(rows):  # else a word is listed twice
+                return out
+    return _walk_word_numbers(path, what, lines)
 
 
 def load_lexicon(path, **kwargs) -> Lexicon:

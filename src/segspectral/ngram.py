@@ -35,6 +35,11 @@ sentinel key of all ones, with both 0, that answers every miss. Neither
 the table nor the uni, bi and tri count dicts are model state: the dicts
 stay only as a view decoded from the keys when read, for tests and the
 bench tracer, and nothing in the package reads them.
+
+iter_corpus_lines is the one line reader: train, segment, sweep, eval and
+the lexicon and word-stats loaders all read through it. It decodes and
+splits a block of bytes at a time, lazily, so ingest_corpus keeps O(chunk)
+memory, and yields the lines a text-mode read with newline="\n" would.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +55,8 @@ from .chars import chinese_mask
 # Characters, line ends included, per chunk that ingest_corpus counts at
 # once; its arrays then take a few hundred kilobytes.
 _CHUNK_CHARS = 1 << 14
+# Bytes iter_corpus_lines reads from a file at once.
+_BLOCK_BYTES = 1 << 16
 _SHIFT = np.uint64(21)
 _POINT = np.uint64(0x1FFFFF)
 _TAGS = {1: np.uint64(3 << 62), 2: np.uint64(1 << 63), 3: np.uint64(0)}
@@ -155,6 +161,10 @@ class NGramModel:
             raise ValueError(f"line_count must be a non-negative integer, got {self.line_count!r}")
         if not isinstance(self.source, str):
             raise ValueError(f"source must be a string, got {self.source!r}")
+        try:
+            self.source.encode("utf-8")  # as the model file stores it
+        except UnicodeEncodeError:
+            raise ValueError(f"source must be encodable as UTF-8, got {self.source!r}") from None
 
     @classmethod
     def from_counts(cls, uni=None, bi=None, tri=None, **fields) -> NGramModel:
@@ -309,6 +319,14 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
     )
 
 
+def _decoded(data: bytes, start: int, path) -> str:
+    """data, read from path at byte offset start, as text."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusEncodingError(f"{path}: invalid UTF-8 at byte offset {start + exc.start}") from exc
+
+
 def iter_corpus_lines(path):
     """Yield decoded lines from a UTF-8 corpus file.
 
@@ -316,18 +334,29 @@ def iter_corpus_lines(path):
     carriage return right before it; any other carriage return is line
     content. Raises CorpusEncodingError naming the absolute byte offset of
     the first invalid byte.
+
+    The file is read in blocks of _BLOCK_BYTES. The bytes of a block up to
+    its last line feed, after the bytes left over from earlier blocks, are
+    decoded, stripped of one carriage return before each line feed and
+    split, each in one call. A line feed never lies inside a multi-byte
+    character, so no character is split, and a line longer than a block is
+    joined once, when its line feed is read.
     """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for text in fh:
-                if text.endswith("\n"):
-                    text = text[:-2] if text.endswith("\r\n") else text[:-1]
-                yield text
-    except UnicodeDecodeError as exc:
-        # The text layer decodes in chunks, so its offset is relative to
-        # one chunk; decoding the whole file gives the absolute offset.
-        try:
-            Path(path).read_bytes().decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise CorpusEncodingError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+    with open(path, "rb") as fh:
+        # bytes read past the last line feed so far, and their file offset
+        rest, start = [], 0
+        while block := fh.read(_BLOCK_BYTES):
+            end = block.rfind(b"\n") + 1
+            if not end:
+                rest.append(block)  # joined once the line ends
+                continue
+            rest.append(block[:end])
+            data = b"".join(rest)
+            lines = _decoded(data, start, path).replace("\r\n", "\n").split("\n")
+            lines.pop()  # the empty text after the last line feed
+            yield from lines
+            start += len(data)
+            rest = [block[end:]]
+        data = b"".join(rest)
+        if data:  # a last line with no line feed
+            yield _decoded(data, start, path)

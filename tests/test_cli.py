@@ -5,6 +5,7 @@ import operator
 import os
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,29 @@ def test_train_reports_counts(workdir, capsys):
     assert capsys.readouterr().out == (
         f"trained on 120 lines: {uni} unigrams, {bi} bigrams, {tri} trigrams\n"
     )
+
+
+def test_train_on_a_file_name_that_is_not_utf8(workdir, tmp_path, capsys):
+    # The file system gives the byte 0xff back as the lone surrogate U+DCFF.
+    lines = tmp_path / os.fsdecode(b"a\xff.txt")
+    lines.write_bytes((workdir / "lines.txt").read_bytes())
+    assert main(["train", "--input", str(lines), "--model", str(tmp_path / "m.bin")]) == 0
+    model = load_model(tmp_path / "m.bin")
+    assert model.source == "a\ufffd.txt"
+    assert model == replace(load_model(workdir / "model.bin"), source="a\ufffd.txt")
+    seg, want = tmp_path / "seg.txt", tmp_path / "want.txt"
+    assert main(["segment", "--model", str(tmp_path / "m.bin"), "--input", str(lines), "--output", str(seg)]) == 0
+    assert main(["segment", "--model", str(workdir / "model.bin"), "--input", str(lines), "--output", str(want)]) == 0
+    assert seg.read_bytes() == want.read_bytes()
+
+
+def test_source_that_is_not_utf8_is_a_usage_error(workdir, tmp_path, capsys):
+    argv = ["train", "--input", str(workdir / "lines.txt"), "--model", str(tmp_path / "m.bin")]
+    assert main([*argv, "--source", os.fsdecode(b"x\xff")]) == 2
+    assert capsys.readouterr().err == "error: --source must be encodable as UTF-8, got 'x\\udcff'\n"
+    assert not (tmp_path / "m.bin").exists()
+    assert main([*argv, "--source", "x\ufffd"]) == 0
+    assert load_model(tmp_path / "m.bin").source == "x\ufffd"
 
 
 def test_segment_eval_round_trip(workdir, capsys):

@@ -1,10 +1,12 @@
 import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segspectral import (
     SINGLE_CHAR_WORDS,
@@ -30,6 +32,7 @@ from segspectral.pipeline import build_w
 
 from cjk import CHINESE_RUN
 from dense import dense_matrix
+from readers import check_counts, check_ranks, read_word_numbers
 
 LN2 = math.log(2)
 
@@ -491,3 +494,75 @@ def test_loaders_refuse_a_repeated_word(tmp_path, load):
     p.write_text("a\t1\nb\t2\n\na\t3\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"dup\.tsv:4: word 'a' already listed on line 1"):
         load(p)
+
+
+# Word files for the bulk readers: blank and whitespace-only lines (\x1c and
+# U+2028 among them, which str.splitlines() would break on), "\r\n" and
+# lone "\r" line ends, rows with 0, 1 or 2 tabs, every form int() reads or
+# refuses (signs, spaces, underscores, full-width and Arabic-Indic digits,
+# a number past the 4300-digit limit and one past the largest float), and
+# words and numbers that repeat, zero and negative ones included.
+_BLANKS = st.sampled_from(["", " ", "\t", "\x1c", "\u2028", "\u3000", " \x0b\x0c ", "\r"])
+_WORDS = st.text(st.sampled_from("天安门的了a1 \x1c\u2028\r"), max_size=3)
+_NUMBERS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(
+        ["+5", "-0", " 7", "7 ", "\x1c8\u2028", "1_000", "1__0", "_1", "１２", "٣", "0x10", "5.0", "", "九",
+         "9" * 4301, "1" + "0" * 400]
+    ),
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r\n", "\r"])
+
+
+@st.composite
+def _word_files(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 3)) == 0:
+            row = draw(_BLANKS)
+        else:
+            tabs = draw(st.sampled_from([1] * 8 + [0, 2]))
+            row = draw(_WORDS) + "".join("\t" * bool(tabs) + draw(_NUMBERS) for _ in range(max(tabs, 1)))
+        rows.append(row + draw(_ENDS))
+    text = "".join(rows)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+@st.composite
+def _valid_files(draw):
+    """Well-formed files of distinct words numbered from 1, or from 0, -1 or
+    past the largest float."""
+    words = draw(st.permutations(draw(st.lists(_WORDS.filter(bool), unique=True, max_size=12))))
+    start = draw(st.sampled_from([1, 1, 1, 0, -1, 10**400]))
+    return "".join(f"{w}\t{start + i}\r\n" for i, w in enumerate(words))
+
+
+def _outcome(read):
+    try:
+        return list(read().items())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_word_files(), _valid_files()))
+# rows with 0 and 2 tabs, 3 in all, that split into word-number pairs
+@example("15\n1\t2\t3\n")
+@example("1\t2\t3\r\n15")
+def test_loaders_match_the_line_by_line_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "words.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        for load, what, check in ((load_lexicon, "rank", check_ranks), (load_word_stats, "count", check_counts)):
+
+            def reference():
+                numbers = read_word_numbers(path, what)
+                check(numbers)
+                return numbers
+
+            def loaded():
+                vocab = load(path)
+                return vocab.entries if what == "rank" else vocab.words
+
+            assert _outcome(loaded) == _outcome(reference)

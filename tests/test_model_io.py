@@ -268,6 +268,7 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
         ("line_count", None, -1),
         ("line_count", None, False),
         ("source", None, 3),
+        ("source", None, "\udcff"),
         ("extra", None, 0),
         ("total_uni", None, 0),
         ("source", None, DROP),
@@ -292,7 +293,7 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
         "count-string", "count-true", "count-negative", "count-float", "counts-list",
         "sd-int", "sd-null", "sd-zero", "sd-negative", "sd-nan", "sd-inf",
         "line-count-negative", "line-count-bool", "source-int",
-        "extra-key", "total-uni-key", "missing-source", "missing-uni",
+        "source-surrogate", "extra-key", "total-uni-key", "missing-source", "missing-uni",
         "missing-map-field", "extra-map-field", "sep-empty", "sep-two-chars", "sep-int",
         "big-not-a-list", "big-not-a-pair", "big-index-past-keys", "big-index-decreasing",
         "big-index-repeated", "big-index-negative", "big-count-below-2-64", "big-count-float",

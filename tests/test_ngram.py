@@ -1,10 +1,12 @@
 import io
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from segspectral import CorpusEncodingError, NGramModel, ingest_corpus, load_model, save_model
 from segspectral import ngram
@@ -104,6 +106,7 @@ KEYS, COUNTS = TIAN_AN.keys, TIAN_AN.counts
         ((), {"line_count": -1}, "line_count must be a non-negative integer, got -1"),
         ((), {"line_count": True}, "line_count .* got True"),
         ((), {"source": 3}, "source must be a string, got 3"),
+        ((), {"source": "a\udcff.txt"}, r"source must be encodable as UTF-8, got 'a\\udcff\.txt'"),
         ((), {"log_sd_bi": 0.0}, "log_sd_bi must be a positive finite float, got 0.0"),
         ((), {"log_sd_tri": math.nan}, "log_sd_tri must be .* got nan"),
         ((), {"log_sd_bi": 1}, "log_sd_bi must be .* got 1$"),
@@ -115,8 +118,8 @@ KEYS, COUNTS = TIAN_AN.keys, TIAN_AN.counts
         ((KEYS[:, None], COUNTS[:, None]), {}, "1-d uint64 arrays"),
     ],
     ids=[
-        "line-count-negative", "line-count-bool", "source-int", "sd-zero", "sd-nan", "sd-int",
-        "sd-overflows-log-count", "keys-reversed", "counts-shorter", "counts-float", "counts-list",
+        "line-count-negative", "line-count-bool", "source-int", "source-surrogate", "sd-zero", "sd-nan",
+        "sd-int", "sd-overflows-log-count", "keys-reversed", "counts-shorter", "counts-float", "counts-list",
         "arrays-2d",
     ],
 )
@@ -282,3 +285,66 @@ def test_iter_corpus_lines_reports_offset_past_the_first_chunk(tmp_path):
     p.write_bytes(head + b"ab\xffcd\n")
     with pytest.raises(CorpusEncodingError, match=f"byte offset {len(head) + 2}$"):
         list(iter_corpus_lines(p))
+
+
+@pytest.mark.parametrize(
+    "data, block, want",
+    [
+        (b"ab\r\ncd\n", 3, ["ab", "cd"]),  # "\r" ends the first block, "\n" starts the next
+        ("天安\n门".encode("utf-8"), 2, ["天安", "门"]),  # every character split across blocks
+        (b"x" * 50 + b"\ny\n", 4, ["x" * 50, "y"]),  # a line of 13 blocks
+        (b"ab\ncd", 2, ["ab", "cd"]),  # no line feed after the last line
+        (b"ab\ncd\r", 2, ["ab", "cd\r"]),  # nor after a kept carriage return
+        (b"\r\n\r\r\n", 1, ["", "\r"]),
+        (b"", 4, []),
+    ],
+    ids=[
+        "cr-lf-split", "character-split", "line-of-many-blocks", "last-line-unended", "last-line-cr", "cr-only",
+        "empty",
+    ],
+)
+def test_iter_corpus_lines_across_block_edges(tmp_path, monkeypatch, data, block, want):
+    monkeypatch.setattr(ngram, "_BLOCK_BYTES", block)
+    p = tmp_path / "corpus.txt"
+    p.write_bytes(data)
+    assert list(iter_corpus_lines(p)) == want
+
+
+def test_iter_corpus_lines_reports_the_absolute_offset_in_a_later_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(ngram, "_BLOCK_BYTES", 4)
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"abc\ndef\ngh\xffij\n")
+    lines = iter_corpus_lines(p)
+    assert [next(lines), next(lines)] == ["abc", "def"]
+    with pytest.raises(CorpusEncodingError, match="byte offset 10$"):
+        next(lines)
+
+
+def _whole_file_lines(data: bytes):
+    """The lines of data decoded at once, or the offset of its first invalid byte."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.start
+    lines = text.split("\n")
+    last = lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines] + ([last] if last else [])
+
+
+# ASCII, line ends, characters of 3 and 4 bytes, a byte UTF-8 never holds
+# (0xff) and a lead byte that no continuation bytes follow (0xe5).
+_BYTES = st.sampled_from([b"a", b"\n", b"\r", "天".encode("utf-8"), "\U00020000".encode("utf-8"), b"\xff", b"\xe5"])
+
+
+@settings(deadline=None)
+@given(st.lists(_BYTES), st.integers(1, 9))
+def test_iter_corpus_lines_matches_a_whole_file_decode(pieces, block):
+    data = b"".join(pieces)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ngram, "_BLOCK_BYTES", block):
+        p = Path(tmp) / "corpus.txt"
+        p.write_bytes(data)
+        try:
+            got = list(iter_corpus_lines(p))
+        except CorpusEncodingError as exc:
+            got = int(str(exc).rsplit(" ", 1)[1])
+    assert got == _whole_file_lines(data)
