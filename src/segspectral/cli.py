@@ -54,9 +54,14 @@ class DataError(Exception):
 
 @contextlib.contextmanager
 def _reading(path, role: str):
-    """Around the code that reads the file at path: a missing file is a
-    usage error naming its role, as is any other OSError; a ValueError
-    raised on the file's contents is a data error."""
+    """Around the code that reads the file at path: a path the file system
+    cannot encode, a missing file (naming its role) and any other OSError
+    are usage errors; a ValueError raised on the file's contents is a data
+    error."""
+    try:
+        os.fsencode(path)  # as open does; a lone surrogate stands for no byte
+    except UnicodeEncodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
     try:
         yield
     except FileNotFoundError:
@@ -112,8 +117,9 @@ def _read_lines(path: str, role: str) -> list[str]:
         return list(iter_corpus_lines(path))
 
 
-def _cannot_write(path, exc: OSError) -> UsageError:
-    return UsageError(f"cannot write {path}: {exc.strerror or exc}")
+def _cannot_write(path, exc: OSError | UnicodeEncodeError) -> UsageError:
+    # a UnicodeEncodeError: the file system cannot encode path
+    return UsageError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 @contextlib.contextmanager
@@ -132,7 +138,7 @@ def _open_outputs(*outputs: tuple[str, str | None]):
             else:
                 try:
                     f = stack.enter_context(open(path, "a", encoding="utf-8", newline="\n"))
-                except OSError as exc:
+                except (OSError, UnicodeEncodeError) as exc:
                     raise _cannot_write(path, exc) from None
                 files.append(f)
                 opened.append((path, f))
@@ -226,7 +232,7 @@ def cmd_train(args) -> int:
         model = ingest_corpus(iter_corpus_lines(args.input), source=source)
     try:
         save_model(model, args.model)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise _cannot_write(args.model, exc) from None
     uni, bi, tri = (len(model.of_order(order)[0]) for order in (1, 2, 3))
     print(f"trained on {model.line_count} lines: {uni} unigrams, {bi} bigrams, {tri} trigrams")
@@ -409,12 +415,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (UsageError, DataError) as exc:
+        # Escaped as the console's stderr escapes it, so that a message
+        # naming a path the file system cannot encode prints on any stream.
+        print(f"error: {exc}".encode("utf-8", "backslashreplace").decode("utf-8"), file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

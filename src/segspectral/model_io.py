@@ -2,7 +2,7 @@
 
 Layout:
 
-    frame    struct "<4sHQ": magic b"SGSP", version (currently 5), payload
+    frame    struct "<4sHQ": magic b"SGSP", version (currently 6), payload
              byte length, all little-endian
     payload  u32 header length, the header, then the model's keys, then
              its counts, each one little-endian uint64 per key
@@ -10,14 +10,14 @@ Layout:
 
 The header is a UTF-8 JSON object with exactly the keys
 
-    keys                     int >= 0, the key count
-    log_sd_bi, log_sd_tri    the model's fields of those names
-    line_count, source
+    keys                 int >= 0, the key count
+    line_count, source   the model's fields of those names
 
 The keys are the model's sorted tagged keys (see ngram), so the file is
-the model's arrays as they are in memory. The header is written with
-sorted keys, compact separators and raw UTF-8, so equal models produce
-identical files.
+the model's arrays as they are in memory. The log-count sds are worked
+out from the counts, so the file does not hold them. The header is
+written with sorted keys, compact separators and raw UTF-8, so equal
+models produce identical files.
 
 Failure modes are kept distinct so callers can tell a stale format from a
 damaged file: ModelVersionError, ModelTruncatedError, ModelChecksumError,
@@ -39,11 +39,11 @@ import numpy as np
 from .ngram import NGramModel
 
 MAGIC = b"SGSP"
-VERSION = 5
+VERSION = 6
 
 _FRAME = struct.Struct("<4sHQ")
 _U32 = struct.Struct("<I")  # the header length and the CRC
-_KEYS = frozenset(("keys", "log_sd_bi", "log_sd_tri", "line_count", "source"))
+_KEYS = frozenset(("keys", "line_count", "source"))
 
 
 class ModelIOError(Exception):
@@ -67,13 +67,7 @@ class ModelChecksumError(ModelIOError):
 
 
 def _encode_model(model: NGramModel) -> bytes:
-    header = {
-        "keys": len(model.keys),
-        "log_sd_bi": model.log_sd_bi,
-        "log_sd_tri": model.log_sd_tri,
-        "line_count": model.line_count,
-        "source": model.source,
-    }
+    header = {"keys": len(model.keys), "line_count": model.line_count, "source": model.source}
     text = json.dumps(header, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     raw = text.encode("utf-8")
     arrays = (np.asarray(a, "<u8").tobytes() for a in (model.keys, model.counts))

@@ -9,7 +9,7 @@ A model is its sorted key table: one tagged uint64 key per stored n-gram
   or whitespace are never counted. This is the only place the rule is
   applied: the bond formulas (graph.py) trust the stored keys, so a
   non-Chinese character finds count 0 and carries no probability mass
-- an absent key means count 0
+- an absent key means count 0, so a stored count is at least 1
 
 A key holds the 21-bit code points of its n-gram, first character
 highest. Bigram keys set bit 63, above the 63 bits of trigram codes, and
@@ -23,18 +23,20 @@ ingest_corpus reads lines lazily, in chunks of whole lines of at most
 _CHUNK_CHARS characters (a longer line comes alone), gives the n-grams in
 each Chinese run of each line of a chunk their keys and counts them with
 one sort. Chunk counts are merged by key, so memory stays O(chunk +
-distinct n-grams), and the merged keys and counts are the model. The
-bigram and trigram sds, population sds of ln(count) over the distinct
-stored keys of each order, are summed with math.fsum, so they depend
-neither on key order nor on the Python version.
+distinct n-grams), and the merged keys and counts are the model.
 
-NGramModel.lookup reads counts from NGramModel.key_table, built at the
-first lookup (not at ingest or load), 24 bytes per stored n-gram: the
-keys, each beside its float count and standardized log-count, then a
-sentinel key of all ones, with both 0, that answers every miss. Neither
-the table nor the uni, bi and tri count dicts are model state: the dicts
-stay only as a view decoded from the keys when read, for tests and the
-bench tracer, and nothing in the package reads them.
+NGramModel.lookup reads counts from NGramModel.key_table, 24 bytes per
+stored n-gram: the keys, each beside its float count and standardized
+log-count, then a sentinel key of all ones, with both 0, that answers
+every miss. The table is worked out from the keys and counts at first
+use (not at ingest or load), and so are log_sd_bi and log_sd_tri, the
+bigram and trigram sds that standardize it: one np.unique per order
+serves both. An sd is the population sd of ln(count) over the stored
+keys of its order, summed with math.fsum, so it depends neither on key
+order nor on the Python version. Neither the table, the sds nor the uni,
+bi and tri count dicts are model state: the dicts stay only as a view
+decoded from the keys when read, for tests and the bench tracer, and
+nothing in the package reads them.
 
 iter_corpus_lines is the one line reader: train, segment, sweep, eval and
 the lexicon and word-stats loaders all read through it. It decodes and
@@ -47,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -121,20 +124,19 @@ def _empty() -> np.ndarray:
 
 @dataclass(eq=False)
 class NGramModel:
-    """Unigram/bigram/trigram counts plus the bigram and trigram log-count
-    sds, the corpus's name (source) and its line count.
+    """Unigram/bigram/trigram counts, the corpus's name (source) and its
+    line count.
 
     keys are sorted tagged uint64 keys, as described above, and counts
-    holds one uint64 count per key. Only all-Chinese n-grams are stored,
-    as ingest_corpus counts them and the model file round-trips them.
-    Construction checks every field and raises ValueError naming the rule
-    broken, so every model saves and loads. Treat a model as immutable.
+    holds one uint64 count, at least 1, per key. Only all-Chinese n-grams
+    are stored, as ingest_corpus counts them and the model file
+    round-trips them. Construction checks every field and raises
+    ValueError naming the rule broken, so every model saves and loads.
+    Treat a model as immutable.
     """
 
     keys: np.ndarray = field(default_factory=_empty)
     counts: np.ndarray = field(default_factory=_empty)
-    log_sd_bi: float = 1.0
-    log_sd_tri: float = 1.0
     source: str = ""
     line_count: int = 0
 
@@ -146,16 +148,10 @@ class NGramModel:
             got = " and ".join(f"{getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}" for a in arrays)
             raise ValueError(f"keys and counts must be 1-d uint64 arrays of one length, got {got}")
         _check_keys(self.keys)
-        for order, name, sd in ((2, "bi", self.log_sd_bi), (3, "tri", self.log_sd_tri)):
-            # the bond formulas divide by the sd, and _log_sd never gives one <= 0
-            if not isinstance(sd, float) or not 0.0 < sd < math.inf:
-                raise ValueError(f"log_sd_{name} must be a positive finite float, got {sd!r}")
-            # key_table divides ln(count) by the sd of the count's order
-            top = float(self.of_order(order)[1].max(initial=0))
-            if top > 1.0 and not math.isfinite(math.log(top) / sd):
-                raise ValueError(
-                    f"log_sd_{name} {sd!r} is too small: ln of the largest {name} count over it is not finite"
-                )
+        if self.counts.min(initial=1) == 0:
+            # an absent key already means count 0, and ln 0 has no sd
+            key = int(self.keys[np.argmin(self.counts)])
+            raise ValueError(f"key {key:#018x} has count 0, and a stored count must be at least 1")
         # bool is an int subclass, so compare the type exactly
         if type(self.line_count) is not int or self.line_count < 0:
             raise ValueError(f"line_count must be a non-negative integer, got {self.line_count!r}")
@@ -169,16 +165,16 @@ class NGramModel:
     @classmethod
     def from_counts(cls, uni=None, bi=None, tri=None, **fields) -> NGramModel:
         """A model of dicts of counts by n-gram; fields are the other
-        constructor arguments (log_sd_bi, log_sd_tri, source, line_count).
-        An n-gram whose length is not its order, or a count that is not an
-        int from 0 to 2**64 - 1, is refused."""
+        constructor arguments (source, line_count). An n-gram whose length
+        is not its order, or a count that is not an int from 1 to
+        2**64 - 1, is refused."""
         maps = {1: uni or {}, 2: bi or {}, 3: tri or {}}
         keys = np.concatenate([_encode(list(counts), order) for order, counts in maps.items()])
         values = [count for counts in maps.values() for count in counts.values()]
         for count in values:
             # bool is an int subclass, so compare the type exactly
-            if type(count) is not int or not 0 <= count < 2**64:
-                raise ValueError(f"count {count!r} is not an integer from 0 to 2**64 - 1")
+            if type(count) is not int or not 1 <= count < 2**64:
+                raise ValueError(f"count {count!r} is not an integer from 1 to 2**64 - 1")
         counts = np.array(values, np.uint64)
         by_key = np.argsort(keys)
         return cls(keys[by_key], counts[by_key], **fields)
@@ -186,11 +182,10 @@ class NGramModel:
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramModel):
             return NotImplemented
-        scalars = (self.log_sd_bi, self.log_sd_tri, self.source, self.line_count)
         return bool(
             np.array_equal(self.keys, other.keys)
             and np.array_equal(self.counts, other.counts)
-            and scalars == (other.log_sd_bi, other.log_sd_tri, other.source, other.line_count)
+            and (self.source, self.line_count) == (other.source, other.line_count)
         )
 
     def of_order(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -209,19 +204,29 @@ class NGramModel:
     tri = cached_property(lambda self: self._dict(3))
 
     @cached_property
+    def _derived(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float, float]:
+        """key_table, log_sd_bi and log_sd_tri, worked out together."""
+        logs, sds, orders = np.zeros(len(self.keys) + 1), {}, _orders(self.keys)
+        for order in (2, 3):
+            logs[orders[order]], sds[order] = _standardized(self.counts[orders[order]])
+        # Float counts are exact below 2**53.
+        return (np.append(self.keys, _SENTINEL), np.append(self.counts.astype(float), 0.0), logs), sds[2], sds[3]
+
+    @property
     def key_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted keys, float counts and standardized log-counts (0 for
-        count 0 and for unigrams), ending in the sentinel."""
-        logs = np.zeros(len(self.keys) + 1)
-        for order, sd in ((2, self.log_sd_bi), (3, self.log_sd_tri)):
-            at = _orders(self.keys)[order]
-            # math.log, not np.log: the two differ in the last bit for
-            # some counts. Counts repeat, so each distinct one is logged once.
-            distinct, inverse = np.unique(self.counts[at], return_inverse=True)
-            distinct = distinct.astype(float).tolist()
-            logs[at] = np.array([math.log(c) / sd if c > 0.0 else 0.0 for c in distinct])[inverse]
-        # Float counts are exact below 2**53.
-        return np.append(self.keys, _SENTINEL), np.append(self.counts.astype(float), 0.0), logs
+        unigrams), ending in the sentinel."""
+        return self._derived[0]
+
+    @property
+    def log_sd_bi(self) -> float:
+        """The sd that standardizes the bigram log-counts."""
+        return self._derived[1]
+
+    @property
+    def log_sd_tri(self) -> float:
+        """The sd that standardizes the trigram log-counts."""
+        return self._derived[2]
 
     def lookup(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """Counts and standardized log-counts of the n characters, n - 1
@@ -236,23 +241,28 @@ class NGramModel:
         return counts[at], logs[at]
 
 
-def _log_sd(counts: list[int]) -> float:
-    """Population sd of ln(count) over distinct keys; 1.0 when degenerate.
+def _standardized(counts: np.ndarray) -> tuple[np.ndarray, float]:
+    """ln(count) over sd for each of counts, one per stored key of an
+    order, and sd, the population sd of ln(count) over them.
 
-    counts holds one count per distinct stored key. Each key contributes
-    one ln(count) sample regardless of how frequent it is. With fewer than
-    two keys, or all counts equal, the sd would be 0 and standardization
-    meaningless, so fall back to 1 and let a standardized log-count reduce
-    to a bare ln(count).
+    Each key contributes one ln(count) sample regardless of how frequent
+    it is. With fewer than two keys, or all counts equal, the sd would be 0
+    and standardization meaningless, so it falls back to 1 and a
+    standardized log-count reduces to a bare ln(count).
     """
-    if len(counts) < 2:
-        return 1.0
-    # Counts repeat, so each distinct one is logged and squared once.
-    logs = {c: math.log(c) for c in set(counts)}
-    mean = math.fsum(map(logs.__getitem__, counts)) / len(counts)
-    squares = {c: (x - mean) ** 2 for c, x in logs.items()}
-    sd = math.sqrt(math.fsum(map(squares.__getitem__, counts)) / len(counts))
-    return sd if sd > 0.0 else 1.0
+    # Counts repeat, so each distinct one is logged and squared once, with
+    # math.log, not np.log: the two differ in the last bit for some counts.
+    # Each sum still adds one value per key, a distinct count's value once
+    # for every key that holds it, and fsum rounds it correctly.
+    distinct, inverse, repeats = np.unique(counts, return_inverse=True, return_counts=True)
+    logs = [math.log(c) for c in distinct.astype(float).tolist()]
+    times = repeats.tolist()
+    sd = 1.0
+    if len(counts) > 1:
+        mean = math.fsum(chain.from_iterable(map(repeat, logs, times))) / len(counts)
+        squares = [(x - mean) ** 2 for x in logs]
+        sd = math.sqrt(math.fsum(chain.from_iterable(map(repeat, squares, times))) / len(counts)) or 1.0
+    return (np.array(logs) / sd)[inverse], sd
 
 
 def _chunks(lines):
@@ -307,16 +317,7 @@ def ingest_corpus(lines, source: str = "") -> NGramModel:
         if sum(len(k) for k, _ in parts[1:]) >= len(parts[0][0]):
             parts = [_merge(parts)]
     keys, counts = _merge(parts)
-    counts = counts.astype(np.uint64)
-    at = _orders(keys)
-    return NGramModel(
-        keys=keys,
-        counts=counts,
-        log_sd_bi=_log_sd(counts[at[2]].tolist()),
-        log_sd_tri=_log_sd(counts[at[3]].tolist()),
-        source=source,
-        line_count=line_count,
-    )
+    return NGramModel(keys, counts.astype(np.uint64), source=source, line_count=line_count)
 
 
 def _decoded(data: bytes, start: int, path) -> str:

@@ -109,9 +109,9 @@ def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.n
     return u
 
 
-def zero_eig_multiplicity(dec: EigenDecomposition, tol: float = ZERO_EIG_TOL) -> int:
-    """How many eigenvalues are numerically zero."""
-    return int(np.count_nonzero(np.abs(dec.values) <= tol))
+def zero_eig_multiplicity(dec: EigenDecomposition) -> int:
+    """How many eigenvalues are numerically zero: within ZERO_EIG_TOL of 0."""
+    return int(np.count_nonzero(np.abs(dec.values) <= ZERO_EIG_TOL))
 
 
 def _check_partition(parts, n: int) -> list[np.ndarray]:
@@ -140,7 +140,6 @@ def indicator_span_residual(
     components,
     form: LaplacianForm,
     degrees: np.ndarray | None = None,
-    tol: float = ZERO_EIG_TOL,
 ) -> float:
     """Frobenius distance between two projectors: onto the span of the
     (degree-scaled, for the normalized form) component indicator vectors,
@@ -167,9 +166,9 @@ def indicator_span_residual(
         basis[:, j] /= norm
     # Disjoint supports make the columns orthonormal already.
     p_span = basis @ basis.T
-    # Values ascend, so the zero ones are among the first that are <= tol.
-    below = int(np.count_nonzero(dec.values <= tol))
-    zero_vecs = dec.columns(below)[:, np.abs(dec.values[:below]) <= tol]
+    # Values ascend, so the zero ones are among the first within ZERO_EIG_TOL.
+    below = int(np.count_nonzero(dec.values <= ZERO_EIG_TOL))
+    zero_vecs = dec.columns(below)[:, np.abs(dec.values[:below]) <= ZERO_EIG_TOL]
     p_eig = zero_vecs @ zero_vecs.T
     return float(np.linalg.norm(p_span - p_eig, ord="fro"))
 

@@ -406,11 +406,13 @@ def test_gold_with_different_text_names_its_line(workdir, tmp_path, capsys, comm
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [("segment", "--output"), ("segment", "--dump-eigen"), ("train", "--model"), ("synth", "--lines"), ("synth", "--gold")],
-)
-def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
+# Every flag that names a file a command writes.
+_WRITE_FLAGS = [("segment", "--output"), ("segment", "--dump-eigen"), ("train", "--model"), ("synth", "--lines"), ("synth", "--gold")]
+
+
+def _writing_argv(workdir, tmp_path, command, flag, path) -> list[str]:
+    """Arguments for command that write path through flag, and every other
+    output to a file of tmp_path that holds "keep"."""
     model, lines = str(workdir / "model.bin"), str(workdir / "lines.txt")
     out = {name: str(tmp_path / name) for name in ("seg.txt", "eig.jsonl", "m.bin", "l.txt", "g.txt")}
     argv = {
@@ -418,14 +420,25 @@ def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, comm
         "train": ["train", "--input", lines, "--model", out["m.bin"]],
         "synth": ["synth", "--sentences", "3", "--lines", out["l.txt"], "--gold", out["g.txt"]],
     }[command]
-    for path in out.values():
-        Path(path).write_text("keep\n", encoding="utf-8")
+    for name in out.values():
+        Path(name).write_text("keep\n", encoding="utf-8")
+    argv[argv.index(flag) + 1] = str(path)
+    return argv
+
+
+def _kept(tmp_path) -> bool:
+    """Whether every output of _writing_argv still holds "keep"."""
+    names = ("seg.txt", "eig.jsonl", "m.bin", "l.txt", "g.txt")
+    return all((tmp_path / name).read_text(encoding="utf-8") == "keep\n" for name in names)
+
+
+@pytest.mark.parametrize("command, flag", _WRITE_FLAGS)
+def test_unwritable_output_path_is_a_usage_error(workdir, tmp_path, capsys, command, flag):
     bad = tmp_path / "absent" / "out"
-    argv[argv.index(flag) + 1] = str(bad)
-    assert main(argv) == 2
+    assert main(_writing_argv(workdir, tmp_path, command, flag, bad)) == 2
     assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
     # Every output is opened before any is emptied.
-    assert all(Path(path).read_text(encoding="utf-8") == "keep\n" for path in out.values())
+    assert _kept(tmp_path)
 
 
 def test_unwritable_output_fails_before_any_line_is_segmented(workdir, tmp_path, monkeypatch, capsys):
@@ -826,6 +839,22 @@ def test_bad_path_names_its_role(workdir, tmp_path, capsys, command, flag):
     under = regular / "x"
     assert main(_reading_argv(workdir, tmp_path, command, flag, under)) == 2
     assert capsys.readouterr().err == f"error: cannot read {under}: {os.strerror(errno.ENOTDIR)}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, command, flag", [("read", *case) for case in _READ_FLAGS] + [("write", *case) for case in _WRITE_FLAGS]
+)
+def test_path_the_file_system_cannot_encode_is_a_usage_error(workdir, tmp_path, capsys, verb, command, flag):
+    # A lone surrogate outside U+DC80-U+DCFF stands for no byte, so no file
+    # has this name; only a caller of main() can pass it.
+    bad = str(tmp_path / "a\ud800.txt")
+    argv = (_reading_argv if verb == "read" else _writing_argv)(workdir, tmp_path, command, flag, bad)
+    assert main(argv) == 2
+    reason = f"'utf-8' codec can't encode character '\\ud800' in position {bad.index(chr(0xD800))}: surrogates not allowed"
+    shown = bad.replace("\ud800", "\\ud800")  # as the console's stderr escapes it
+    assert capsys.readouterr().err == f"error: cannot {verb} {shown}: {reason}\n"
+    if verb == "write":
+        assert _kept(tmp_path)
 
 
 def test_config_that_is_not_utf8_is_a_usage_error(workdir, tmp_path, capsys):

@@ -242,23 +242,21 @@ def reference_divisor(ch, recipe):
 
 
 def _hand_built_model():
-    """A model no corpus yields: 安 and 和的 are stored with count 0, 广场
-    is stored while 广 has no unigram, 场天 and 广场天 have counts beyond
-    the 53 bits a float holds exactly, some keys start or end with NUL and
-    some are outside the Basic Multilingual Plane. The model file accepts
-    all of them."""
+    """A model no corpus yields: 安 and 和的 are not stored while longer
+    n-grams holding them are, 广场 is stored while 广 has no unigram, 场天
+    and 广场天 have counts beyond the 53 bits a float holds exactly, some
+    keys start or end with NUL and some are outside the Basic Multilingual
+    Plane. The model file accepts all of them."""
     model = NGramModel.from_counts(
-        uni={"天": 4, "安": 0, "门": 3, "和": 2, "的": 5, "场": 1, "\U00020000": 2, "\x00": 3},
+        uni={"天": 4, "门": 3, "和": 2, "的": 5, "场": 1, "\U00020000": 2, "\x00": 3},
         bi={
-            "天安": 3, "安门": 2, "广场": 2, "门和": 1, "和的": 0, "的了": 4, "场天": 2**64 - 1, "的天": 2,
-            "\U00020000\U00020001": 2, "\x00天": 3, "\x00\x00": 0, "门\x00": 1,
+            "天安": 3, "安门": 2, "广场": 2, "门和": 1, "的了": 4, "场天": 2**64 - 1, "的天": 2,
+            "\U00020000\U00020001": 2, "\x00天": 3, "门\x00": 1,
         },
         tri={
-            "天安门": 2, "安门和": 0, "广场天": 2**63 + 1, "门和的": 1, "和的了": 3, "门的天": 2,
+            "天安门": 2, "广场天": 2**63 + 1, "门和的": 1, "和的了": 3, "门的天": 2,
             "\U00020000\U00020001天": 1, "\x00天安": 2,
         },
-        log_sd_bi=0.8,
-        log_sd_tri=1.7,
     )
     buf = io.BytesIO()
     save_model(model, buf)
@@ -318,15 +316,15 @@ def test_key_table_holds_each_stored_ngram_once():
 
 
 def test_key_table_is_not_model_state():
-    # The table is built on the first lookup, and neither equality nor the
-    # model file sees it.
+    # The table and the sds are worked out at the first lookup, and
+    # neither equality nor the model file sees them.
     model, twin = _hand_built_model(), _hand_built_model()
     saved = io.BytesIO()
     save_model(model, saved)
-    assert "key_table" not in vars(model)
-    assert "key_table" not in vars(ingest_corpus(["天安门"]))
+    fields = {"keys", "counts", "source", "line_count"}
+    assert vars(model).keys() == vars(ingest_corpus(["天安门"])).keys() == fields
     segment_sentence("天安门广场天", model, SegmenterConfig.for_recipe(EhrParams()))
-    assert "key_table" in vars(model)
+    assert vars(model).keys() > fields
     assert model == twin
     again = io.BytesIO()
     save_model(model, again)

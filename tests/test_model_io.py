@@ -3,9 +3,7 @@ import io
 import json
 import re
 import struct
-import sys
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,8 +35,9 @@ def roundtrip(model: NGramModel) -> NGramModel:
 def test_roundtrip_trained_model():
     m = ingest_corpus(["天安门广场", "天安门", "门口"], source="toy.txt")
     back = roundtrip(m)
-    assert back == m  # equality covers counts, sds, source and line count
-    assert back.log_sd_bi == m.log_sd_bi  # float fields survive bit-exactly
+    assert back == m  # equality covers keys, counts, source and line count
+    # the file holds no sds: they are worked out from the counts, to the bit
+    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (m.log_sd_bi.hex(), m.log_sd_tri.hex())
 
 
 def test_roundtrip_empty_model():
@@ -68,12 +67,15 @@ def golden_lines() -> list[str]:
 
 
 def test_golden_model_bytes():
-    # One corpus gives one file, on every supported Python version.
+    # One corpus gives one file, and one pair of sds, on every supported
+    # Python version.
     buf = io.BytesIO()
-    save_model(ingest_corpus(golden_lines(), source="golden"), buf)
+    model = ingest_corpus(golden_lines(), source="golden")
+    save_model(model, buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-        "79a34e67ef1703cd8f9f505ace8dc4de23ac038ade51058e849273e4d9b0af50"
+        "e06d88165cde4f90f52f90a40170be24aec59e9fc792c2939c998e0331a02aec"
     )
+    assert (model.log_sd_bi.hex(), model.log_sd_tri.hex()) == ("0x1.e94655e75d0e6p-1", "0x1.5e40c7d4b0d09p-1")
 
 
 def test_encoding_is_canonical():
@@ -127,50 +129,36 @@ def counts_of_order(order, alphabet=st.characters(), counts=st.integers(min_valu
     return st.dictionaries(st.text(alphabet, min_size=order, max_size=order), counts, max_size=8)
 
 
-finite = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
 @given(
     uni=counts_of_order(1),
     bi=counts_of_order(2),
     tri=counts_of_order(3),
-    sd_bi=finite,
-    sd_tri=finite,
     source=st.text(max_size=20),
 )
-def test_roundtrip_property(uni, bi, tri, sd_bi, sd_tri, source):
-    m = NGramModel.from_counts(
-        uni,
-        bi,
-        tri,
-        log_sd_bi=sd_bi,
-        log_sd_tri=sd_tri,
-        source=source,
-        line_count=len(uni),
-    )
+def test_roundtrip_property(uni, bi, tri, source):
+    m = NGramModel.from_counts(uni, bi, tri, source=source, line_count=len(uni))
     assert roundtrip(m) == m
 
 
 # Keys of Chinese characters, the range ends among them, characters
 # outside the Basic Multilingual Plane up to the last code point, a lone
-# surrogate and NUL; counts over the whole 64-bit range.
+# surrogate and NUL; counts over the whole 64-bit range but 0, which no
+# stored key has.
 hostile = st.sampled_from(["天", "门", "一", "鿿", "\U00020000", "\U0010ffff", "\ud800", "\x00"])
-hostile_counts = st.integers(min_value=0, max_value=2**64 - 1)
+hostile_counts = st.integers(min_value=1, max_value=2**64 - 1)
 
 
 @given(
     uni=counts_of_order(1, hostile, hostile_counts),
     bi=counts_of_order(2, hostile, hostile_counts),
     tri=counts_of_order(3, hostile, hostile_counts),
-    sd_bi=finite,
-    sd_tri=finite,
 )
-def test_roundtrip_property_on_hostile_keys(uni, bi, tri, sd_bi, sd_tri):
-    m = NGramModel.from_counts(uni, bi, tri, log_sd_bi=sd_bi, log_sd_tri=sd_tri)
+def test_roundtrip_property_on_hostile_keys(uni, bi, tri):
+    m = NGramModel.from_counts(uni, bi, tri)
     back = load_model(io.BytesIO(_encode_model(m)))
     assert back == m
     assert back.counts.dtype == np.uint64 and back.counts.tobytes() == m.counts.tobytes()
-    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (sd_bi.hex(), sd_tri.hex())
+    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (m.log_sd_bi.hex(), m.log_sd_tri.hex())
     for got, want in ((back.uni, uni), (back.bi, bi), (back.tri, tri)):
         assert got == want
         assert list(got) == sorted(want)  # code-point key order
@@ -180,20 +168,17 @@ def test_roundtrip_property_on_hostile_keys(uni, bi, tri, sd_bi, sd_tri):
     uni=counts_of_order(1, hostile, hostile_counts),
     bi=counts_of_order(2, hostile, hostile_counts),
     tri=counts_of_order(3, hostile, hostile_counts),
-    sd_bi=st.floats(min_value=5e-324, allow_infinity=False),
-    sd_tri=st.floats(min_value=5e-324, allow_infinity=False),
     source=st.text(max_size=20),
     line_count=st.integers(min_value=0, max_value=2**64),
 )
-def test_every_model_that_constructs_round_trips(uni, bi, tri, sd_bi, sd_tri, source, line_count):
-    fields = dict(log_sd_bi=sd_bi, log_sd_tri=sd_tri, source=source, line_count=line_count)
+def test_every_model_that_constructs_round_trips(uni, bi, tri, source, line_count):
     try:
-        m = NGramModel.from_counts(uni, bi, tri, **fields)
+        m = NGramModel.from_counts(uni, bi, tri, source=source, line_count=line_count)
     except ValueError:
         reject()
     back = roundtrip(m)
     assert back == m
-    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (sd_bi.hex(), sd_tri.hex())
+    assert (back.log_sd_bi.hex(), back.log_sd_tri.hex()) == (m.log_sd_bi.hex(), m.log_sd_tri.hex())
 
 
 @pytest.mark.parametrize(
@@ -207,11 +192,30 @@ def test_from_counts_refuses_a_key_of_another_length(order, counts):
 
 @pytest.mark.parametrize("count", [2**64, 2**70, -1, 1.5, True, "3"], ids=repr)
 def test_count_outside_uint64_is_refused_at_construction(count):
-    message = f"count {re.escape(repr(count))} is not an integer from 0 to 2\\*\\*64 - 1"
+    message = f"count {re.escape(repr(count))} is not an integer from 1 to 2\\*\\*64 - 1"
     with pytest.raises(ValueError, match=message):
         NGramModel.from_counts(uni={"天": 1, "安": count})
     # the largest 64-bit count is kept, and saved
     assert roundtrip(NGramModel.from_counts(bi={"天安": 2**64 - 1})).bi == {"天安": 2**64 - 1}
+
+
+def test_zero_count_is_refused(tmp_path, capsys):
+    # An absent key is count 0, so a stored one is at least 1: in a count
+    # dict, in the arrays and in a file.
+    with pytest.raises(ValueError, match="count 0 is not an integer from 1 to"):
+        NGramModel.from_counts(uni={"天": 1}, bi={"天安": 0})
+    trained = ingest_corpus(["天安门"], source="x")
+    zeroed = trained.counts.copy()
+    zeroed[1] = 0
+    message = f"key {int(trained.keys[1]):#018x} has count 0, and a stored count must be at least 1"
+    with pytest.raises(ValueError, match=message):
+        NGramModel(trained.keys, zeroed)
+    data = assembled(payload_parts()[0], sections_of(trained.keys, zeroed))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(io.BytesIO(data))
+    rc, err = segment_exit(tmp_path, data, capsys)
+    assert rc == 1
+    assert err == f"error: cannot load model {tmp_path / 'model.bin'}: {message}\n"
 
 
 def framed(payload: bytes) -> bytes:
@@ -247,7 +251,7 @@ def test_framed_payload_round_trips():
 
 
 DROP = object()
-# A map entry of the version-3 header, which a version-5 header no longer holds.
+# A map entry of the version-3 header, which a version-6 header no longer holds.
 V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
 
 
@@ -303,9 +307,10 @@ V3_ENTRY = {"keys": 3, "bytes": 8, "sep": "\n", "big": []}
 def test_crc_valid_payload_with_wrong_content(key, field, value):
     # Each case breaks the header of a file whose sections stay valid. A
     # case with a field puts a version-3 map entry, that field changed or
-    # dropped, into the header, and so does missing-uni: a version-5
+    # dropped, into the header, and so does missing-uni: a version-6
     # header holds no map entries, whatever they hold. total-uni-key puts
-    # back the unigram total that version 4 wrote.
+    # back the unigram total that version 4 wrote, and each sd case one of
+    # the log-count sds that versions 1 to 5 wrote, of any value.
     header, sections = payload_parts()
     target, name = (header, key) if field is None else (header.setdefault(key, dict(V3_ENTRY)), field)
     if value is DROP:
@@ -446,23 +451,6 @@ def segment_exit(tmp_path, data: bytes, capsys) -> tuple[int, str]:
     return rc, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["bi", "tri"])
-def test_sd_that_overflows_the_log_counts_is_refused(key, tmp_path, capsys):
-    # 5e-324 is a positive finite float, but ln 2 over it is not finite
-    trained = ingest_corpus(["天安门", "天安门"], source="x")
-    with pytest.raises(ValueError, match=f"log_sd_{key} 5e-324"):
-        replace(trained, **{f"log_sd_{key}": 5e-324})
-    header, sections = split_payload(_encode_model(trained))
-    data = assembled({**header, f"log_sd_{key}": 5e-324}, sections)
-    with pytest.raises(ModelFormatError, match=f"log_sd_{key} 5e-324"):
-        load_model(io.BytesIO(data))
-    rc, err = segment_exit(tmp_path, data, capsys)
-    assert rc == 1
-    assert err.count("\n") == 1 and err.startswith("error: ") and f"log_sd_{key}" in err
-    # the smallest normal float still leaves ln 2 over it finite
-    load_model(io.BytesIO(_encode_model(replace(trained, **{f"log_sd_{key}": sys.float_info.min}))))
-
-
 # An empty model as the version-1 format wrote it: SGSP, u16 version 1,
 # five length-prefixed binary sections, CRC-32.
 V1_EMPTY_MODEL = bytes.fromhex(
@@ -499,10 +487,18 @@ V4_EMPTY_MODEL = bytes.fromhex(
     "7269223a312e302c22736f75726365223a22222c22746f74616c5f756e69223a307d"
     "5a766551"
 )
+# An empty model as the version-5 format wrote it: SGSP, u16 version 5,
+# u64 payload length, u32 header length, a JSON header that holds the
+# two log-count sds, no keys and no counts, CRC-32.
+V5_EMPTY_MODEL = bytes.fromhex(
+    "5347535005004a00000000000000460000007b226b657973223a302c226c696e655f"
+    "636f756e74223a302c226c6f675f73645f6269223a312e302c226c6f675f73645f74"
+    "7269223a312e302c22736f75726365223a22227d3bc68dca"
+)
 
 
 def refused_as_old(version: int, data: bytes, tmp_path, capsys) -> None:
-    message = f"unsupported model version {version}, expected 5"
+    message = f"unsupported model version {version}, expected 6"
     with pytest.raises(ModelVersionError, match=message):
         load_model(io.BytesIO(data))
     rc, err = segment_exit(tmp_path, data, capsys)
@@ -524,3 +520,7 @@ def test_version_3_file_must_be_retrained(tmp_path, capsys):
 
 def test_version_4_file_must_be_retrained(tmp_path, capsys):
     refused_as_old(4, V4_EMPTY_MODEL, tmp_path, capsys)
+
+
+def test_version_5_file_must_be_retrained(tmp_path, capsys):
+    refused_as_old(5, V5_EMPTY_MODEL, tmp_path, capsys)
