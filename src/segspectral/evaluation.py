@@ -20,19 +20,22 @@ from .graph import SINGLE_CHAR_WORDS, WEAKEN_SET_1, WEAKEN_SET_2
 
 @dataclass(frozen=True)
 class EvalReport:
-    recall: float
-    precision: float
-    f1: float
     gold_words: int
     pred_words: int
     correct_words: int
 
-    @classmethod
-    def from_counts(cls, gold: int, pred: int, correct: int) -> "EvalReport":
-        r = correct / gold if gold else 0.0
-        p = correct / pred if pred else 0.0
-        f = 2.0 * p * r / (p + r) if p + r else 0.0
-        return cls(r, p, f, gold, pred, correct)
+    @property
+    def recall(self) -> float:
+        return self.correct_words / self.gold_words if self.gold_words else 0.0
+
+    @property
+    def precision(self) -> float:
+        return self.correct_words / self.pred_words if self.pred_words else 0.0
+
+    @property
+    def f1(self) -> float:
+        p, r = self.precision, self.recall
+        return 2.0 * p * r / (p + r) if p + r else 0.0
 
     def summary_line(self) -> str:
         return (
@@ -79,7 +82,7 @@ def score_corpus(gold: list[list[str]], pred: list[list[str]]) -> EvalReport:
         tg += ng
         tp += np_
         tc += nc
-    return EvalReport.from_counts(tg, tp, tc)
+    return EvalReport(tg, tp, tc)
 
 
 def parse_segmented(line: str) -> list[str]:

@@ -33,8 +33,8 @@ sorted integer keys, and computes its bands with array arithmetic.
 All builders are pure functions of immutable inputs.
 
 load_lexicon and load_word_stats parse all lines of their files at once,
-and Lexicon and WordStats check their numbers with builtins (min, set,
-max), so a large vocabulary costs a few C-level passes, not a Python loop
+and Lexicon and WordStats check their numbers with builtins (min and
+set), so a large vocabulary costs a few C-level passes, not a Python loop
 per word. Both accept the files, and give the dicts and messages, of a
 line-by-line parse.
 """
@@ -42,10 +42,8 @@ line-by-line parse.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from operator import add
 
 import numpy as np
@@ -127,17 +125,9 @@ class EhrParams:
         self.weaken_set_1 = frozenset(self.weaken_set_1)
         self.weaken_set_2 = frozenset(self.weaken_set_2)
         _require_finite(self, "factor_1", "factor_2")
-        if self.factor_1 < 1.0 or self.factor_2 < 1.0:
-            raise ValueError("weakening factors must be >= 1")
-
-
-def _single_fits_float(numbers: dict[str, int]) -> bool:
-    """Whether the number of every one-character word fits in a float."""
-    top = sys.float_info.max
-    # The largest number of all settles it, unless it is that large.
-    if max(numbers.values(), default=0) <= top:
-        return True
-    return max(compress(numbers.values(), map((1).__eq__, map(len, numbers))), default=0) <= top
+        for name in ("factor_1", "factor_2"):
+            if (value := getattr(self, name)) < 1.0:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 @dataclass
@@ -157,23 +147,24 @@ class Lexicon:
         self.single_char_set = frozenset(self.single_char_set)
         _require_finite(self, "boost", "rank_scale", "rank_floor")
         for name in ("boost", "rank_scale", "rank_floor"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if (value := getattr(self, name)) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         threshold = self.rank_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
             raise ValueError(f"rank_threshold must be an integer >= 1, got {threshold!r}")
         ranks = list(self.entries.values())
         if min(ranks, default=1) < 1:
             raise ValueError("ranks must be positive integers")
-        if not _single_fits_float(self.entries):
-            raise ValueError("a one-character word's rank must fit in a float")
         if len(set(ranks)) != len(ranks):
             raise ValueError("ranks must be unique")
         if "" in self.entries:
             raise ValueError("lexicon words must be nonempty")
         self.divisors = dict.fromkeys(self.single_char_set, self.rank_floor)
         for ch in sorted(self.single_char_set & self.entries.keys()):
-            ratio = self.rank_scale / self.entries[ch]
+            try:
+                ratio = self.rank_scale / self.entries[ch]
+            except OverflowError:
+                raise ValueError("a one-character word's rank must fit in a float") from None
             if ratio == 0.0:
                 raise ValueError(f"rank_scale {self.rank_scale!r} over the rank of {ch!r} underflows to 0")
             self.divisors[ch] = max(self.rank_floor, math.log(ratio))
@@ -201,17 +192,19 @@ class WordStats:
 
     def __post_init__(self):
         _require_finite(self, "boost", "damp_divisor")
-        if self.boost <= 0.0 or self.damp_divisor <= 0.0:
-            raise ValueError("boost and damp_divisor must be positive")
+        for name in ("boost", "damp_divisor"):
+            if (value := getattr(self, name)) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if min(self.words.values(), default=1) < 1:
             raise ValueError("word counts must be >= 1")
-        if not _single_fits_float(self.words):
-            raise ValueError("a one-character word's count must fit in a float")
         if "" in self.words:
             raise ValueError("training words must be nonempty")
-        self.divisors = {
-            w: max(1.0, count / self.damp_divisor) for w, count in self.words.items() if len(w) == 1
-        }
+        try:
+            self.divisors = {
+                w: max(1.0, count / self.damp_divisor) for w, count in self.words.items() if len(w) == 1
+            }
+        except OverflowError:
+            raise ValueError("a one-character word's count must fit in a float") from None
 
     @cached_property
     def frequent_bigrams(self) -> frozenset:

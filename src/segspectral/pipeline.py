@@ -12,7 +12,8 @@ Everything up to the eigendecomposition depends on the recipe and the
 Laplacian form, not on the threshold, and once k is chosen the embedding
 and the split depend on nothing else. So a line is prepared once, and a
 prepared sentence is embedded and clustered once per distinct k however
-many thresholds it is segmented at.
+many thresholds it is segmented at; only the labels and words of each k
+are kept.
 """
 
 from __future__ import annotations
@@ -115,17 +116,18 @@ class PreparedSentence:
     """Recipe- and form-dependent, threshold-independent work for one
     sentence; sweeping granularities can reuse it.
 
-    clustered holds the (embedding, labels, words) that segment_prepared
-    computed for each k it was asked for, so thresholds that choose the
-    same k share them. It lives as long as the prepared sentence, and
-    holds at most one entry per distinct k of the line.
+    clustered holds the (labels, words) that segment_prepared computed for
+    each k it was asked for, so thresholds that choose the same k share
+    them. It lives as long as the prepared sentence, and holds at most one
+    entry per distinct k of the line. The n×k embedding the labels were
+    read from is not kept: spectral_embed(dec, k, form) gives it again.
     """
 
     text: str
     w: ConnectionMatrix
     dec: EigenDecomposition
     form: LaplacianForm
-    clustered: dict[int, tuple[np.ndarray, np.ndarray, list[str]]] = field(
+    clustered: dict[int, tuple[np.ndarray, list[str]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -138,7 +140,6 @@ class SentenceTrace:
     w: ConnectionMatrix
     eigenvalues: np.ndarray
     k: int
-    embedding: np.ndarray
     labels: np.ndarray
     words: list[str]
 
@@ -158,12 +159,13 @@ def prepare_sentence(s: str, model, cfg: SegmenterConfig) -> PreparedSentence:
 def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTrace:
     """Segment a prepared sentence at cfg.eig_cut.
 
-    Only choose_k runs for a k the sentence has been segmented at before.
+    Only choose_k runs for a k the sentence has been segmented at before;
+    for a new k the embedding is dropped once k-means has read it.
     Traces of one sentence share its eigenvalues, and traces of one k its
-    embedding and labels; all are read-only, and each trace gets its own
-    copy of the word list. cfg.form must
-    be the form the sentence was prepared in: a mismatch is a caller's
-    bug and raises RuntimeError, which is not a data error.
+    labels; both are read-only, and each trace gets its own copy of the
+    word list. cfg.form must be the form the sentence was prepared in: a
+    mismatch is a caller's bug and raises RuntimeError, which is not a
+    data error.
     """
     if cfg.form is not prep.form:
         raise RuntimeError(
@@ -171,18 +173,16 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
         )
     k = choose_k(prep.dec.values, cfg.eig_cut)
     if k not in prep.clustered:
-        embedding = spectral_embed(prep.dec, k, cfg.form)
-        labels = kmeans_cluster(embedding, k)
+        labels = kmeans_cluster(spectral_embed(prep.dec, k, cfg.form), k)
         words = postprocess_merge(labels_to_words(prep.text, labels))
-        embedding.flags.writeable = labels.flags.writeable = False
-        prep.clustered[k] = embedding, labels, words
-    embedding, labels, words = prep.clustered[k]
+        labels.flags.writeable = False
+        prep.clustered[k] = labels, words
+    labels, words = prep.clustered[k]
     return SentenceTrace(
         text=prep.text,
         w=prep.w,
         eigenvalues=prep.dec.values,
         k=k,
-        embedding=embedding,
         labels=labels,
         words=list(words),
     )

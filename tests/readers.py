@@ -3,7 +3,7 @@ text layer one line at a time, and the vocabulary checks as plain loops,
 as the package did them before it parsed such files in bulk. Tests check
 load_lexicon and load_word_stats against these."""
 
-import sys
+from segspectral import SINGLE_CHAR_WORDS
 
 
 def text_lines(path) -> list[str]:
@@ -38,24 +38,33 @@ def read_word_numbers(path, what: str) -> dict[str, int]:
     return out
 
 
+def fits_float(number: int) -> bool:
+    try:
+        float(number)
+    except OverflowError:
+        return False
+    return True
+
+
 def check_ranks(entries: dict[str, int]) -> None:
     """The checks Lexicon makes of its entries, in its order."""
     ranks = list(entries.values())
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive integers")
-    if any(len(w) == 1 and r > sys.float_info.max for w, r in entries.items()):
-        raise ValueError("a one-character word's rank must fit in a float")
     if len(set(ranks)) != len(ranks):
         raise ValueError("ranks must be unique")
     if any(not w for w in entries):
         raise ValueError("lexicon words must be nonempty")
+    # Only a character of single_char_set has its rank divided by.
+    if any(len(w) == 1 and w in SINGLE_CHAR_WORDS and not fits_float(r) for w, r in entries.items()):
+        raise ValueError("a one-character word's rank must fit in a float")
 
 
 def check_counts(words: dict[str, int]) -> None:
     """The checks WordStats makes of its words, in its order."""
     if any(c < 1 for c in words.values()):
         raise ValueError("word counts must be >= 1")
-    if any(len(w) == 1 and c > sys.float_info.max for w, c in words.items()):
-        raise ValueError("a one-character word's count must fit in a float")
     if any(not w for w in words):
         raise ValueError("training words must be nonempty")
+    if any(len(w) == 1 and not fits_float(c) for w, c in words.items()):
+        raise ValueError("a one-character word's count must fit in a float")

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import inspect
+import io
 import json
 import operator
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import segspectral
 from segspectral import EhrParams, LaplacianForm, Lexicon, SegmenterConfig, WordStats, load_model
@@ -570,11 +573,11 @@ def test_repeated_resource_word_is_a_data_error(workdir, tmp_path, capsys, recip
 @pytest.mark.parametrize(
     "recipe, flag, key, value, message",
     [
-        ("ehr", None, "factor_1", 0.5, "weakening factors must be >= 1"),
-        ("lexicon", "--lexicon", "boost", 0, "boost must be positive"),
-        ("train-words", "--word-stats", "damp_divisor", 0, "boost and damp_divisor must be positive"),
-        ("lexicon", "--lexicon", "rank_scale", 0, "rank_scale must be positive"),
-        ("lexicon", "--lexicon", "rank_floor", 0, "rank_floor must be positive"),
+        ("ehr", None, "factor_1", 0.5, "factor_1 must be >= 1, got 0.5"),
+        ("lexicon", "--lexicon", "boost", 0, "boost must be positive, got 0.0"),
+        ("train-words", "--word-stats", "damp_divisor", 0, "damp_divisor must be positive, got 0.0"),
+        ("lexicon", "--lexicon", "rank_scale", 0, "rank_scale must be positive, got 0.0"),
+        ("lexicon", "--lexicon", "rank_floor", 0, "rank_floor must be positive, got 0.0"),
         ("lexicon", "--lexicon", "rank_threshold", -5, "rank_threshold must be an integer >= 1, got -5"),
         ("lexicon", "--lexicon", "rank_threshold", 0, "rank_threshold must be an integer >= 1, got 0"),
     ],
@@ -738,6 +741,80 @@ def test_config_json_loads_cannot_parse_is_a_usage_error(workdir, tmp_path, caps
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config file {config} is not valid JSON: ") and err.count("\n") == 1, err
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**64, -1, 0]),
+    st.floats(),
+    st.sampled_from([5e-324, -5e-324, 1e-310, sys.float_info.max, -sys.float_info.max]),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=2),
+    st.dictionaries(st.text(max_size=2), _JSON_SCALARS, max_size=2),
+)
+
+
+def _near(default):
+    """Values of the default's type: negative, zero, subnormal, huge."""
+    if isinstance(default, str):
+        return st.text(st.sampled_from(default + "天安a"), max_size=6)
+    if isinstance(default, int):
+        return st.integers(-2, 2 * default)
+    # 5e306 times the default boost overflows a boosted bond
+    return st.sampled_from([-1.0, 0.0, 1e-320, 0.5, 1.0, 2.0, 10.0, 5e306]).map(lambda r: default * r)
+
+
+@st.composite
+def _configs(draw):
+    """Any keys at values of their own type, and at most one key at any
+    JSON value at all."""
+    config = draw(st.fixed_dictionaries({}, optional={key: _near(v) for key, v in DEFAULT_CONFIG.items()}))
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(sorted(DEFAULT_CONFIG)))] = draw(_JSON_VALUES)
+    return config
+
+
+@pytest.fixture(scope="module")
+def config_files(workdir):
+    """A few input lines, and a lexicon and word stats of the gold words."""
+    root = workdir / "config-fuzz"
+    root.mkdir()
+    lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:4]
+    (root / "lines.txt").write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    words = dict.fromkeys((workdir / "gold.txt").read_text(encoding="utf-8").split())
+    (root / "lex.tsv").write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(words, 1)), encoding="utf-8")
+    (root / "words.tsv").write_text("".join(f"{w}\t{i}\n" for i, w in enumerate(words, 1)), encoding="utf-8")
+    return root, lines
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    recipe=st.sampled_from(["ehr", "lexicon", "train-words"]),
+    config=_configs(),
+)
+def test_any_config_exits_0_1_or_2_with_one_error_line(workdir, config_files, recipe, config):
+    root, lines = config_files
+    (root / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    out = root / "o.txt"
+    out.write_text("", encoding="utf-8")
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(root / "lines.txt")]
+    argv += ["--output", str(out), "--recipe", recipe, "--config", str(root / "c.json")]
+    argv += {"ehr": [], "lexicon": ["--lexicon", str(root / "lex.tsv")]}.get(
+        recipe, ["--word-stats", str(root / "words.tsv")]
+    )
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    if status:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert [line.replace(" ", "") for line in out.read_text(encoding="utf-8").splitlines()] == lines
 
 
 class _ClosedPipe:

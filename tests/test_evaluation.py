@@ -29,13 +29,13 @@ class TestScoring:
             score_corpus([["天安"]], [["天", "门"]])
 
     def test_zero_guards(self):
-        rep = EvalReport.from_counts(0, 0, 0)
+        rep = EvalReport(0, 0, 0)
         assert (rep.recall, rep.precision, rep.f1) == (0.0, 0.0, 0.0)
-        none_right = EvalReport.from_counts(3, 2, 0)
+        none_right = EvalReport(3, 2, 0)
         assert none_right.f1 == 0.0
 
     def test_summary_line_format(self):
-        line = EvalReport.from_counts(4, 5, 3).summary_line()
+        line = EvalReport(4, 5, 3).summary_line()
         assert line == "R=0.7500 P=0.6000 F=0.6667 gold=4 pred=5 correct=3"
 
     def test_corpus_scores_pool_counts(self):

@@ -135,8 +135,10 @@ class TestEhrRecipe:
         assert w.off1[0] == pytest.approx(LN2 / 2, rel=1e-12)
 
     def test_factor_validation(self):
-        with pytest.raises(ValueError, match="factors"):
+        with pytest.raises(ValueError, match=r"^factor_1 must be >= 1, got 0.5$"):
             EhrParams(factor_1=0.5)
+        with pytest.raises(ValueError, match=r"^factor_2 must be >= 1, got 0.9$"):
+            EhrParams(factor_2=0.9)
 
     def test_non_chinese_text_has_zero_bonds(self, toy_model):
         w = build_w_ehr("ab1", toy_model)
@@ -396,6 +398,13 @@ class TestLexiconRecipe:
         # a word outside single_char_set is never divided by
         Lexicon(entries={"天": 10**300}, rank_scale=1e-300)
 
+    def test_rank_too_large_for_a_float_is_refused_only_where_it_is_divided_by(self):
+        # x is not in single_char_set, so its rank is never converted
+        lex = Lexicon(entries={"x": 10**400, "ab": 1})
+        assert lex.divisors == dict.fromkeys(SINGLE_CHAR_WORDS, lex.rank_floor)
+        with pytest.raises(ValueError, match="a one-character word's rank must fit in a float"):
+            Lexicon(entries={"的": 10**400, "ab": 1})
+
     def test_divisors_are_derived_state(self):
         lex = Lexicon(entries={"的": 2}, rank_scale=1e12)
         assert lex.divisors.keys() == lex.single_char_set
@@ -429,8 +438,10 @@ class TestTrainWordsRecipe:
     def test_validation(self):
         with pytest.raises(ValueError, match="counts"):
             WordStats(words={"天": 0})
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^damp_divisor must be positive, got 0.0$"):
             WordStats(words={}, damp_divisor=0.0)
+        with pytest.raises(ValueError, match=r"^boost must be positive, got -1.0$"):
+            WordStats(words={}, boost=-1.0)
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from segspectral import (
     kmeans_cluster,
     prepare_sentence,
     segment_prepared,
+    spectral_embed,
 )
 from segspectral.spectral import contiguous_partitions
 
@@ -230,8 +231,8 @@ def test_matches_full_table_dp_on_pipeline_embeddings(synth_corpus, synth_model)
             for line in lines[:100]:
                 prep = prepare_sentence(line, synth_model, cfg)
                 for cut in (cfg.eig_cut, 1.5):
-                    trace = segment_prepared(prep, replace(cfg, eig_cut=cut))
-                    x, k = trace.embedding, trace.k
+                    k = segment_prepared(prep, replace(cfg, eig_cut=cut)).k
+                    x = spectral_embed(prep.dec, k, prep.form)
                     want = full_table_labels(x, k)
                     assert np.array_equal(kmeans_cluster(x, k), want), (line, cfg, cut)
 

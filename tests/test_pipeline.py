@@ -17,10 +17,12 @@ from segspectral import (
     SegmenterConfig,
     WordStats,
     ingest_corpus,
+    kmeans_cluster,
     prepare_sentence,
     segment_document,
     segment_prepared,
     segment_sentence,
+    spectral_embed,
     trace_document,
 )
 from segspectral import pipeline
@@ -175,7 +177,6 @@ class TestSegmentSentence:
         assert trace.eigenvalues.shape == (n,)
         assert np.all(np.diff(trace.eigenvalues) >= 0)
         assert 1 <= trace.k <= n
-        assert trace.embedding.shape == (n, trace.k)
         assert trace.labels.shape == (n,)
         assert "".join(trace.words) == lines[2]
 
@@ -285,7 +286,6 @@ class TestClusteringReuse:
             assert shared.k == fresh.k
             assert shared.words == fresh.words
             assert np.array_equal(shared.labels, fresh.labels)
-            assert np.array_equal(shared.embedding, fresh.embedding)
 
     def test_stages_after_choose_k_run_once_per_distinct_k(
         self, synth_corpus, synth_model, monkeypatch
@@ -319,15 +319,28 @@ class TestClusteringReuse:
         cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5)
         prep = prepare_sentence(lines[0], synth_model, cfg)
         first, second = segment_prepared(prep, cfg), segment_prepared(prep, cfg)
-        assert first.embedding is second.embedding and first.labels is second.labels
+        assert first.labels is second.labels
         assert first.eigenvalues is second.eigenvalues
-        for array in (first.eigenvalues, first.embedding, first.labels):
+        for array in (first.eigenvalues, first.labels):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         assert first.words == second.words and first.words is not second.words
         first.words.append("x")
         assert segment_prepared(prep, cfg).words == second.words
+
+    def test_labels_come_from_the_recomputed_embedding(self, synth_corpus, synth_model, recipe_cfgs):
+        # The embedding is not kept; the public names give it again, and
+        # k-means on it gives the trace's labels.
+        lines, _ = synth_corpus
+        for cfg in recipe_cfgs:
+            for line in lines[:20]:
+                prep = prepare_sentence(line, synth_model, cfg)
+                for cut in (cfg.eig_cut, 0.5, 1.5):
+                    t = segment_prepared(prep, replace(cfg, eig_cut=cut))
+                    embedding = spectral_embed(prep.dec, t.k, prep.form)
+                    assert embedding.shape == (len(line), t.k)
+                    assert np.array_equal(kmeans_cluster(embedding, t.k), t.labels)
 
     def test_form_mismatch_is_a_caller_bug(self, synth_corpus, synth_model):
         lines, _ = synth_corpus
