@@ -35,11 +35,9 @@ from .kmeans import kmeans_cluster
 from .spectral import (
     CutKind,
     LaplacianForm,
-    brute_force_best_contiguous,
     build_laplacian,
     choose_k,
     cut_objective,
-    indicator_span_residual,
     spectral_embed,
     zero_eig_multiplicity,
 )
@@ -82,11 +80,9 @@ __all__ = [
     "kmeans_cluster",
     "CutKind",
     "LaplacianForm",
-    "brute_force_best_contiguous",
     "build_laplacian",
     "choose_k",
     "cut_objective",
-    "indicator_span_residual",
     "spectral_embed",
     "zero_eig_multiplicity",
     "SegmenterConfig",

@@ -200,13 +200,18 @@ def _segmenter_config(args) -> SegmenterConfig:
     and sweep; flags beat the config file, which beats the defaults."""
     cfg = load_config(args.config)
     recipe = _build_recipe(args, cfg)
-    overrides = {"eig_cut": cfg[_cut_key(args.recipe)] if args.eig_cut is None else args.eig_cut}
+    if args.eig_cut is None:
+        source, eig_cut = _cut_key(args.recipe), cfg[_cut_key(args.recipe)]
+    else:
+        source, eig_cut = "--eig-cut", args.eig_cut
+    overrides = {"eig_cut": eig_cut}
     if args.form:
         overrides["form"] = LaplacianForm(args.form)
     try:
         return SegmenterConfig.for_recipe(recipe, **overrides)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # eig_cut's is the one refusal; name the config key or flag that set it.
+        raise UsageError(str(exc).replace("eig_cut", source, 1)) from None
 
 
 def _report_failed(errors) -> int:

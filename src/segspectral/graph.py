@@ -92,9 +92,6 @@ class ConnectionMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    def scaled(self, c: float) -> "ConnectionMatrix":
-        return ConnectionMatrix(self.diag * c, self.off1 * c, self.off2 * c)
-
     def degrees(self) -> np.ndarray:
         """Row sums, including the diagonal entry."""
         d = self.diag.copy()

@@ -3,14 +3,12 @@
 Builds graph Laplacians from band matrices, block by block, chooses a
 cluster count from the small end of the spectrum, embeds nodes into the
 corresponding eigenvector columns, and scores partitions with the two
-classic cut objectives. A brute-force enumerator over contiguous
-partitions serves as a ground-truth oracle at toy sizes.
+classic cut objectives.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -19,9 +17,6 @@ from .graph import ConnectionMatrix
 
 # Eigenvalues within this distance of 0 count as the zero eigenspace.
 ZERO_EIG_TOL = 1e-9
-
-# Contiguous-partition enumeration blows up combinatorially; keep it honest.
-BRUTE_FORCE_MAX_N = 16
 
 
 class LaplacianForm(Enum):
@@ -135,44 +130,6 @@ def _check_partition(parts, n: int) -> list[np.ndarray]:
     return arrs
 
 
-def indicator_span_residual(
-    dec: EigenDecomposition,
-    components,
-    form: LaplacianForm,
-    degrees: np.ndarray | None = None,
-) -> float:
-    """Frobenius distance between two projectors: onto the span of the
-    (degree-scaled, for the normalized form) component indicator vectors,
-    and onto the numerically-zero eigenspace.
-
-    A value near 0 certifies that the zero eigenspace is exactly the
-    indicator span, i.e. the component structure is fully recoverable from
-    the low eigenvectors.
-    """
-    n = dec.n
-    parts = _check_partition(components, n)
-    if form is LaplacianForm.SYMMETRIC_NORMALIZED:
-        if degrees is None:
-            raise ValueError("degrees are required for the normalized form")
-        scale = np.sqrt(np.asarray(degrees, dtype=float))
-    else:
-        scale = np.ones(n)
-    basis = np.zeros((n, len(parts)))
-    for j, idx in enumerate(parts):
-        basis[idx, j] = scale[idx]
-        norm = np.linalg.norm(basis[:, j])
-        if norm == 0.0:
-            raise ValueError("component indicator has zero norm")
-        basis[:, j] /= norm
-    # Disjoint supports make the columns orthonormal already.
-    p_span = basis @ basis.T
-    # Values ascend, so the zero ones are among the first within ZERO_EIG_TOL.
-    below = int(np.count_nonzero(dec.values <= ZERO_EIG_TOL))
-    zero_vecs = dec.columns(below)[:, np.abs(dec.values[:below]) <= ZERO_EIG_TOL]
-    p_eig = zero_vecs @ zero_vecs.T
-    return float(np.linalg.norm(p_span - p_eig, ord="fro"))
-
-
 def cut_objective(w: ConnectionMatrix, partition, kind: CutKind) -> float:
     """Ratio-cut or normalized-cut value of a partition.
 
@@ -202,31 +159,3 @@ def cut_objective(w: ConnectionMatrix, partition, kind: CutKind) -> float:
     # term's limit is 0.
     terms = np.divide(boundary, divisor, out=np.zeros(len(parts)), where=divisor > 0)
     return float(terms.sum())
-
-
-def contiguous_partitions(n: int, k: int):
-    """Yield every split of range(n) into k consecutive nonempty parts."""
-    for cuts in combinations(range(1, n), k - 1):
-        bounds = (0, *cuts, n)
-        yield [list(range(bounds[i], bounds[i + 1])) for i in range(k)]
-
-
-def brute_force_best_contiguous(
-    w: ConnectionMatrix, k: int, kind: CutKind
-) -> tuple[list[list[int]], float]:
-    """Exhaustive minimizer of the cut objective over contiguous k-part
-    splits. Ties go to the earliest boundary set in lexicographic order."""
-    n = w.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"n={n} exceeds enumeration guard {BRUTE_FORCE_MAX_N}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for n={n}")
-    best_parts: list[list[int]] | None = None
-    best_value = np.inf
-    for parts in contiguous_partitions(n, k):
-        value = cut_objective(w, parts, kind)
-        if value < best_value:
-            best_value = value
-            best_parts = parts
-    assert best_parts is not None
-    return best_parts, float(best_value)

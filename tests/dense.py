@@ -1,12 +1,20 @@
-"""Dense references for tests: the n×n matrix behind the package's banded
-and block-diagonal types, the Laplacian by the textbook formulas, and the
-contiguous k-means DP over its full (n+1)² cost table. Tests check the
-package's banded, block-wise forms against these."""
+"""Dense and exhaustive references for tests: the n×n matrix behind the
+package's banded and block-diagonal types, the Laplacian by the textbook
+formulas, the contiguous k-means DP over its full (n+1)² cost table, every
+split of a sentence into contiguous parts with the cut-minimizing one, and
+the distance between the zero eigenspace and the span of component
+indicators. Tests check the package's banded, block-wise forms and its
+spectral partitions against these."""
+
+from itertools import combinations
 
 import numpy as np
 
 from segspectral.eigen import BlockDiagonal
-from segspectral.spectral import LaplacianForm
+from segspectral.spectral import ZERO_EIG_TOL, LaplacianForm, _check_partition, cut_objective
+
+# Contiguous-partition enumeration blows up combinatorially; keep it honest.
+BRUTE_FORCE_MAX_N = 16
 
 
 def dense_matrix(m) -> np.ndarray:
@@ -96,3 +104,63 @@ def least_errors(points, k, count):
         total = least[:, :, None] + cost[m : m + w, m + 1 : m + 1 + w]
         least = np.sort(total.reshape(count * w, w), axis=0)[:count]
     return least[:, -1], tol
+
+
+def indicator_span_residual(dec, components, form, degrees=None) -> float:
+    """Frobenius distance between two projectors: onto the span of the
+    (degree-scaled, for the normalized form) component indicator vectors,
+    and onto the numerically-zero eigenspace.
+
+    A value near 0 certifies that the zero eigenspace is exactly the
+    indicator span, i.e. the component structure is fully recoverable from
+    the low eigenvectors.
+    """
+    n = dec.n
+    parts = _check_partition(components, n)
+    if form is LaplacianForm.SYMMETRIC_NORMALIZED:
+        if degrees is None:
+            raise ValueError("degrees are required for the normalized form")
+        scale = np.sqrt(np.asarray(degrees, dtype=float))
+    else:
+        scale = np.ones(n)
+    basis = np.zeros((n, len(parts)))
+    for j, idx in enumerate(parts):
+        basis[idx, j] = scale[idx]
+        norm = np.linalg.norm(basis[:, j])
+        if norm == 0.0:
+            raise ValueError("component indicator has zero norm")
+        basis[:, j] /= norm
+    # Disjoint supports make the columns orthonormal already.
+    p_span = basis @ basis.T
+    # Values ascend, so the zero ones are among the first within ZERO_EIG_TOL.
+    below = int(np.count_nonzero(dec.values <= ZERO_EIG_TOL))
+    zero_vecs = dec.columns(below)[:, np.abs(dec.values[:below]) <= ZERO_EIG_TOL]
+    p_eig = zero_vecs @ zero_vecs.T
+    return float(np.linalg.norm(p_span - p_eig, ord="fro"))
+
+
+def contiguous_partitions(n, k):
+    """Yield every split of range(n) into k consecutive nonempty parts."""
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0, *cuts, n)
+        yield [list(range(bounds[i], bounds[i + 1])) for i in range(k)]
+
+
+def brute_force_best_contiguous(w, k, kind):
+    """Exhaustive minimizer of the cut objective over contiguous k-part
+    splits, and its value. Ties go to the earliest boundary set in
+    lexicographic order."""
+    n = w.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"n={n} exceeds enumeration guard {BRUTE_FORCE_MAX_N}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for n={n}")
+    best_parts = None
+    best_value = np.inf
+    for parts in contiguous_partitions(n, k):
+        value = cut_objective(w, parts, kind)
+        if value < best_value:
+            best_value = value
+            best_parts = parts
+    assert best_parts is not None
+    return best_parts, float(best_value)

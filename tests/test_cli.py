@@ -7,6 +7,7 @@ import operator
 import os
 import re
 import sys
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,10 +16,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import segspectral
-from segspectral import EhrParams, LaplacianForm, Lexicon, SegmenterConfig, WordStats, load_model
+from segspectral import (
+    EhrParams,
+    LaplacianForm,
+    Lexicon,
+    SegmenterConfig,
+    WordStats,
+    ingest_corpus,
+    load_model,
+    save_model,
+)
 from segspectral import cli
 from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
+from segspectral.model_io import _FRAME as FRAME, MAGIC, VERSION
 from segspectral.pipeline import RECIPES
+
+from test_model_io import golden_lines
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -580,13 +593,22 @@ def test_repeated_resource_word_is_a_data_error(workdir, tmp_path, capsys, recip
         ("lexicon", "--lexicon", "rank_floor", 0, "rank_floor must be positive, got 0.0"),
         ("lexicon", "--lexicon", "rank_threshold", -5, "rank_threshold must be an integer >= 1, got -5"),
         ("lexicon", "--lexicon", "rank_threshold", 0, "rank_threshold must be an integer >= 1, got 0"),
+        ("ehr", None, "eig_cut_ehr", -1, "eig_cut_ehr must be positive and finite, got -1.0"),
+        ("lexicon", "--lexicon", "eig_cut_lexicon", 0, "eig_cut_lexicon must be positive and finite, got 0.0"),
+        (
+            "train-words", "--word-stats", "eig_cut_train_words", -0.001,
+            "eig_cut_train_words must be positive and finite, got -0.001",
+        ),
+        ("ehr", None, "--eig-cut", -1, "--eig-cut must be positive and finite, got -1.0"),
     ],
     ids=[
         "ehr", "lexicon", "train-words", "lexicon-rank_scale", "lexicon-rank_floor",
         "lexicon-rank_threshold-negative", "lexicon-rank_threshold-zero",
+        "eig_cut_ehr", "eig_cut_lexicon", "eig_cut_train_words", "eig-cut-flag",
     ],
 )
 def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, recipe, flag, key, value, message):
+    # A key is set in a config file, a flag (key starting "--") on the command line.
     config = tmp_path / "c.json"
     config.write_text(json.dumps({key: value}), encoding="utf-8")
     resource = tmp_path / "words.tsv"
@@ -597,7 +619,8 @@ def test_config_value_out_of_range_is_a_usage_error(workdir, tmp_path, capsys, r
         argv += [flag, str(resource)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert main(argv + ["--config", str(config)]) == 2
+    setting = [key, str(value)] if key.startswith("--") else ["--config", str(config)]
+    assert main(argv + setting) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -792,6 +815,27 @@ def config_files(workdir):
     return root, lines
 
 
+def _check_segment_contract(argv, out, lines):
+    """Run segment with out holding "keep": it exits 0, 1 or 2; an error
+    message is one line and leaves out as it was; otherwise every output
+    line spells its input line and every stderr line names its line.
+    Returns the exit status and stderr."""
+    out.write_text("keep\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    if err.getvalue().startswith("error: "):
+        assert status and err.getvalue().count("\n") == 1, err.getvalue()
+        assert out.read_text(encoding="utf-8") == "keep\n"
+        return status, err.getvalue()
+    assert [line.replace(" ", "") for line in out.read_text(encoding="utf-8").splitlines()] == lines
+    failed = err.getvalue().splitlines()
+    assert all(re.match(r"line \d+: ", line) for line in failed), err.getvalue()
+    assert status == (1 if failed else 0)
+    return status, err.getvalue()
+
+
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 @given(
     recipe=st.sampled_from(["ehr", "lexicon", "train-words"]),
@@ -801,20 +845,101 @@ def test_any_config_exits_0_1_or_2_with_one_error_line(workdir, config_files, re
     root, lines = config_files
     (root / "c.json").write_text(json.dumps(config), encoding="utf-8")
     out = root / "o.txt"
-    out.write_text("", encoding="utf-8")
     argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(root / "lines.txt")]
     argv += ["--output", str(out), "--recipe", recipe, "--config", str(root / "c.json")]
     argv += {"ehr": [], "lexicon": ["--lexicon", str(root / "lex.tsv")]}.get(
         recipe, ["--word-stats", str(root / "words.tsv")]
     )
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        status = main(argv)
-    assert status in (0, 1, 2)
-    if status:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
-    else:
-        assert [line.replace(" ", "") for line in out.read_text(encoding="utf-8").splitlines()] == lines
+    status, err = _check_segment_contract(argv, out, lines)
+    # No config fails a line of its own: a non-zero exit is one error line.
+    assert status == 0 or err.startswith("error: "), err
+    if status == 2:
+        # A usage error leads with the config key it refuses.
+        named = re.match(r"error: (?:config key '(\w+)'|(\w+) )", err)
+        assert named and (named[1] or named[2]) in config, (err, config)
+
+
+# A word<TAB>number file: rows that parse, with blank rows, repeated words
+# and numbers of 0, negative or past float range among them, and at most
+# one row that does not: 0 or 2 tabs, no number, or invalid UTF-8.
+_NUMBERS = st.one_of(
+    st.integers(1, 30),
+    st.integers(1, 10**6),
+    st.sampled_from([0, -1, 10**300, 10**400, -(10**400)]),
+)
+_BROKEN_ROWS = st.sampled_from(
+    [row.encode("utf-8") for row in ("的3", "的\t\t3", "天\t", "天\tx", "天\t1.5", "天\t" + "9" * 5000)]
+    + [b"\xff\t3", b"\xe7\x9a\t2"]  # a bad byte, a cut-off character
+)
+
+
+@st.composite
+def _word_number_file(draw, words):
+    word = st.one_of(st.sampled_from(words), st.text(st.sampled_from("的了天 \r"), max_size=3))
+    row = st.builds("{}\t{}{}".format, word, _NUMBERS, st.sampled_from(["", "\r", " "]))
+    rows = [text.encode("utf-8") for text in draw(st.lists(row | st.sampled_from(["", "  "]), max_size=8))]
+    broken = draw(st.none() | _BROKEN_ROWS)
+    if broken is not None:
+        rows.insert(draw(st.integers(0, len(rows))), broken)
+    return b"\n".join(rows) + draw(st.sampled_from([b"", b"\n"]))
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(recipe=st.sampled_from([("lexicon", "--lexicon"), ("train-words", "--word-stats")]), data=st.data())
+def test_any_word_number_file_exits_0_1_or_2_with_one_error_line(workdir, config_files, recipe, data):
+    root, lines = config_files
+    name, flag = recipe
+    # The lines' own one- to three-character substrings, so rows boost and
+    # damp the bonds segment builds.
+    words = sorted({line[i : i + j] for line in lines for i in range(len(line)) for j in (1, 2, 3)})
+    resource = root / "fuzz.tsv"
+    resource.write_bytes(data.draw(_word_number_file(words)))
+    out = root / "o.txt"
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(root / "lines.txt")]
+    argv += ["--output", str(out), "--recipe", name, flag, str(resource)]
+    _check_segment_contract(argv, out, lines)
+
+
+@pytest.fixture(scope="module")
+def golden_model(tmp_path_factory):
+    """The golden model's file, and input lines of its corpus: synthetic
+    ones, and the edge lines of mixed scripts, a NUL, U+20000 and
+    Extension A (a file holds neither a lone surrogate nor a CR before LF)."""
+    root = tmp_path_factory.mktemp("golden")
+    lines = golden_lines()
+    save_model(ingest_corpus(lines, source="golden"), root / "model.bin")
+    inputs = lines[:3] + lines[-6:-4] + lines[-3:-1]
+    (root / "lines.txt").write_text("".join(f"{line}\n" for line in inputs), encoding="utf-8")
+    return root, inputs
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_model_payload_exits_0_1_or_2_with_one_error_line(golden_model, data):
+    # Bytes of the payload's header, keys or counts are set, or a byte is
+    # inserted or deleted, and the frame's payload length and the CRC are
+    # made to match, so the payload itself must be checked.
+    root, lines = golden_model
+    payload = bytearray((root / "model.bin").read_bytes()[FRAME.size : -4])
+    header_end = 4 + int.from_bytes(payload[:4], "little")
+    counts_start = header_end + (len(payload) - header_end) // 2
+    region = st.sampled_from([(0, header_end), (header_end, counts_start), (counts_start, len(payload))])
+    for _ in range(data.draw(st.integers(1, 4))):
+        start, end = data.draw(region)
+        # a deletion may have moved the end of the payload before end
+        at = min(data.draw(st.integers(start, end - 1)), len(payload) - 1)
+        edit = data.draw(st.sampled_from(["set", "set", "set", "insert", "delete"]))
+        if edit == "set":
+            payload[at] = data.draw(st.integers(0, 255))
+        elif edit == "insert":
+            payload.insert(at, data.draw(st.integers(0, 255)))
+        else:
+            del payload[at]
+    frame = FRAME.pack(MAGIC, VERSION, len(payload))
+    (root / "fuzz.bin").write_bytes(frame + payload + zlib.crc32(payload).to_bytes(4, "little"))
+    out = root / "o.txt"
+    argv = ["segment", "--model", str(root / "fuzz.bin"), "--input", str(root / "lines.txt")]
+    _check_segment_contract(argv + ["--output", str(out)], out, lines)
 
 
 class _ClosedPipe:
@@ -979,7 +1104,8 @@ def test_readme_tables_match_code():
 
 # The package's public surface: every name README uses, what bench/ calls
 # at the top level, the names the acceptance gate reaches as sg.<name>,
-# the error classes public calls raise, and the recipe resources.
+# the error classes public calls raise, and the recipe resources. The
+# gate's brute-force and eigenspace oracles are test code (tests/dense.py).
 PUBLIC_NAMES = {
     "CorpusEncodingError", "NGramModel", "ingest_corpus",
     "ModelChecksumError", "ModelFormatError", "ModelIOError", "ModelTruncatedError",
@@ -987,8 +1113,8 @@ PUBLIC_NAMES = {
     "SINGLE_CHAR_WORDS", "WEAKEN_SET_1", "WEAKEN_SET_2", "ConnectionMatrix", "EhrParams",
     "Lexicon", "WordStats", "load_lexicon", "load_word_stats",
     "EigenConvergenceError", "EigenDecomposition", "eigh_symmetric", "kmeans_cluster",
-    "CutKind", "LaplacianForm", "brute_force_best_contiguous", "build_laplacian", "choose_k",
-    "cut_objective", "indicator_span_residual", "spectral_embed", "zero_eig_multiplicity",
+    "CutKind", "LaplacianForm", "build_laplacian", "choose_k", "cut_objective",
+    "spectral_embed", "zero_eig_multiplicity",
     "SegmenterConfig", "SentenceTrace", "prepare_sentence", "segment_document",
     "segment_prepared", "segment_sentence", "trace_document",
     "EvalReport", "SynthSpec", "generate_synthetic", "score_corpus",

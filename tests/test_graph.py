@@ -61,10 +61,9 @@ class TestConnectionMatrix:
     def test_identity_and_scaled(self):
         w = ConnectionMatrix(np.ones(3), np.zeros(2), np.zeros(1))
         assert np.array_equal(dense_matrix(w), np.eye(3))
-        doubled = ConnectionMatrix([1, 1, 1], [2, 3], [4]).scaled(2.0)
-        assert np.array_equal(
-            dense_matrix(doubled), 2.0 * dense_matrix(ConnectionMatrix([1, 1, 1], [2, 3], [4]))
-        )
+        w = ConnectionMatrix([1, 1, 1], [2, 3], [4])
+        doubled = ConnectionMatrix(w.diag * 2.0, w.off1 * 2.0, w.off2 * 2.0)
+        assert np.array_equal(dense_matrix(doubled), 2.0 * dense_matrix(w))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one node"):

@@ -18,9 +18,7 @@ from segspectral import (
     segment_prepared,
     spectral_embed,
 )
-from segspectral.spectral import contiguous_partitions
-
-from dense import full_table_labels
+from dense import contiguous_partitions, full_table_labels
 
 
 def two_blobs(rng, n_per=20, sep=10.0):

@@ -10,20 +10,23 @@ from segspectral import (
     CutKind,
     EigenDecomposition,
     LaplacianForm,
-    brute_force_best_contiguous,
     build_laplacian,
     choose_k,
     cut_objective,
     eigh_symmetric,
-    indicator_span_residual,
     kmeans_cluster,
     spectral_embed,
     zero_eig_multiplicity,
 )
 from segspectral.eigen import BlockDiagonal
-from segspectral.spectral import contiguous_partitions
 
-from dense import dense_laplacian, dense_matrix
+from dense import (
+    brute_force_best_contiguous,
+    contiguous_partitions,
+    dense_laplacian,
+    dense_matrix,
+    indicator_span_residual,
+)
 
 
 def two_block_w():
@@ -300,18 +303,17 @@ class TestZeroEigenspace:
 
     def test_partition_validation(self):
         w = two_block_w()
-        dec = eigh_symmetric(build_laplacian(w, LaplacianForm.UNNORMALIZED))
-        form = LaplacianForm.UNNORMALIZED
+        kind = CutKind.RATIO
         with pytest.raises(ValueError, match="empty part"):
-            indicator_span_residual(dec, [[0, 1, 2, 3, 4], []], form)
+            cut_objective(w, [[0, 1, 2, 3, 4], []], kind)
         with pytest.raises(ValueError, match="out of range"):
-            indicator_span_residual(dec, [[0, 1], [2, 3, 5]], form)
+            cut_objective(w, [[0, 1], [2, 3, 5]], kind)
         with pytest.raises(ValueError, match="exactly once"):
-            indicator_span_residual(dec, [[0, 1], [1, 2, 3, 4]], form)
+            cut_objective(w, [[0, 1], [1, 2, 3, 4]], kind)
         with pytest.raises(ValueError, match="exactly once"):
-            indicator_span_residual(dec, [[0, 1], [2, 3]], form)
+            cut_objective(w, [[0, 1], [2, 3]], kind)
         with pytest.raises(ValueError, match="must be integers"):
-            indicator_span_residual(dec, [[0, 1], [2, 3, 3.5]], form)
+            cut_objective(w, [[0, 1], [2, 3, 3.5]], kind)
 
 
 class TestCutObjectives:
@@ -347,7 +349,7 @@ class TestCutObjectives:
         base_ratio = cut_objective(w, parts, CutKind.RATIO)
         base_ncut = cut_objective(w, parts, CutKind.NORMALIZED)
         for c in (0.5, 2.0, 10.0):
-            scaled = w.scaled(c)
+            scaled = ConnectionMatrix(w.diag * c, w.off1 * c, w.off2 * c)
             assert cut_objective(scaled, parts, CutKind.RATIO) == pytest.approx(
                 c * base_ratio, rel=1e-12
             )
