@@ -1,18 +1,17 @@
-"""Symmetric eigendecomposition of block-diagonal matrices.
+"""Symmetric eigendecomposition of band-stored sentence Laplacians.
 
-A sentence graph falls apart wherever no bond crosses a gap between two
-characters, and its Laplacian is then block-diagonal over contiguous runs
-of nodes. The blocks' eigenpairs are exactly the whole matrix's, so the
-blocks, zero-padded to the largest block size m, go through one batched
-call of LAPACK's symmetric eigensolver (numpy.linalg.eigh over a
-(b, m, m) stack). That solves b padded m×m matrices, about b·m³ work
-instead of n³, and holds b·m² matrix entries instead of n². Padding
-makes it more than the sum of the cubed block sizes: on 150-250
-character lines of short words that sum is about 3,700 a line and b·m³
-about 43,000. One stack per block size was measured slower there, as
-each costs a call of its own. A dense matrix is the one-block case.
-Results are deterministic for a given numpy/LAPACK build; within a
-degenerate eigenspace the basis is whatever that build's LAPACK returns.
+A sentence's Laplacian has bandwidth 2, so its lower bands (3n entries)
+hold all of it. Wherever no entry crosses the gap between two characters
+it is block-diagonal over contiguous runs of nodes, and the blocks'
+eigenpairs are the whole matrix's. eigh_symmetric finds the blocks, pads
+them to the largest block size m and solves the (b, m, m) stack in one
+batched call of LAPACK's symmetric eigensolver (numpy.linalg.eigh): about
+b·m³ work and b·m² entries instead of n³ and n². Padding makes that more
+than the sum of the cubed block sizes (on 150-250 character lines of
+short words about 43,000 against 3,700 a line), but one call per block
+size was measured slower. Results are deterministic for a given
+numpy/LAPACK build; within a degenerate eigenspace the basis is whatever
+that build's LAPACK returns.
 
 Output convention: eigenvalues ascending (equal ones in block order).
 The eigenvectors stay in the (b, m, m) stack the solve returns, one
@@ -28,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Absolute tolerance for accepting the input as symmetric.
-SYMMETRY_TOL = 1e-12
 
 
 class EigenConvergenceError(RuntimeError):
@@ -67,50 +63,53 @@ class EigenDecomposition:
 
 
 @dataclass
-class BlockDiagonal:
-    """An n×n block-diagonal matrix whose diagonal blocks cover contiguous
-    runs of rows, in order. Block j is blocks[j, :sizes[j], :sizes[j]];
-    the rest of blocks[j] is zero padding."""
+class SymmetricBands:
+    """A symmetric n×n matrix of bandwidth 2 by its lower bands: row j of
+    the (n, 3) array lower holds the entries in columns j - 2, j - 1 and
+    j, with 0 before column 0."""
 
-    blocks: np.ndarray  # (b, m, m), m the largest block size
-    sizes: np.ndarray  # (b,), summing to n
+    lower: np.ndarray  # (n, 3)
 
 
-def eigh_symmetric(a) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix, given dense or as a
-    BlockDiagonal.
+def eigh_symmetric(bands: SymmetricBands) -> EigenDecomposition:
+    """Full eigendecomposition of a band-stored symmetric matrix.
 
-    Raises ValueError when the input is not square, not finite, or not
-    symmetric within SYMMETRY_TOL, and EigenConvergenceError when LAPACK
-    does not converge (essentially unreachable for well-scaled input).
+    Raises ValueError when the input is not SymmetricBands or not finite,
+    and EigenConvergenceError when LAPACK does not converge (essentially
+    unreachable for well-scaled input).
     """
-    if not isinstance(a, BlockDiagonal):
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] == 0:
-            raise ValueError("expected at least a 1x1 matrix")
-        a = BlockDiagonal(a[None], np.array([a.shape[0]]))
-    stack, sizes = a.blocks, a.sizes
-    b, m, _ = stack.shape
-    flipped = stack.swapaxes(1, 2)
-    sym = stack + flipped
-    sym *= 0.5
+    if not isinstance(bands, SymmetricBands):
+        raise ValueError(f"expected SymmetricBands, got {type(bands).__name__}")
+    lower = bands.lower
+    n = lower.shape[0]
+    # cut[i]: no entry crosses the gap before node i; both ends count.
+    cut = np.ones(n + 1, dtype=bool)
+    np.equal(lower[1:, 1], 0.0, out=cut[1:-1])
+    unbonded2 = lower[2:, 0] == 0.0
+    cut[1:-2] &= unbonded2
+    cut[2:-1] &= unbonded2
+    edges = np.flatnonzero(cut)
+    sizes = edges[1:] - edges[:-1]
+    b, m = sizes.size, int(sizes.max())
     # m times the largest entry bounds every row's absolute sum, and so
     # every block's Gershgorin bound; it is finite only if every entry is.
-    bound = np.abs(sym).max() * m
+    bound = np.abs(lower).max() * m
     if not bound < np.inf:
         raise ValueError("matrix entries must be finite")
-    if m > 1:
-        asym = np.abs(stack - flipped).max()
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"matrix is not symmetric: max|a - a^T| = {asym:g}")
+
+    # Node j, row r of block blk, is row blk·m + r of the stack; its three
+    # entries go to columns r .. r + 2 of wide, two spare columns ahead of
+    # the stack's, which take the zeros before a block's first column.
+    row = np.arange(n) + np.repeat(np.arange(0, b * m, m) - edges[:-1], sizes)
+    wide = np.zeros((b, m, m + 2))
+    wide.reshape(-1)[(row * (m + 2) + row % m)[:, None] + np.arange(3)] = lower
     # A padding diagonal above the bound puts the padding's eigenvalues
     # last, so each block's own come first.
     pad = np.arange(m) >= sizes[:, None]
-    sym.reshape(b, m * m)[:, :: m + 1][pad] = 2.0 * bound + 1.0
+    wide.reshape(b, -1)[:, 2 :: m + 3][pad] = 2.0 * bound + 1.0
     try:
-        values, vectors = np.linalg.eigh(sym)
+        # The lower triangle (UPLO='L', the default) is all eigh reads.
+        values, vectors = np.linalg.eigh(wide[:, :, 2:])
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
 
@@ -119,7 +118,6 @@ def eigh_symmetric(a) -> EigenDecomposition:
     real = ~pad
     block, column = np.nonzero(real)
     values = values[real]
-    n = values.size
     rows = np.full((b, m), n)
     rows[real] = np.arange(n)
     order = np.argsort(values, kind="stable")

@@ -41,6 +41,7 @@ line-by-line parse.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -102,6 +103,16 @@ class ConnectionMatrix:
         return d
 
 
+class EntryError(ValueError):
+    """An entry of a Lexicon or WordStats breaks a rule. words holds the
+    entries at fault, so that a loader can name their lines: one word, or
+    for a repeated rank the earlier word and the later one."""
+
+    def __init__(self, message: str, *words: str):
+        super().__init__(message)
+        self.words = words
+
+
 def _require_finite(params, *names: str) -> None:
     for name in names:
         value = getattr(params, name)
@@ -149,19 +160,24 @@ class Lexicon:
         threshold = self.rank_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, int) or threshold < 1:
             raise ValueError(f"rank_threshold must be an integer >= 1, got {threshold!r}")
-        ranks = list(self.entries.values())
+        entries = self.entries
+        ranks = list(entries.values())
         if min(ranks, default=1) < 1:
-            raise ValueError("ranks must be positive integers")
+            raise EntryError("ranks must be positive integers", next(w for w, r in entries.items() if r < 1))
         if len(set(ranks)) != len(ranks):
-            raise ValueError("ranks must be unique")
-        if "" in self.entries:
-            raise ValueError("lexicon words must be nonempty")
+            first: dict[int, str] = {}
+            for word, rank in entries.items():
+                if rank in first:
+                    raise EntryError("ranks must be unique", first[rank], word)
+                first[rank] = word
+        if "" in entries:
+            raise EntryError("lexicon words must be nonempty", "")
         self.divisors = dict.fromkeys(self.single_char_set, self.rank_floor)
-        for ch in sorted(self.single_char_set & self.entries.keys()):
+        for ch in sorted(self.single_char_set & entries.keys()):
             try:
-                ratio = self.rank_scale / self.entries[ch]
+                ratio = self.rank_scale / entries[ch]
             except OverflowError:
-                raise ValueError("a one-character word's rank must fit in a float") from None
+                raise EntryError("a one-character word's rank must fit in a float", ch) from None
             if ratio == 0.0:
                 raise ValueError(f"rank_scale {self.rank_scale!r} over the rank of {ch!r} underflows to 0")
             self.divisors[ch] = max(self.rank_floor, math.log(ratio))
@@ -192,16 +208,18 @@ class WordStats:
         for name in ("boost", "damp_divisor"):
             if (value := getattr(self, name)) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if min(self.words.values(), default=1) < 1:
-            raise ValueError("word counts must be >= 1")
-        if "" in self.words:
-            raise ValueError("training words must be nonempty")
-        try:
-            self.divisors = {
-                w: max(1.0, count / self.damp_divisor) for w, count in self.words.items() if len(w) == 1
-            }
-        except OverflowError:
-            raise ValueError("a one-character word's count must fit in a float") from None
+        words = self.words
+        if min(words.values(), default=1) < 1:
+            raise EntryError("word counts must be >= 1", next(w for w, c in words.items() if c < 1))
+        if "" in words:
+            raise EntryError("training words must be nonempty", "")
+        self.divisors = {}
+        for w, count in words.items():
+            if len(w) == 1:
+                try:
+                    self.divisors[w] = max(1.0, count / self.damp_divisor)
+                except OverflowError:
+                    raise EntryError("a one-character word's count must fit in a float", w) from None
 
     @cached_property
     def frequent_bigrams(self) -> frozenset:
@@ -299,9 +317,9 @@ def check_boost(model: NGramModel, recipe) -> None:
         )
 
 
-def _walk_word_numbers(path, what: str, lines: list[str]) -> dict[str, int]:
+def _walk_word_numbers(path, what: str, lines: list[str]) -> tuple[dict[str, int], dict[str, int]]:
     """The lines of a "word<TAB>number" file read one by one, so the first
-    faulty line is named."""
+    faulty line is named; each word's number and each word's line."""
     out: dict[str, int] = {}
     first: dict[str, int] = {}
     for lineno, line in enumerate(lines, 1):
@@ -316,19 +334,20 @@ def _walk_word_numbers(path, what: str, lines: list[str]) -> dict[str, int]:
             raise ValueError(f"{path}:{lineno}: word {word!r} already listed on line {first[word]}")
         first[word] = lineno
         out[word] = value
-    return out
+    return out, first
 
 
-def _read_word_numbers(path, what: str) -> dict[str, int]:
-    """Read a "word<TAB>number" file, skipping blank lines. A line without
-    exactly one tab, or whose number int() refuses, is an error naming it;
-    a word listed twice is an error naming both lines.
+def _load_words(path, what: str, build):
+    """build(numbers) for a "word<TAB>number" file, skipping blank lines.
+    A line without exactly one tab, or whose number int() refuses, is an
+    error naming it, as is an entry that build refuses; a word listed
+    twice, or a number build refuses to see twice, names both lines.
 
     Every line is read before any is parsed, so an invalid byte anywhere in
     the file is reported before a faulty line. The non-blank lines are then
     parsed at once: one split of all of them, one int() per number and one
-    dict. Only a file that fails that is walked line by line, to name its
-    first faulty line; the two agree on every file."""
+    dict. Only a file that fails that, or that build refuses, is walked
+    line by line to name its faulty line; the two agree on every file."""
     lines = list(iter_corpus_lines(path))
     rows = list(filter(str.strip, lines))
     # Split at every tab with "\n\t" between rows, a piece ending in "\n"
@@ -336,22 +355,28 @@ def _read_word_numbers(path, what: str) -> dict[str, int]:
     # row and no word piece holds a "\n"; int() ignores a number's "\n".
     pieces = "\n\t".join(rows).split("\t")
     words, numbers = pieces[::2], pieces[1::2]
+    parsed = {}
     if len(pieces) == 2 * len(rows) and "\n" not in "".join(words):
-        try:
-            out = dict(zip(words, map(int, numbers)))
-        except ValueError:
-            pass
-        else:
-            if len(out) == len(rows):  # else a word is listed twice
-                return out
-    return _walk_word_numbers(path, what, lines)
+        with contextlib.suppress(ValueError):
+            parsed = dict(zip(words, map(int, numbers)))
+    if len(parsed) != len(rows):  # a faulty line, or a word listed twice
+        parsed = _walk_word_numbers(path, what, lines)[0]
+    try:
+        return build(parsed)
+    except EntryError as exc:
+        line_of = _walk_word_numbers(path, what, lines)[1]
+        *earlier, word = exc.words
+        message = f"{path}:{line_of[word]}: {exc}"
+        for other in earlier:
+            message += f": {what} {parsed[word]} already listed on line {line_of[other]}"
+        raise ValueError(message) from None
 
 
 def load_lexicon(path, **kwargs) -> Lexicon:
     """Read a "word<TAB>rank" file into a Lexicon."""
-    return Lexicon(entries=_read_word_numbers(path, "rank"), **kwargs)
+    return _load_words(path, "rank", lambda entries: Lexicon(entries=entries, **kwargs))
 
 
 def load_word_stats(path, **kwargs) -> WordStats:
     """Read a "word<TAB>count" file into WordStats."""
-    return WordStats(words=_read_word_numbers(path, "count"), **kwargs)
+    return _load_words(path, "count", lambda words: WordStats(words=words, **kwargs))

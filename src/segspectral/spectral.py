@@ -1,9 +1,9 @@
 """Spectral machinery on top of sentence connection matrices.
 
-Builds graph Laplacians from band matrices, block by block, chooses a
-cluster count from the small end of the spectrum, embeds nodes into the
-corresponding eigenvector columns, and scores partitions with the two
-classic cut objectives.
+Builds graph Laplacians as their lower bands (3n entries; eigen finds
+and solves the blocks), chooses a cluster count from the small end of
+the spectrum, embeds nodes into the corresponding eigenvector columns,
+and scores partitions with the two classic cut objectives.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .eigen import BlockDiagonal, EigenDecomposition
+from .eigen import EigenDecomposition, SymmetricBands
 from .graph import ConnectionMatrix
 
 # Eigenvalues within this distance of 0 count as the zero eigenspace.
@@ -29,59 +29,32 @@ class CutKind(Enum):
     NORMALIZED = "normalized"
 
 
-def build_laplacian(w: ConnectionMatrix, form: LaplacianForm) -> BlockDiagonal:
-    """Laplacian of the sentence graph, as blocks over contiguous runs.
+def build_laplacian(w: ConnectionMatrix, form: LaplacianForm) -> SymmetricBands:
+    """Laplacian of the sentence graph, by its lower bands.
 
     Unnormalized: degree matrix minus weights. Symmetric normalized:
     identity minus the degree-scaled weights; requires strictly positive
     degrees, which any builder-produced matrix has via its unit diagonal.
-
-    A gap i|i+1 is cut when off1[i], off2[i-1] and off2[i] are all 0: no
-    bond crosses it, so the Laplacian is block-diagonal over the runs
-    between cut gaps. Each block's entries are written straight from the
-    bands; no n×n matrix is built.
+    Each band is written once, straight from w's; eigh_symmetric finds
+    the blocks.
     """
     n = w.n
     deg = w.degrees()
-    # rows[j, 2 + d] is the entry in row j and column j + d.
-    rows = np.zeros((n, 5))
+    lower = np.zeros((n, 3))
     if form is LaplacianForm.UNNORMALIZED:
-        np.subtract(deg, w.diag, out=rows[:, 2])
-        np.subtract(0.0, w.off1, out=rows[:-1, 3])
-        np.subtract(0.0, w.off2, out=rows[:-2, 4])
+        np.subtract(deg, w.diag, out=lower[:, 2])
+        np.subtract(0.0, w.off1, out=lower[1:, 1])
+        np.subtract(0.0, w.off2, out=lower[2:, 0])
     elif form is LaplacianForm.SYMMETRIC_NORMALIZED:
         if deg.min() <= 0.0:
             raise ValueError("normalized Laplacian needs positive degrees on every node")
         inv_sqrt = 1.0 / np.sqrt(deg)
-        np.subtract(1.0, w.diag * (inv_sqrt * inv_sqrt), out=rows[:, 2])
-        np.subtract(0.0, w.off1 * (inv_sqrt[:-1] * inv_sqrt[1:]), out=rows[:-1, 3])
-        np.subtract(0.0, w.off2 * (inv_sqrt[:-2] * inv_sqrt[2:]), out=rows[:-2, 4])
+        np.subtract(1.0, w.diag * (inv_sqrt * inv_sqrt), out=lower[:, 2])
+        np.subtract(0.0, w.off1 * (inv_sqrt[:-1] * inv_sqrt[1:]), out=lower[1:, 1])
+        np.subtract(0.0, w.off2 * (inv_sqrt[:-2] * inv_sqrt[2:]), out=lower[2:, 0])
     else:
         raise TypeError(f"unknown Laplacian form {form!r}")
-    rows[1:, 1] = rows[:-1, 3]
-    rows[2:, 0] = rows[:-2, 4]
-
-    # cut[i]: no bond crosses the gap before node i; both ends count.
-    cut = np.ones(n + 1, dtype=bool)
-    np.equal(w.off1, 0.0, out=cut[1:-1])
-    unbonded2 = w.off2 == 0.0
-    cut[1:-2] &= unbonded2
-    cut[2:-1] &= unbonded2
-    edges = np.flatnonzero(cut)
-    sizes = edges[1:] - edges[:-1]
-    b, m = sizes.size, int(sizes.max())
-    # Each block's rows get two spare columns on either side, so that
-    # columns j - 2 .. j + 2 of row j never run into another row. Node j,
-    # at offset r = j - f in block blk that starts at node f, has those
-    # five entries at flat indices at[j] + 0 .. 4, where
-    # at[j] = blk·m·(m + 4) + r·(m + 5).
-    width = m + 4
-    offset = edges[:-1] * -(width + 1)
-    offset += np.arange(0, b * m * width, m * width)
-    at = np.arange(0, n * (width + 1), width + 1) + np.repeat(offset, sizes)
-    wide = np.zeros((b, m, width))
-    wide.reshape(-1)[at[:, None] + np.arange(5)] = rows
-    return BlockDiagonal(wide[:, :, 2 : m + 2], sizes)
+    return SymmetricBands(lower)
 
 
 def choose_k(values: np.ndarray, eig_cut: float) -> int:

@@ -1,16 +1,17 @@
 """Dense and exhaustive references for tests: the n×n matrix behind the
-package's banded and block-diagonal types, the Laplacian by the textbook
-formulas, the contiguous k-means DP over its full (n+1)² cost table, every
-split of a sentence into contiguous parts with the cut-minimizing one, and
-the distance between the zero eigenspace and the span of component
-indicators. Tests check the package's banded, block-wise forms and its
-spectral partitions against these."""
+package's two banded types, the Laplacian by the textbook formulas and
+its eigendecomposition by one dense solve, the contiguous k-means DP over
+its full (n+1)² cost table, every split of a sentence into contiguous
+parts with the cut-minimizing one, and the distance between the zero
+eigenspace and the span of component indicators. Tests check the
+package's banded, block-wise forms and its spectral partitions against
+these."""
 
 from itertools import combinations
 
 import numpy as np
 
-from segspectral.eigen import BlockDiagonal
+from segspectral.eigen import EigenDecomposition, SymmetricBands
 from segspectral.spectral import ZERO_EIG_TOL, LaplacianForm, _check_partition, cut_objective
 
 # Contiguous-partition enumeration blows up combinatorially; keep it honest.
@@ -18,17 +19,13 @@ BRUTE_FORCE_MAX_N = 16
 
 
 def dense_matrix(m) -> np.ndarray:
-    """A ConnectionMatrix or a BlockDiagonal as one dense matrix."""
-    if isinstance(m, BlockDiagonal):
-        n = int(m.sizes.sum())
-        out = np.zeros((n, n))
-        start = 0
-        for block, size in zip(m.blocks, m.sizes.tolist()):
-            out[start : start + size, start : start + size] = block[:size, :size]
-            start += size
-        return out
-    out = np.diag(m.diag)
-    for d, band in ((1, m.off1), (2, m.off2)):
+    """A ConnectionMatrix or SymmetricBands as one dense matrix."""
+    if isinstance(m, SymmetricBands):
+        bands = ((0, m.lower[:, 2]), (1, m.lower[1:, 1]), (2, m.lower[2:, 0]))
+    else:
+        bands = ((0, m.diag), (1, m.off1), (2, m.off2))
+    out = np.zeros((bands[0][1].size,) * 2)
+    for d, band in bands:
         i = np.arange(band.size)
         out[i, i + d] = out[i + d, i] = band
     return out
@@ -41,6 +38,14 @@ def dense_laplacian(w, form):
         return np.diag(deg) - dense_matrix(w)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return np.eye(w.n) - dense_matrix(w) * np.outer(inv_sqrt, inv_sqrt)
+
+
+def dense_eigh(a) -> EigenDecomposition:
+    """np.linalg.eigh of a dense symmetric matrix, as a one-block
+    EigenDecomposition."""
+    values, vectors = np.linalg.eigh(a)
+    n = values.size
+    return EigenDecomposition(values, vectors[None], np.arange(n)[None], np.zeros(n, dtype=int), np.arange(n))
 
 
 def _full_cost_table(x):

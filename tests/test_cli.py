@@ -25,9 +25,12 @@ from segspectral import (
     ingest_corpus,
     load_model,
     save_model,
+    score_corpus,
+    segment_document,
 )
 from segspectral import cli
 from segspectral.cli import DEFAULT_CONFIG, UsageError, load_config, main
+from segspectral.evaluation import parse_segmented
 from segspectral.model_io import _FRAME as FRAME, MAGIC, VERSION
 from segspectral.pipeline import RECIPES
 
@@ -329,6 +332,47 @@ def test_sweep_table(workdir, capsys):
     assert mean_ks == sorted(mean_ks)
     best_f = max(float(r[3]) for r in body)
     assert best_f >= 0.9
+
+
+@pytest.mark.parametrize("command", ["segment", "sweep"])
+def test_form_flag_overrides_the_recipe_form(workdir, tmp_path, capsys, command):
+    # ehr's default form is unnorm; at cut 0.3 the sym form segments this
+    # corpus differently, and the flag gives what the API gives in it.
+    lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()
+    gold_path = workdir / "gold.txt"
+    gold = [parse_segmented(line) for line in gold_path.read_text(encoding="utf-8").splitlines()]
+    model = load_model(workdir / "model.bin")
+    base = [command, "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+
+    def run(*flags):
+        if command == "segment":
+            out = tmp_path / "o.txt"
+            assert main(base + ["--output", str(out), "--eig-cut", "0.3", *flags]) == 0
+            return out.read_text(encoding="utf-8").splitlines()
+        assert main(base + ["--gold", str(gold_path), "--cuts", "0.3", *flags]) == 0
+        return capsys.readouterr().out.splitlines()[1].split("\t")
+
+    def api(form):
+        cfg = SegmenterConfig.for_recipe(EhrParams(), form=form, eig_cut=0.3)
+        results, errors = segment_document(lines, model, cfg)
+        assert not errors
+        if command == "segment":
+            return [" ".join(words) for words in results]
+        mean = f"{sum(map(len, results)) / len(results):.3f}"
+        f1 = score_corpus(gold, [parse_segmented(" ".join(words)) for words in results]).f1
+        return ["0.3", mean, mean, f"{f1:.4f}"]
+
+    got = run("--form", "sym")
+    assert got == api(LaplacianForm.SYMMETRIC_NORMALIZED)
+    assert run() == api(LaplacianForm.UNNORMALIZED) != got
+
+
+def test_sweep_gold_with_a_different_line_count_is_a_data_error(workdir, tmp_path, capsys):
+    gold = tmp_path / "gold.txt"
+    gold.write_text("\n".join((workdir / "gold.txt").read_text(encoding="utf-8").split("\n")[:3]), encoding="utf-8")
+    argv = ["sweep", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    assert main(argv + ["--gold", str(gold), "--cuts", "1.5"]) == 1
+    assert capsys.readouterr().err == "error: gold has 3 lines but input has 120\n"
 
 
 def test_sweep_bad_cuts(workdir, capsys):
@@ -705,7 +749,28 @@ def test_one_character_word_number_too_large_for_a_float_is_a_data_error(
     argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(lines)]
     argv += ["--output", str(tmp_path / "o.txt"), "--recipe", recipe, flag, str(resource)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: a one-character word's {what} must fit in a float\n"
+    assert capsys.readouterr().err == f"error: {resource}:2: a one-character word's {what} must fit in a float\n"
+
+
+@pytest.mark.parametrize(
+    "recipe, text, refusal",
+    [
+        ("lexicon", "天安\t1\n的\t0\n", "2: ranks must be positive integers"),
+        ("lexicon", "天安\t1\n\n的\t1\n", "3: ranks must be unique: rank 1 already listed on line 1"),
+        ("lexicon", "天安\t1\n\t5\n", "2: lexicon words must be nonempty"),
+        ("train-words", "天安\t1\n的\t0\n", "2: word counts must be >= 1"),
+        ("train-words", "天安\t1\n\t5\n", "2: training words must be nonempty"),
+    ],
+    ids=["rank-0", "rank-repeated", "lexicon-empty-word", "count-0", "words-empty-word"],
+)
+def test_refused_word_file_row_is_named_by_path_and_line(workdir, tmp_path, capsys, recipe, text, refusal):
+    resource = tmp_path / "words.tsv"
+    resource.write_text(text, encoding="utf-8")
+    flag = "--lexicon" if recipe == "lexicon" else "--word-stats"
+    argv = ["segment", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--output", str(tmp_path / "o.txt"), "--recipe", recipe, flag, str(resource)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {resource}:{refusal}\n"
 
 
 def test_lexicon_rank_that_underflows_rank_scale_is_refused_at_load(workdir, tmp_path, capsys):

@@ -4,9 +4,23 @@ import numpy as np
 import pytest
 
 from segspectral import EigenConvergenceError, eigh_symmetric
+from segspectral.eigen import SymmetricBands
+
+from dense import dense_matrix
 
 RESID_TOL = 1e-9
 ORTH_TOL = 1e-8
+
+
+def bands(diag, off1=None, off2=None) -> SymmetricBands:
+    """The symmetric bandwidth-2 matrix with these three bands; missing
+    off bands are 0."""
+    n = len(diag)
+    lower = np.zeros((n, 3))
+    lower[:, 2] = diag
+    lower[1:, 1] = 0.0 if off1 is None else off1
+    lower[2:, 0] = 0.0 if off2 is None else off2
+    return SymmetricBands(lower)
 
 
 def check_decomposition(a, dec):
@@ -21,13 +35,13 @@ def check_decomposition(a, dec):
 
 
 def test_one_by_one():
-    dec = eigh_symmetric([[5.0]])
+    dec = eigh_symmetric(bands([5.0]))
     assert np.array_equal(dec.values, [5.0])
     assert np.array_equal(dec.columns(dec.n), [[1.0]])
 
 
 def test_two_by_two_exact():
-    dec = eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
+    dec = eigh_symmetric(bands([0.0, 0.0], [1.0]))
     assert dec.values == pytest.approx([-1.0, 1.0], abs=1e-14)
     s = 1 / math.sqrt(2)
     # Each eigenvector is defined only up to its sign.
@@ -37,13 +51,20 @@ def test_two_by_two_exact():
 
 
 def test_diagonal_input():
-    dec = eigh_symmetric(np.diag([3.0, 1.0, 2.0]))
+    dec = eigh_symmetric(bands([3.0, 1.0, 2.0]))
+    assert dec.stack.shape == (3, 1, 1)
     assert np.array_equal(dec.values, [1.0, 2.0, 3.0])
     assert np.array_equal(dec.columns(dec.n), np.eye(3)[:, [1, 2, 0]])
 
 
+def test_diagonal_ties_keep_block_order():
+    dec = eigh_symmetric(bands([2.0, 1.0, 2.0, 1.0]))
+    assert np.array_equal(dec.values, [1.0, 1.0, 2.0, 2.0])
+    assert np.array_equal(dec.columns(dec.n), np.eye(4)[:, [1, 3, 0, 2]])
+
+
 def test_identity_has_degenerate_spectrum():
-    dec = eigh_symmetric(np.eye(6))
+    dec = eigh_symmetric(bands(np.ones(6)))
     assert np.array_equal(dec.values, np.ones(6))
     check_decomposition(np.eye(6), dec)
 
@@ -52,9 +73,9 @@ def test_random_matrices():
     rng = np.random.default_rng(42)
     for n in (2, 3, 5, 8, 13, 21, 34, 40):
         for _ in range(3):
-            a = rng.normal(size=(n, n))
-            a = a + a.T
-            dec = eigh_symmetric(a)
+            b = bands(rng.normal(size=n), rng.normal(size=n - 1), rng.normal(size=n - 2))
+            a = dense_matrix(b)
+            dec = eigh_symmetric(b)
             check_decomposition(a, dec)
             assert dec.values == pytest.approx(
                 np.linalg.eigvalsh(a), abs=1e-9 * max(1.0, np.linalg.norm(a))
@@ -62,43 +83,48 @@ def test_random_matrices():
 
 
 def test_clustered_eigenvalues():
-    rng = np.random.default_rng(3)
-    q, _ = np.linalg.qr(rng.normal(size=(12, 12)))
-    vals = np.array([1.0] * 4 + [2.0] * 4 + [1e4] * 4)
-    a = (q * vals) @ q.T
-    a = 0.5 * (a + a.T)
-    dec = eigh_symmetric(a)
-    check_decomposition(a, dec)
-    assert dec.values == pytest.approx(np.sort(vals), rel=1e-10)
+    # Four copies of one three-node block, nothing between them: each
+    # eigenvalue appears four times.
+    diag = np.tile([2.0, 1e4, 3.0], 4)
+    off1 = np.tile([1.0, 0.5, 0.0], 4)[:-1]
+    off2 = np.tile([0.25, 0.0, 0.0], 4)[:-2]
+    b = bands(diag, off1, off2)
+    dec = eigh_symmetric(b)
+    assert dec.stack.shape == (4, 3, 3)
+    check_decomposition(dense_matrix(b), dec)
+    one = np.linalg.eigvalsh(dense_matrix(b)[:3, :3])
+    assert dec.values == pytest.approx(np.repeat(one, 4), rel=1e-10)
+    assert np.array_equal(dec.values[0::4], dec.values[3::4])
 
 
 def test_deterministic():
     rng = np.random.default_rng(0)
-    a = rng.normal(size=(9, 9))
-    a = a + a.T
-    d1 = eigh_symmetric(a)
-    d2 = eigh_symmetric(a)
+    b = bands(rng.normal(size=9), rng.normal(size=8), rng.normal(size=7))
+    d1 = eigh_symmetric(b)
+    d2 = eigh_symmetric(b)
     assert np.array_equal(d1.values, d2.values)
     assert np.array_equal(d1.columns(9), d2.columns(9))
 
 
+def test_columns_k_out_of_range():
+    dec = eigh_symmetric(bands([1.0, 2.0], [0.5]))
+    assert dec.columns(0).shape == (2, 0)
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            dec.columns(k)
+
+
 def test_input_validation():
-    with pytest.raises(ValueError, match="square"):
-        eigh_symmetric(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="square"):
-        eigh_symmetric(np.zeros(4))
-    with pytest.raises(ValueError, match="1x1"):
-        eigh_symmetric(np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="finite"):
-        eigh_symmetric([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="symmetric"):
-        eigh_symmetric([[0.0, 1.0], [0.5, 0.0]])
-
-
-def test_tiny_asymmetry_is_symmetrized():
-    a = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
-    dec = eigh_symmetric(a)
-    assert dec.values == pytest.approx([0.5, 1.5], abs=1e-12)
+    # Only band storage is read: a dense matrix, even a 3×3 one whose
+    # shape matches (n, 3), is refused.
+    for a in (np.eye(3), [[5.0]], np.zeros((4, 3))):
+        with pytest.raises(ValueError, match="expected SymmetricBands"):
+            eigh_symmetric(a)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            eigh_symmetric(bands([bad, 1.0], [0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            eigh_symmetric(bands([1.0, 1.0, 1.0], [1.0, 0.0], [bad]))
 
 
 def test_lapack_failure_is_convergence_error(monkeypatch):
@@ -107,4 +133,4 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigenConvergenceError, match="did not converge"):
-        eigh_symmetric([[0.0, 1.0], [1.0, 0.0]])
+        eigh_symmetric(bands([0.0, 0.0], [1.0]))

@@ -565,8 +565,8 @@ def test_loaders_match_the_line_by_line_reference(text):
         for load, what, check in ((load_lexicon, "rank", check_ranks), (load_word_stats, "count", check_counts)):
 
             def reference():
-                numbers = read_word_numbers(path, what)
-                check(numbers)
+                numbers, line_of = read_word_numbers(path, what)
+                check(path, numbers, line_of)
                 return numbers
 
             def loaded():

@@ -42,6 +42,9 @@ def test_roundtrip_trained_model():
 
 def test_roundtrip_empty_model():
     assert roundtrip(NGramModel()) == NGramModel()
+    # A model leaves comparing with what is not a model to the other side.
+    assert NGramModel.__eq__(NGramModel(), "x") is NotImplemented
+    assert NGramModel() != "x" and NGramModel() != None  # noqa: E711
 
 
 def test_roundtrip_via_path(tmp_path):

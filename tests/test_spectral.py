@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,11 +19,12 @@ from segspectral import (
     spectral_embed,
     zero_eig_multiplicity,
 )
-from segspectral.eigen import BlockDiagonal
+from segspectral.eigen import SymmetricBands
 
 from dense import (
     brute_force_best_contiguous,
     contiguous_partitions,
+    dense_eigh,
     dense_laplacian,
     dense_matrix,
     indicator_span_residual,
@@ -91,22 +93,31 @@ def block_sizes(w):
     return sizes + [size]
 
 
+def solved_sizes(dec):
+    """The sizes of the blocks a decomposition was solved in: each block's
+    rows of the line."""
+    return np.count_nonzero(dec.rows < dec.n, axis=1).tolist()
+
+
 def check_block_solve(w, form):
     """The block solve against the dense one: the same Laplacian entries,
     eigenvalues and eigenpairs, and the same k-means labels at every k
     where the first k eigenvectors span a well-defined space."""
     lap = build_laplacian(w, form)
     dense = dense_laplacian(w, form)
-    assert lap.sizes.tolist() == block_sizes(w)
-    assert lap.blocks.shape == (len(lap.sizes), max(lap.sizes), max(lap.sizes))
+    assert lap.lower.shape == (w.n, 3)
+    assert not lap.lower[0, :2].any() and not lap.lower[1:2, 0].any()  # nothing before column 0
     assert np.array_equal(dense_matrix(lap), dense)
     dec = eigh_symmetric(lap)
+    sizes = solved_sizes(dec)
+    assert sizes == block_sizes(w)
+    assert dec.stack.shape == (len(sizes), max(sizes), max(sizes))
     scale = max(1.0, np.abs(dense).sum(axis=1).max())
     assert np.abs(dec.values - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
     vectors = dec.columns(w.n)
     assert np.linalg.norm(dense @ vectors - vectors * dec.values) <= 1e-12 * scale * w.n
     assert np.abs(vectors.T @ vectors - np.eye(w.n)).max() <= 1e-12 * w.n
-    ref = eigh_symmetric(dense)
+    ref = dense_eigh(dense)
     for k in range(1, w.n + 1):
         if k < w.n and ref.values[k] - ref.values[k - 1] <= 1e-6 * scale:
             continue  # k splits an eigenspace, whose basis either solve may pick
@@ -144,7 +155,12 @@ def dense_eigenvectors(sizes, values, vectors):
     stable eigenvalue order."""
     own = np.concatenate([values[j, :size] for j, size in enumerate(sizes)])
     order = np.argsort(own, kind="stable")
-    return own[order], dense_matrix(BlockDiagonal(vectors, np.array(sizes)))[:, order]
+    out = np.zeros((own.size, own.size))
+    start = 0
+    for block, size in zip(vectors, sizes):
+        out[start : start + size, start : start + size] = block[:size, :size]
+        start += size
+    return own[order], out[:, order]
 
 
 @settings(deadline=None, max_examples=150)
@@ -154,9 +170,8 @@ def dense_eigenvectors(sizes, values, vectors):
 @example(ConnectionMatrix(np.ones(7), np.full(6, 0.5), np.full(5, 0.25)))  # one block
 def test_embedding_matches_dense_eigenvectors(w):
     for form in LaplacianForm:
-        lap = build_laplacian(w, form)
-        dec, values, vectors = solve_with_raw_output(lap)
-        ref_values, ref_vectors = dense_eigenvectors(lap.sizes.tolist(), values, vectors)
+        dec, values, vectors = solve_with_raw_output(build_laplacian(w, form))
+        ref_values, ref_vectors = dense_eigenvectors(solved_sizes(dec), values, vectors)
         assert np.array_equal(dec.values, ref_values)
         for k in range(1, w.n + 1):
             want = ref_vectors[:, :k].copy()
@@ -187,9 +202,8 @@ class TestBlockSolve:
         w = ConnectionMatrix(np.ones(6), np.zeros(5), np.zeros(4))
         for form in LaplacianForm:
             check_block_solve(w, form)
-            lap = build_laplacian(w, form)
-            assert lap.blocks.shape == (6, 1, 1)
-            dec = eigh_symmetric(lap)
+            dec = eigh_symmetric(build_laplacian(w, form))
+            assert dec.stack.shape == (6, 1, 1)
             assert np.array_equal(dec.values, np.zeros(6))
             assert np.array_equal(dec.columns(6), np.eye(6))
 
@@ -201,9 +215,10 @@ class TestBlockSolve:
         for form in LaplacianForm:
             check_block_solve(w, form)
             lap = build_laplacian(w, form)
-            assert lap.sizes.tolist() == [3, 3]
-            assert np.array_equal(lap.blocks[0], lap.blocks[1])
+            dense = dense_matrix(lap)
+            assert np.array_equal(dense[:3, :3], dense[3:, 3:])
             dec = eigh_symmetric(lap)
+            assert solved_sizes(dec) == [3, 3]
             assert np.array_equal(dec.values[0::2], dec.values[1::2])
             vectors = dec.columns(6)
             assert np.array_equal(vectors[:3, 0::2], vectors[3:, 1::2])
@@ -215,10 +230,31 @@ class TestBlockSolve:
         w = ConnectionMatrix(np.ones(7), [0.0, 2.0, 3.0, 1.0, 0.0, 5.0], [0.0, 1.0, 1.0, 0.0, 0.0])
         for form in LaplacianForm:
             lap = build_laplacian(w, form)
-            assert lap.sizes.tolist() == [1, 4, 2] and lap.blocks.shape == (3, 4, 4)
             dec = eigh_symmetric(lap)
+            assert solved_sizes(dec) == [1, 4, 2] and dec.stack.shape == (3, 4, 4)
             assert dec.n == 7
             assert dec.values.max() <= np.abs(dense_matrix(lap)).sum(axis=1).max()
+
+    @pytest.mark.parametrize("sizes", [[600], [38] * 8 + [37] * 8], ids=["connected", "16-blocks"])
+    def test_peak_memory_is_under_three_padded_stacks(self, sizes):
+        # The bands, one padded (b, m, m + 2) input and the (b, m, m)
+        # eigenvectors: no symmetrized copy or mirrored bands on top.
+        n = sum(sizes)
+        off1, off2 = np.full(n - 1, 0.5), np.full(n - 2, 0.25)
+        for edge in np.cumsum(sizes)[:-1]:
+            off1[edge - 1] = 0.0
+            off2[edge - 2 : edge] = 0.0
+        w = ConnectionMatrix(np.ones(n), off1, off2)
+        stack_bytes = 8 * len(sizes) * max(sizes) ** 2
+        for form in LaplacianForm:
+            tracemalloc.start()
+            try:
+                dec = eigh_symmetric(build_laplacian(w, form))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert solved_sizes(dec) == sizes
+            assert peak < 3 * stack_bytes, (form, peak / stack_bytes)
 
 
 class TestChooseK:
@@ -268,7 +304,7 @@ class TestEmbedding:
         assert np.array_equal(emb, [[0.0], [1.0]])
 
     def test_k_out_of_range(self):
-        dec = eigh_symmetric(np.eye(3))
+        dec = eigh_symmetric(SymmetricBands(np.tile([0.0, 0.0, 1.0], (3, 1))))
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 spectral_embed(dec, k, LaplacianForm.UNNORMALIZED)
@@ -314,6 +350,8 @@ class TestZeroEigenspace:
             cut_objective(w, [[0, 1], [2, 3]], kind)
         with pytest.raises(ValueError, match="must be integers"):
             cut_objective(w, [[0, 1], [2, 3, 3.5]], kind)
+        with pytest.raises(ValueError, match="unknown cut kind 'ratio'"):
+            cut_objective(w, [[0, 1], [2, 3, 4]], "ratio")
 
 
 class TestCutObjectives:
