@@ -301,10 +301,11 @@ def cmd_sweep(args) -> int:
             )
 
     # counts[line][cut] = (k, words) for the lines that segmented; empty and
-    # failed lines have no traces and stay out of both means.
+    # failed lines have no traces and stay out of both means. Only F reads segs.
     segs, counts, errors = [], [], []
     for lineno, words, traces, error in trace_document(lines, model, scfg, cuts):
-        segs.append(words)
+        if gold is not None:
+            segs.append(words)
         if traces:
             counts.append([(trace.k, len(trace.words)) for trace in traces])
         if error is not None:

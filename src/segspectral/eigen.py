@@ -97,28 +97,26 @@ def eigh_symmetric(bands: SymmetricBands) -> EigenDecomposition:
     if not bound < np.inf:
         raise ValueError("matrix entries must be finite")
 
-    # Node j, row r of block blk, is row blk·m + r of the stack; its three
-    # entries go to columns r .. r + 2 of wide, two spare columns ahead of
-    # the stack's, which take the zeros before a block's first column.
+    # Every diagonal starts at 2·bound + 1 and each node's row overwrites
+    # its own. Node j, row r of block blk, is stack row blk·m + r; its three
+    # entries go to columns r .. r + 2 of wide, whose two spare columns
+    # ahead of the stack's take the zeros before a block's first column.
     row = np.arange(n) + np.repeat(np.arange(0, b * m, m) - edges[:-1], sizes)
     wide = np.zeros((b, m, m + 2))
+    wide.reshape(b, -1)[:, 2 :: m + 3] = 2.0 * bound + 1.0
     wide.reshape(-1)[(row * (m + 2) + row % m)[:, None] + np.arange(3)] = lower
-    # A padding diagonal above the bound puts the padding's eigenvalues
-    # last, so each block's own come first.
-    pad = np.arange(m) >= sizes[:, None]
-    wide.reshape(b, -1)[:, 2 :: m + 3][pad] = 2.0 * bound + 1.0
     try:
         # The lower triangle (UPLO='L', the default) is all eigh reads.
         values, vectors = np.linalg.eigh(wide[:, :, 2:])
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigendecomposition did not converge: {exc}") from exc
 
-    # Eigenpairs are numbered block by block, and block rows row by row,
-    # in the line's order; padding goes to row n.
-    real = ~pad
-    block, column = np.nonzero(real)
-    values = values[real]
-    rows = np.full((b, m), n)
-    rows[real] = np.arange(n)
-    order = np.argsort(values, kind="stable")
-    return EigenDecomposition(values[order], vectors, rows, block[order], column[order])
+    # A padding row is its diagonal alone, so each padding eigenvalue is
+    # 2·bound + 1, above every block's own. The first n of one stable sort
+    # of all b·m values, block by block, are thus the blocks' own values,
+    # ascending, equal ones in block order. Padding rows go to row n.
+    order = np.argsort(values, axis=None, kind="stable")[:n]
+    block, column = np.divmod(order, m)
+    rows = np.full(b * m, n)
+    rows[row] = np.arange(n)
+    return EigenDecomposition(values.reshape(-1)[order], vectors, rows.reshape(b, m), block, column)

@@ -3,7 +3,8 @@
 A model is its sorted key table: one tagged uint64 key per stored n-gram
 (1, 2 or 3 characters) and one count beside it. Counting conventions:
 
-- one input line is one record; n-grams never span line boundaries
+- one input line is one record; n-grams never span line boundaries (a
+  line feed, which is not Chinese, ends every run)
 - an n-gram is stored only if every character in it is Chinese
   (chars.chinese_mask), so n-grams touching letters, digits, punctuation
   or whitespace are never counted. This is the only place the rule is
@@ -18,12 +19,14 @@ orders never collide, and sorted keys hold the trigrams, then the
 bigrams, then the unigrams, each in code-point order of their n-grams.
 Every other bit is zero. NGramModel checks these rules, like all its
 others, when it is built, so no model breaks them; model_io checks the file.
+_keys alone builds tagged keys, for ingest, lookups and from_counts.
 
 ingest_corpus reads lines lazily, in chunks of whole lines of at most
-_CHUNK_CHARS characters (a longer line comes alone), gives the n-grams in
-each Chinese run of each line of a chunk their keys and counts them with
-one sort. Chunk counts are merged by key, so memory stays O(chunk +
-distinct n-grams), and the merged keys and counts are the model.
+_CHUNK_CHARS characters (a longer line comes alone), joins a chunk's lines
+with line feeds, gives the n-grams in each Chinese run their keys and
+counts them with one sort. Chunk counts are merged by key, so memory
+stays O(chunk + distinct n-grams), and the merged keys and counts are the
+model.
 
 NGramModel.lookup reads counts from NGramModel.key_table, 24 bytes per
 stored n-gram: the keys, each beside its float count and standardized
@@ -72,16 +75,19 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.uint64)
 
 
+def _keys(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tagged keys of the 1-, 2- and 3-grams starting at each of points; a
+    trigram's key extends its first pair's untagged key (its tag is 0)."""
+    pairs = points[:-1] << _SHIFT | points[1:]
+    return points | _TAGS[1], pairs | _TAGS[2], pairs[:-1] << _SHIFT | points[2:]
+
+
 def _encode(ngrams: list[str], order: int) -> np.ndarray:
     """The tagged keys of n-grams of one order."""
     for ngram in ngrams:
         if len(ngram) != order:
             raise ValueError(f"n-gram {ngram!r} of order {order} does not have {order} characters")
-    points = _code_points("".join(ngrams)).reshape(-1, order)
-    keys = points[:, 0]
-    for i in range(1, order):
-        keys = keys << _SHIFT | points[:, i]
-    return keys | _TAGS[order]
+    return _keys(_code_points("".join(ngrams)))[order - 1][::order]  # n-gram i starts at i·order
 
 
 def _decode(keys: np.ndarray, order: int) -> list[str]:
@@ -231,10 +237,7 @@ class NGramModel:
     def lookup(self, s: str) -> tuple[np.ndarray, np.ndarray]:
         """Counts and standardized log-counts of the n characters, n - 1
         adjacent pairs and n - 2 triples of s, in that order."""
-        points = _code_points(s)
-        # each trigram's key is built on its first pair's untagged key
-        pairs = points[:-1] << _SHIFT | points[1:]
-        queries = np.concatenate((points | _TAGS[1], pairs | _TAGS[2], pairs[:-1] << _SHIFT | points[2:]))
+        queries = np.concatenate(_keys(_code_points(s)))
         keys, counts, logs = self.key_table
         at = np.searchsorted(keys, queries)
         at[keys[at] != queries] = -1
@@ -281,15 +284,11 @@ def _chunks(lines):
 
 def _chunk_keys(chunk: list[str]) -> np.ndarray:
     """Tagged keys of the all-Chinese 1-, 2- and 3-grams of the lines."""
-    points = _code_points("".join(chunk))
+    points = _code_points("\n".join(chunk))  # a line feed is not Chinese
     chinese = chinese_mask(points)
-    # pair i, points i and i + 1, lies in one run unless a line ends at i
-    joined = chinese[:-1] & chinese[1:]
-    ends = np.cumsum(list(map(len, chunk)))
-    joined[ends[(ends > 0) & (ends < len(points))] - 1] = False
-    pairs = points[:-1] << _SHIFT | points[1:]
-    triples = (pairs[:-1] << _SHIFT | points[2:])[joined[:-1] & joined[1:]]
-    return np.concatenate((points[chinese] | _TAGS[1], pairs[joined] | _TAGS[2], triples))
+    joined = chinese[:-1] & chinese[1:]  # pair i, points i and i + 1
+    uni, bi, tri = _keys(points)
+    return np.concatenate((uni[chinese], bi[joined], tri[joined[:-1] & joined[1:]]))
 
 
 def _merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

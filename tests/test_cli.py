@@ -7,6 +7,7 @@ import operator
 import os
 import re
 import sys
+import weakref
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -373,6 +374,35 @@ def test_sweep_gold_with_a_different_line_count_is_a_data_error(workdir, tmp_pat
     argv = ["sweep", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
     assert main(argv + ["--gold", str(gold), "--cuts", "1.5"]) == 1
     assert capsys.readouterr().err == "error: gold has 3 lines but input has 120\n"
+
+
+def test_sweep_without_gold_does_not_keep_the_words(workdir, monkeypatch, capsys):
+    class Words(list):
+        """A word list that can be weakly referenced."""
+
+    held, alive = [], []
+    traced = cli.trace_document
+
+    def trace_document(*args):
+        for lineno, words, traces, error in traced(*args):
+            words = Words(words)
+            held.append(weakref.ref(words))
+            # the caller still holds the last line's words while it asks
+            # for this line; the line before that must be gone
+            if lineno > 2 and held[lineno - 3]() is not None:
+                alive.append(lineno - 2)
+            yield lineno, words, traces, error
+
+    argv = ["sweep", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
+    argv += ["--cuts", "0.1,1.5"]
+    assert main(argv + ["--gold", str(workdir / "gold.txt")]) == 0
+    with_gold = [row.split("\t")[:3] for row in capsys.readouterr().out.splitlines()]
+    monkeypatch.setattr(cli, "trace_document", trace_document)
+    assert main(argv) == 0
+    assert not alive, f"the words of lines {alive[:5]} were still held"
+    # the table is the --gold one without its F column
+    assert [row.split("\t") for row in capsys.readouterr().out.splitlines()] == with_gold
+    assert len(held) == 120
 
 
 def test_sweep_bad_cuts(workdir, capsys):

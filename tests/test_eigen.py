@@ -134,3 +134,23 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(EigenConvergenceError, match="did not converge"):
         eigh_symmetric(bands([0.0, 0.0], [1.0]))
+
+
+def test_blocks_of_very_different_scales():
+    # One sort of the padded spectrum finds each block's own eigenvalues
+    # only if the padding stays above all of them; and a block far smaller
+    # than its neighbours must keep its own relative accuracy.
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        sizes = rng.integers(1, 9, size=rng.integers(2, 7))
+        blocks = [rng.normal(size=(m, 3)) * 10.0 ** rng.uniform(-150, 150) for m in sizes]
+        for lower in blocks:
+            # no entry reaches back past the block's first column
+            lower[:2, 0] = lower[:1, 1] = 0.0
+        dec = eigh_symmetric(SymmetricBands(np.concatenate(blocks)))
+        assert np.all(np.diff(dec.values) >= 0.0)
+        assert dec.stack.shape[0] == len(sizes)
+        for j, lower in enumerate(blocks):
+            want = np.linalg.eigvalsh(dense_matrix(SymmetricBands(lower)))
+            got = dec.values[dec.block == j]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
