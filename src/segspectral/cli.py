@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
-from .evaluation import SynthSpec, generate_synthetic, parse_segmented, score_corpus
+from .evaluation import EvalReport, SynthSpec, count_matches, generate_synthetic, parse_segmented, score_corpus
 from .graph import Lexicon, WordStats, check_boost, load_lexicon, load_word_stats
 from .model_io import ModelIOError, load_model, save_model
 from .ngram import ingest_corpus, iter_corpus_lines
@@ -292,22 +292,30 @@ def cmd_sweep(args) -> int:
     cuts = _parse_cuts(args.cuts)
     model = _load_model(args.model, scfg)
     lines = _read_lines(args.input, "input")
-    gold = None
-    if args.gold is not None:
-        gold = [parse_segmented(line) for line in _read_lines(args.gold, "gold")]
-        if len(gold) != len(lines):
-            raise DataError(
-                f"gold has {len(gold)} lines but input has {len(lines)}"
-            )
+    gold = None if args.gold is None else _read_lines(args.gold, "gold")
+    if gold is not None and len(gold) != len(lines):
+        raise DataError(f"gold has {len(gold)} lines but input has {len(lines)}")
 
-    # counts[line][cut] = (k, words) for the lines that segmented; empty and
-    # failed lines have no traces and stay out of both means. Only F reads segs.
-    segs, counts, errors = [], [], []
+    # Per cut: the sums of k and of words over the lines that segmented (empty
+    # and failed lines have no traces and stay out of both means), then the
+    # counts of gold, predicted and shared spans over every line, which F pools.
+    totals = [[0] * 5 for _ in cuts]
+    segmented, errors = 0, []
     for lineno, words, traces, error in trace_document(lines, model, scfg, cuts):
+        segmented += bool(traces)
+        for total, trace in zip(totals, traces):
+            total[0] += trace.k
+            total[1] += len(trace.words)
         if gold is not None:
-            segs.append(words)
-        if traces:
-            counts.append([(trace.k, len(trace.words)) for trace in traces])
+            truth = parse_segmented(gold[lineno - 1])
+            for total, cut_words in zip(totals, words):
+                # Score what eval would read back from segment's output
+                # line, which drops the whitespace tokens.
+                try:
+                    matches = count_matches(truth, parse_segmented(" ".join(cut_words)))
+                except ValueError as exc:
+                    raise DataError(f"line {lineno}: {exc}") from None
+                total[2:] = [a + b for a, b in zip(total[2:], matches)]
         if error is not None:
             errors.append((lineno, error))
 
@@ -315,19 +323,11 @@ def cmd_sweep(args) -> int:
     if gold is not None:
         header.append("F")
     rows = ["\t".join(header)]
-    for i, cut in enumerate(cuts):
-        n = len(counts) or 1
-        mean_k = sum(line[i][0] for line in counts) / n
-        mean_words = sum(line[i][1] for line in counts) / n
-        row = [f"{cut:g}", f"{mean_k:.3f}", f"{mean_words:.3f}"]
+    n = segmented or 1
+    for cut, (k_sum, word_sum, *spans) in zip(cuts, totals):
+        row = [f"{cut:g}", f"{k_sum / n:.3f}", f"{word_sum / n:.3f}"]
         if gold is not None:
-            # Score what eval would read back from segment's output line,
-            # which drops the whitespace tokens.
-            pred = [parse_segmented(" ".join(words[i])) for words in segs]
-            try:
-                row.append(f"{score_corpus(gold, pred).f1:.4f}")
-            except ValueError as exc:
-                raise DataError(str(exc)) from None
+            row.append(f"{EvalReport(*spans).f1:.4f}")
         rows.append("\t".join(row))
     print("\n".join(rows))
     return _report_failed(errors)

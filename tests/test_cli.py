@@ -376,7 +376,8 @@ def test_sweep_gold_with_a_different_line_count_is_a_data_error(workdir, tmp_pat
     assert capsys.readouterr().err == "error: gold has 3 lines but input has 120\n"
 
 
-def test_sweep_without_gold_does_not_keep_the_words(workdir, monkeypatch, capsys):
+@pytest.mark.parametrize("with_gold", [False, True], ids=["without-gold", "with-gold"])
+def test_sweep_does_not_keep_the_words(workdir, monkeypatch, capsys, with_gold):
     class Words(list):
         """A word list that can be weakly referenced."""
 
@@ -385,23 +386,25 @@ def test_sweep_without_gold_does_not_keep_the_words(workdir, monkeypatch, capsys
 
     def trace_document(*args):
         for lineno, words, traces, error in traced(*args):
-            words = Words(words)
-            held.append(weakref.ref(words))
+            words = Words(Words(cut_words) for cut_words in words)
+            held.append([weakref.ref(words)] + [weakref.ref(cut_words) for cut_words in words])
             # the caller still holds the last line's words while it asks
-            # for this line; the line before that must be gone
-            if lineno > 2 and held[lineno - 3]() is not None:
+            # for this line; every list of the line before that must be gone
+            if lineno > 2 and any(ref() is not None for ref in held[lineno - 3]):
                 alive.append(lineno - 2)
             yield lineno, words, traces, error
 
     argv = ["sweep", "--model", str(workdir / "model.bin"), "--input", str(workdir / "lines.txt")]
     argv += ["--cuts", "0.1,1.5"]
-    assert main(argv + ["--gold", str(workdir / "gold.txt")]) == 0
-    with_gold = [row.split("\t")[:3] for row in capsys.readouterr().out.splitlines()]
+    gold = ["--gold", str(workdir / "gold.txt")]
+    assert main(argv + gold) == 0
+    want = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
     monkeypatch.setattr(cli, "trace_document", trace_document)
-    assert main(argv) == 0
+    assert main(argv + gold * with_gold) == 0
     assert not alive, f"the words of lines {alive[:5]} were still held"
-    # the table is the --gold one without its F column
-    assert [row.split("\t") for row in capsys.readouterr().out.splitlines()] == with_gold
+    # without --gold the table is the --gold one without its F column
+    got = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert got == (want if with_gold else [row[:3] for row in want])
     assert len(held) == 120
 
 
@@ -475,6 +478,29 @@ def test_sweep_f_matches_segment_then_eval(workdir, tmp_path, capsys):
     assert main(["sweep", "--model", model, "--input", lines, "--gold", gold, "--cuts", ",".join(cuts)]) == 0
     rows = [r.split("\t") for r in capsys.readouterr().out.strip().splitlines()[1:]]
     assert [(r[0], r[3]) for r in rows] == list(zip(cuts, eval_f))
+
+
+def test_sweep_f_counts_empty_and_failed_lines_as_segment_writes_them(workdir, tmp_path, monkeypatch, capsys):
+    lines = (workdir / "lines.txt").read_text(encoding="utf-8").splitlines()[:6]
+    gold = (workdir / "gold.txt").read_text(encoding="utf-8").splitlines()[:6]
+    lines.insert(2, "")
+    gold.insert(2, "")
+    src, gold_path, pred = tmp_path / "in.txt", tmp_path / "gold.txt", tmp_path / "pred.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gold_path.write_text("\n".join(gold) + "\n", encoding="utf-8")
+    base = ["--model", str(workdir / "model.bin"), "--input", str(src)]
+    # line 5 fails: the empty line 3 is never solved
+    _fail_eigh_on_call(monkeypatch, 4)
+    assert main(["segment", *base, "--output", str(pred), "--eig-cut", "0.15"]) == 1
+    assert capsys.readouterr().err.startswith("line 5: ")
+    assert main(["eval", "--gold", str(gold_path), "--pred", str(pred)]) == 0
+    eval_f = re.search(r"F=(\S+)", capsys.readouterr().out).group(1)
+    monkeypatch.undo()
+    _fail_eigh_on_call(monkeypatch, 4)
+    assert main(["sweep", *base, "--gold", str(gold_path), "--cuts", "0.15"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 5: ")
+    assert captured.out.splitlines()[1].split("\t")[3] == eval_f != "1.0000"
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
