@@ -6,10 +6,11 @@ it is block-diagonal over contiguous runs of nodes, and the blocks'
 eigenpairs are the whole matrix's. eigh_symmetric finds the blocks, pads
 them to the largest block size m and solves the (b, m, m) stack in one
 batched call of LAPACK's symmetric eigensolver (numpy.linalg.eigh): about
-b·m³ work and b·m² entries instead of n³ and n². Padding makes that more
-than the sum of the cubed block sizes (on 150-250 character lines of
-short words about 43,000 against 3,700 a line), but one call per block
-size was measured slower. Results are deterministic for a given
+b·m³ work and b·m² entries instead of n³ and n², which one connected
+block (b = 1, m = n) still costs. Padding makes that more than the sum
+of the cubed block sizes (on 150-250 character lines of short words
+about 43,000 against 3,700 a line), but one call per block size was
+measured slower. Results are deterministic for a given
 numpy/LAPACK build; within a degenerate eigenspace the basis is whatever
 that build's LAPACK returns.
 
@@ -17,9 +18,12 @@ Output convention: eigenvalues ascending (equal ones in block order).
 The eigenvectors stay in the (b, m, m) stack the solve returns, one
 column per eigenpair of a block, signed as LAPACK returned it: an
 eigenvector is defined only up to sign, and no k, label or word depends on
-it. Each eigenpair records its block and column, and each block row its
-row of the line, so the first k eigenvectors are gathered as an n×k
-matrix on demand; no n×n eigenvector matrix is built.
+it. Each eigenpair records its block and column, and each node its row of
+the stack, so no n×n eigenvector matrix is built. Values ascend within a
+block and the order of all of them is a stable sort, so a block's
+eigenpairs among the first k are its first k_B columns: leading(k) hands
+them over block by block, as k-means reads them, in b·m·max k_B entries,
+and columns(k) gathers them as an n×k matrix.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ class EigenConvergenceError(RuntimeError):
 class EigenDecomposition:
     """Ascending eigenvalues with orthonormal eigenvectors, kept in their
     blocks. Eigenpair i is values[i] with column column[i] of
-    stack[block[i]], whose row r is row rows[block[i], r] of the line;
-    padding rows have row n."""
+    stack[block[i]]. Node t of the line is row row[t] of the stack viewed
+    as (b·m, m); the rows no node maps to are padding."""
 
     values: np.ndarray  # (n,)
     stack: np.ndarray  # (b, m, m)
-    rows: np.ndarray  # (b, m)
+    row: np.ndarray  # (n,)
     block: np.ndarray  # (n,)
     column: np.ndarray  # (n,)
 
@@ -54,12 +58,22 @@ class EigenDecomposition:
         """The first k eigenvectors as the columns of a new n×k matrix."""
         if not 0 <= k <= self.n:
             raise ValueError(f"k={k} out of range for n={self.n}")
-        block = self.block[:k]
-        gathered = self.stack[block, :, self.column[:k]]  # (k, m)
-        # Row n is where the padding rows land; it is dropped.
-        out = np.zeros((self.n + 1, k))
-        out[self.rows.take(block, axis=0), np.arange(k)[:, None]] = gathered
-        return out[: self.n]
+        b, m, _ = self.stack.shape
+        # Node t's entry of each column in its own block, kept where that
+        # block is the eigenpair's.
+        gathered = self.stack.reshape(b * m, m)[self.row[:, None], self.column[:k]]
+        return np.where(np.equal.outer(self.row // m, self.block[:k]), gathered, 0.0)
+
+    def leading(self, k: int) -> np.ndarray:
+        """The first k eigenvectors block by block: a (b, m, j) array whose
+        block B holds, in its first k_B columns, the k_B of B's eigenpairs
+        among the first k, in order, and zeros after them; j is the largest
+        k_B. Row row[t] of it, viewed as (b·m, j), is node t's."""
+        if not 0 <= k <= self.n:
+            raise ValueError(f"k={k} out of range for n={self.n}")
+        counts = np.bincount(self.block[:k], minlength=self.stack.shape[0])
+        j = int(counts.max())
+        return self.stack[:, :, :j] * (np.arange(j) < counts[:, None, None])
 
 
 @dataclass
@@ -114,9 +128,7 @@ def eigh_symmetric(bands: SymmetricBands) -> EigenDecomposition:
     # A padding row is its diagonal alone, so each padding eigenvalue is
     # 2·bound + 1, above every block's own. The first n of one stable sort
     # of all b·m values, block by block, are thus the blocks' own values,
-    # ascending, equal ones in block order. Padding rows go to row n.
+    # ascending, equal ones in block order.
     order = np.argsort(values, axis=None, kind="stable")[:n]
     block, column = np.divmod(order, m)
-    rows = np.full(b * m, n)
-    rows[row] = np.arange(n)
-    return EigenDecomposition(values.reshape(-1)[order], vectors, rows.reshape(b, m), block, column)
+    return EigenDecomposition(values.reshape(-1)[order], vectors, row, block, column)

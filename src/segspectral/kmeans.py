@@ -2,15 +2,15 @@
 
 A word is a contiguous run of characters, so the rows of a sentence's
 embedding are clustered into k contiguous runs. Among all such splits,
-dynamic programming over prefix sums finds the one with the least total
-within-run squared error, the k-means objective restricted to runs
-(Fisher, "On grouping for maximum homogeneity", JASA 1958). The result
-uses no random numbers and depends only on the distances between rows, so
-it does not change when the rows are rotated, as an eigensolver may do
-inside a degenerate eigenspace, or when a column changes sign, as any
-eigenvector may. Ties go to early boundaries: from the last run back, each
-run starts at the earliest row whose best split before it comes within a
-tie tolerance of the least error up to the run's end.
+dynamic programming finds the one with the least total within-run squared
+error, the k-means objective restricted to runs (Fisher, "On grouping for
+maximum homogeneity", JASA 1958). The result uses no random numbers and
+depends only on the distances between rows, so it does not change when
+the rows are rotated, as an eigensolver may do inside a degenerate
+eigenspace, or when a column changes sign, as any eigenvector may. Ties
+go to early boundaries: from the last run back, each run starts at the
+earliest row whose best split before it comes within a tie tolerance of
+the least error up to the run's end.
 
 The optimal runs are short next to the sentence, so the DP only considers
 runs of at most L rows, starting from twice the mean run length, and
@@ -19,11 +19,26 @@ than the banded optimum plus the tie tolerance of all k steps, no longer
 run can appear in any split the full DP would pick, and the labels are
 the full DP's. Otherwise L doubles, up to the longest run a split allows,
 and the wider band's table is built again.
+
+A run's error is the sum of its rows' squared norms less the squared norm
+of their sum over its length. Both come from the Gram band
+g[t, d] = x_t·x_{t-d} of the rows at most L apart, so the cost table is a
+few cumulative sums over that band, with no prefix sums over the whole
+line. The rows come as an n×d matrix, centred at its coordinate-wise
+lower median first, or block by block (BlockRows), as the
+eigendecomposition of a graph that falls apart into components leaves
+them: rows of different blocks are orthogonal, so only products inside a
+block are formed. For one block of n rows and d columns the band takes
+O(n·L·d) time and O(n·(L + d)) memory. For b blocks of at most m rows and j columns it
+takes O(b·m·min(L + 1, m)·j) time and O(b·m·(j + min(L + 1, m)) + n·L)
+memory, and no n×j matrix is built. The DP then takes O(k·n·L) time and
+O(n·L + k·n) memory.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,52 +46,64 @@ import numpy as np
 # the rows' total squared norm, are ties; rounding stays far below it.
 _TIE_RTOL = 1e-12
 
-# The run-cost table is built for as many run lengths at a time as keep
-# its temporaries within this many floats (256 KiB).
-_BATCH_FLOATS = 1 << 15
+
+@dataclass
+class BlockRows:
+    """n rows kept block by block: row t is row rows[t] of blocks viewed
+    as a (b·m, d) matrix. A block's first rows are consecutive rows of
+    the line, in order, and its rows after them are ignored. Rows of
+    different blocks are orthogonal, so their inner products are 0 and
+    never formed."""
+
+    blocks: np.ndarray  # (b, m, d)
+    rows: np.ndarray  # (n,)
 
 
 def kmeans_cluster(points, k: int) -> np.ndarray:
     """Labels of the split of the rows into k contiguous runs with the
     least total within-run squared error.
 
-    Labels are non-decreasing, 0 to k-1. From the last run back, each run
-    starts at the earliest row whose split of the rows before it, plus the
-    run, comes within the tie tolerance of the least error up to its end.
-    Takes O(k·n·L) time and O(n·L + k·n) memory, where L is a bound on run
-    length that starts at twice n/k and doubles while the result cannot be
-    certified.
+    points is an n×d row matrix or BlockRows. Labels are non-decreasing,
+    0 to k-1. From the last run back, each run starts at the earliest row
+    whose split of the rows before it, plus the run, comes within the tie
+    tolerance of the least error up to its end. Takes O(k·n·L) time and
+    O(n·L + k·n) memory besides the Gram band (see the module docstring),
+    where L is a bound on run length that starts at twice n/k and doubles
+    while the result cannot be certified.
     """
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a 2-d row matrix, got shape {x.shape}")
-    n = x.shape[0]
+    if isinstance(points, BlockRows):
+        rows, norm = points, None
+    else:
+        x = np.asarray(points, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"expected a 2-d row matrix, got shape {x.shape}")
+        norm = float(np.einsum("ij,ij->", x, x))
+        # A run's error does not move when every row does, and its
+        # rounding error scales with its rows' squared distance from the
+        # origin: the coordinate-wise lower median puts that origin among
+        # the rows, at a value of each coordinate that rows share if most
+        # do. Rows that are not finite fail below.
+        if math.isfinite(norm) and x.size:
+            x = x - np.sort(x, axis=0)[(x.shape[0] - 1) // 2]
+        rows = BlockRows(x[None], np.arange(x.shape[0]))
+    n = rows.rows.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
+
+    # A split has k - 1 runs besides the longest, so no run exceeds w rows.
+    w = n - k + 1
+    longest = min(w, -2 * (-n // k))
+    band = _gram_band(rows, longest + 1)
+    if norm is None:
+        # The rows' squared norms are the band's first row.
+        norm = float(np.add.reduce(band[0]))
     # The total squared norm is finite only if every entry is (and small
     # enough for the errors below to stay finite).
-    norm = float(np.einsum("ij,ij->", x, x))
     if not math.isfinite(norm):
         raise ValueError("rows must be finite")
     tol = _TIE_RTOL * norm
-
-    # Centring keeps the prefix sums small, and so the cancellation below.
-    # Both prefix sums start with lead zero rows, which stand in for the
-    # prefix before row 0 of runs that would start there (see _run_costs).
-    y = x - np.add.reduce(x, axis=0) / n
-    w = n - k + 1
-    lead = w + 1
-    sums = np.zeros((lead + n + 1, x.shape[1]))
-    np.add.accumulate(y, axis=0, out=sums[lead + 1 :])
-    sq = np.zeros(lead + n + 1)
-    np.add.accumulate(np.einsum("ij,ij->i", y, y), out=sq[lead + 1 :])
-    del y
-
-    # A split has k - 1 runs besides the longest, so no run exceeds w rows.
-    longest = min(w, -2 * (-n // k))
     while True:
-        most = longest + 1
-        cost = _run_costs(sums[lead - most :], sq[lead - most :], most)
+        cost = _cost_table(band)
         labels, error = _banded_split(cost, k, tol)
         # A longer run costs at least as much as each run of longest + 1
         # rows inside it, so when those all cost more than the error found
@@ -84,38 +111,72 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
         if longest == w or cost[0, longest + 1 :].min() > error + k * tol:
             return labels
         longest = min(w, 2 * longest)
+        band = _gram_band(rows, longest + 1)
 
 
-def _run_costs(sums: np.ndarray, sq: np.ndarray, most: int) -> np.ndarray:
-    """cost[r, e]: squared error about its mean of the run of most - r rows
-    that ends before row e, for runs of most rows down to 1, given the
-    prefix sums of n rows (and of their squared norms), each preceded by
-    most zero rows. Entries for runs that would start before row 0 are
-    finite and meaningless; each row depends only on its run length.
+def _gram_band(x: BlockRows, most: int) -> np.ndarray:
+    """The (most, n + 2·most) Gram band of the rows: entry [d, most + t]
+    is x_t·x_{t-d}, 0 where row t - d is before row 0 or in another block;
+    the most columns before and after the n rows' are 0.
 
-    Run lengths go in batches whose temporaries hold at most _BATCH_FLOATS
-    floats, or one at a time where one alone holds more: a short line
-    makes one subtract and one einsum in all, a long line one of each per
-    run length."""
-    n = sq.size - most - 1
-    # lagged[r, e] is the prefix sum at e - (most - r), the row where the
-    # run of most - r rows ending before row e starts.
-    lagged = _windows(sums[: most + n], most)
-    ends = sums[most:]
-    batch = max(1, _BATCH_FLOATS // max(1, ends.size))
-    diff = np.empty((min(batch, most), *ends.shape))
-    spread = np.empty((most, n + 1))
-    for first in range(0, most, batch):
-        d = np.subtract(ends, lagged[first : first + batch], out=diff[: min(batch, most - first)])
-        np.einsum("rej,rej->re", d, d, out=spread[first : first + batch])
-    cost = sq[most:] - _windows(sq[: most + n], most)
-    cost -= spread / np.arange(most, 0, -1)[:, None]
+    The blocks are laid end to end, each led by zero rows, and
+    transposed, so one einsum over windows of up to most rows forms every
+    product inside a block with the rows in its inner loop. A product
+    further apart than a block is long is 0 and is not formed."""
+    blocks, rows = x.blocks, x.rows
+    b, m, d = blocks.shape
+    near = min(most, m)
+    # Each block is led by near - 1 zero rows: block row r of block B is
+    # column near - 1 + i of flat, i = B·(near - 1 + m) + r, and
+    # windows[:, e, i] is the row near - 1 - e before it.
+    padded = np.zeros((d, b, near - 1 + m))
+    padded[:, :, near - 1 :] = blocks.transpose(2, 0, 1)
+    flat = padded.reshape(d, b * (near - 1 + m))
+    col, step = flat.strides
+    windows = np.ndarray((d, near, flat.shape[1] - near + 1), float, flat, strides=(col, step, step))
+    products = np.einsum("cei,ci->ei", windows, flat[:, near - 1 :])
+    band = np.zeros((most, rows.size + 2 * most))
+    products.take(rows + rows // m * (near - 1), axis=1, out=band[near - 1 :: -1, most : most + rows.size])
+    return band
+
+
+def _cost_table(band: np.ndarray) -> np.ndarray:
+    """cost[r, e]: squared error about its mean of the run of most - r
+    rows that ends before row e, for runs of most rows down to 1, from a
+    Gram band laid out as _gram_band lays it out. Entries for runs that
+    would start before row 0 are finite and meaningless: they count the
+    zero rows in front.
+
+    For the run of rows u = e - l .. e - 1, the squared norm of its sum
+    is the sum over u of x_u·(x_u + 2·(x_{u+1} + ... + x_{e-1})). Each
+    term is a cumulative sum along one diagonal of the band, and adding
+    up the terms, like adding up the rows' squared norms, is a cumulative
+    sum over l."""
+    most = band.shape[0]
+    n = band.shape[1] - 2 * most
+    row, col = band.strides
+    # ahead[j, i] = x_u·(x_u + 2·(x_{u+1} + ... + x_{u+j})), u = i - most,
+    # from the band's diagonal band[d, i + d] = x_{u+d}·x_u.
+    ahead = np.add.accumulate(np.ndarray((most, n + most), float, band, strides=(row + col, col)), axis=0)
+    ahead *= 2.0
+    ahead -= band[0, : n + most]
+    # Row l - 1 of both views holds, at column e, the l-th row from the
+    # end of the run ending before e, u = e - l: its term
+    # ahead[l - 1, most + u] and its squared norm.
+    arow, acol = ahead.strides
+    terms = np.ndarray((most, n + 1), float, ahead, (most - 1) * acol, (arow - acol, acol))
+    norms = np.ndarray((most, n + 1), float, band, (most - 1) * col, (-col, col))
+    cost = np.empty((most, n + 1))
+    np.add.accumulate(norms, axis=0, out=cost[::-1])
+    spread = np.add.accumulate(terms, axis=0)
+    spread /= np.arange(1.0, most + 1.0)[:, None]
+    cost[::-1] -= spread
     return np.maximum(cost, 0.0, out=cost)
 
 
 def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, float]:
     """Labels of the best split into k runs of at most L rows (cost has
-    rows for runs of L + 1 .. 1 rows, see _run_costs), and its error; ties
+    rows for runs of L + 1 .. 1 rows, see _cost_table), and its error; ties
     go as in kmeans_cluster, so the labels are the full DP's."""
     band, n = cost.shape[0] - 1, cost.shape[1] - 1
     w = n - k + 1
@@ -151,12 +212,3 @@ def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, flo
         end -= band - r
     lengths.append(end)
     return np.repeat(np.arange(k), lengths[::-1]), best.item(-1, -1)
-
-
-def _windows(a: np.ndarray, rows: int) -> np.ndarray:
-    """Writable view of a as rows overlapping windows along its first axis,
-    out[r, j] = a[r + j]; sliding_window_view builds the same view at
-    about ten times the call cost, which the DP pays on every line."""
-    step = a.strides[0]
-    shape = (rows, a.shape[0] - rows + 1, *a.shape[1:])
-    return np.ndarray(shape, a.dtype, a, strides=(step, *a.strides))

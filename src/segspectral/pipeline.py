@@ -13,7 +13,11 @@ Laplacian form, not on the threshold, and once k is chosen the embedding
 and the split depend on nothing else. So a line is prepared once, and a
 prepared sentence is embedded and clustered once per distinct k however
 many thresholds it is segmented at; only the labels and words of each k
-are kept.
+are kept. The embedding is never an n×k matrix here: k-means reads its
+rows in the eigensolver's blocks (embed_blocks), where a line whose graph
+falls apart into b components costs b·m·max k_B entries, m the largest
+component and k_B the eigenpairs of component B among the first k; a
+connected line (b = 1, m = n) costs the n·k entries of the matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ import numpy as np
 from .graph import ConnectionMatrix, EhrParams, Lexicon, WordStats, build_w_ehr, build_w_vocab
 from .eigen import EigenConvergenceError, EigenDecomposition, eigh_symmetric
 from .kmeans import kmeans_cluster
-from .spectral import LaplacianForm, build_laplacian, choose_k, spectral_embed
+from .spectral import LaplacianForm, build_laplacian, choose_k, embed_blocks
+# The pipeline does not build the n×k embedding, but spectral_embed stays
+# a name of this module: bench/run.py wraps every stage it traces by its
+# name here.
+from .spectral import spectral_embed  # noqa: F401
 
 Recipe = EhrParams | Lexicon | WordStats
 
@@ -119,8 +127,9 @@ class PreparedSentence:
     clustered holds the (labels, words) that segment_prepared computed for
     each k it was asked for, so thresholds that choose the same k share
     them. It lives as long as the prepared sentence, and holds at most one
-    entry per distinct k of the line. The n×k embedding the labels were
-    read from is not kept: spectral_embed(dec, k, form) gives it again.
+    entry per distinct k of the line. The labels were read from
+    embed_blocks(dec, k, form), the embedding's rows in their blocks;
+    spectral_embed(dec, k, form) builds the n×k matrix of the same rows.
     """
 
     text: str
@@ -150,7 +159,7 @@ def prepare_sentence(s: str, model, cfg: SegmenterConfig) -> PreparedSentence:
     w = build_w(s, model, cfg.recipe)
     lap = build_laplacian(w, cfg.form)
     dec = eigh_symmetric(lap)
-    # Every trace of the sentence shares these; choose_k and spectral_embed
+    # Every trace of the sentence shares these; choose_k and embed_blocks
     # read them.
     dec.values.flags.writeable = dec.stack.flags.writeable = False
     return PreparedSentence(text=s, w=w, dec=dec, form=cfg.form)
@@ -160,7 +169,7 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
     """Segment a prepared sentence at cfg.eig_cut.
 
     Only choose_k runs for a k the sentence has been segmented at before;
-    for a new k the embedding is dropped once k-means has read it.
+    for a new k, k-means reads the embedding's rows block by block.
     Traces of one sentence share its eigenvalues, and traces of one k its
     labels; both are read-only, and each trace gets its own copy of the
     word list. cfg.form must be the form the sentence was prepared in: a
@@ -173,7 +182,7 @@ def segment_prepared(prep: PreparedSentence, cfg: SegmenterConfig) -> SentenceTr
         )
     k = choose_k(prep.dec.values, cfg.eig_cut)
     if k not in prep.clustered:
-        labels = kmeans_cluster(spectral_embed(prep.dec, k, cfg.form), k)
+        labels = kmeans_cluster(embed_blocks(prep.dec, k, cfg.form), k)
         words = postprocess_merge(labels_to_words(prep.text, labels))
         labels.flags.writeable = False
         prep.clustered[k] = labels, words

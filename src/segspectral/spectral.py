@@ -4,6 +4,11 @@ Builds graph Laplacians as their lower bands (3n entries; eigen finds
 and solves the blocks), chooses a cluster count from the small end of
 the spectrum, embeds nodes into the corresponding eigenvector columns,
 and scores partitions with the two classic cut objectives.
+
+The embedding comes in two shapes with the same rows: spectral_embed
+builds the n×k matrix, for inspection, and embed_blocks leaves the rows in
+the eigensolver's blocks, as k-means reads them; a block's rows are
+non-zero only in the columns of its own eigenpairs.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 
 from .eigen import EigenDecomposition, SymmetricBands
 from .graph import ConnectionMatrix
+from .kmeans import BlockRows
 
 # Eigenvalues within this distance of 0 count as the zero eigenspace.
 ZERO_EIG_TOL = 1e-9
@@ -70,9 +76,23 @@ def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.n
     left alone)."""
     if not 1 <= k <= dec.n:
         raise ValueError(f"k={k} out of range for n={dec.n}")
-    u = dec.columns(k)
+    return _normalized(dec.columns(k), form)
+
+
+def embed_blocks(dec: EigenDecomposition, k: int, form: LaplacianForm) -> BlockRows:
+    """The rows of spectral_embed(dec, k, form), left in the blocks of the
+    eigendecomposition: b·m·max k_B entries, where k_B is how many of the
+    first k eigenpairs are block B's, instead of n·k."""
+    if not 1 <= k <= dec.n:
+        raise ValueError(f"k={k} out of range for n={dec.n}")
+    return BlockRows(_normalized(dec.leading(k), form), dec.row)
+
+
+def _normalized(u: np.ndarray, form: LaplacianForm) -> np.ndarray:
+    """u, its rows (along the last axis) unit-normalized in place under
+    the symmetric normalized form; all-zero rows are left alone."""
     if form is LaplacianForm.SYMMETRIC_NORMALIZED:
-        norms = np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
+        norms = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True))
         np.divide(u, norms, out=u, where=norms > 0.0)
     return u
 

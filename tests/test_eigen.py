@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from segspectral import EigenConvergenceError, eigh_symmetric
+from segspectral import EhrParams, EigenConvergenceError, LaplacianForm, SegmenterConfig, eigh_symmetric, prepare_sentence
 from segspectral.eigen import SymmetricBands
 
 from dense import dense_matrix
@@ -154,3 +155,87 @@ def test_blocks_of_very_different_scales():
             want = np.linalg.eigvalsh(dense_matrix(SymmetricBands(lower)))
             got = dec.values[dec.block == j]
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# Laplacian blocks by their lower bands. The triangle of unit weights has
+# eigenvalues 0, 3, 3: a repeated one inside a block. Blocks drawn again
+# from the pool have the same eigenvalues as their copies.
+_LONE = [[0.0, 0.0, 0.0]]
+_PAIR = [[0.0, 0.0, 1.0], [0.0, -1.0, 1.0]]
+_TRIANGLE = [[0.0, 0.0, 2.0], [0.0, -1.0, 2.0], [-1.0, -1.0, 2.0]]
+
+
+@st.composite
+def laplacian_blocks(draw):
+    """The lower bands of a path Laplacian of 1-6 nodes with random
+    weights, and sometimes one-gap bonds too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    off1 = rng.uniform(0.1, 2.0, m - 1)
+    off2 = rng.uniform(0.1, 2.0, max(0, m - 2)) * draw(st.sampled_from([0.0, 1.0]))
+    deg = np.zeros(m)
+    for d, band in ((1, off1), (2, off2)):
+        deg[d:] += band
+        deg[:-d] += band
+    lower = np.zeros((m, 3))
+    lower[:, 2] = deg
+    lower[1:, 1] = -off1
+    lower[2:, 0] = -off2
+    return lower.tolist()
+
+
+def check_leading_columns(dec):
+    """At every k, each block's eigenpairs among the first k are its first
+    k_B columns in order, and leading(k) holds just those columns of the
+    stack, with zeros after them, as columns(k) gathers them."""
+    b, m, _ = dec.stack.shape
+    rows = dec.row.reshape(-1, 1) // m == np.arange(b)
+    for k in range(dec.n + 1):
+        block, column = dec.block[:k], dec.column[:k]
+        counts = np.bincount(block, minlength=b)
+        for j in range(b):
+            assert np.array_equal(column[block == j], np.arange(counts[j])), (k, j)
+        slab = dec.leading(k)
+        assert slab.shape == (b, m, counts.max(initial=0))
+        for j in range(b):
+            assert np.array_equal(slab[j, :, : counts[j]], dec.stack[j, :, : counts[j]])
+            assert not slab[j, :, counts[j] :].any()
+        # Node t's row of the slab holds its entries of the first k columns.
+        dense = dec.columns(k)
+        flat = slab.reshape(b * m, -1)
+        for i in range(k):
+            assert np.array_equal(dense[rows[:, block[i]], i], flat[dec.row[rows[:, block[i]]], column[i]])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.sampled_from([_LONE, _PAIR, _TRIANGLE]), laplacian_blocks()), min_size=1, max_size=10))
+@example([_TRIANGLE, _PAIR, _TRIANGLE, _LONE, _TRIANGLE])
+def test_each_block_gives_a_prefix_of_its_columns(blocks):
+    dec = eigh_symmetric(SymmetricBands(np.concatenate([np.array(block) for block in blocks])))
+    check_leading_columns(dec)
+
+
+def test_identical_blocks_and_a_repeated_eigenvalue_at_the_cut():
+    # Three triangles: 0 three times, then 3 six times, two in each block.
+    # Every k from 4 to 8 cuts among the 3s, within a block or between
+    # copies of one.
+    dec = eigh_symmetric(SymmetricBands(np.concatenate([np.array(_TRIANGLE)] * 3)))
+    assert np.abs(dec.values - [0, 0, 0, 3, 3, 3, 3, 3, 3]).max() < 1e-12
+    for j in (1, 2):
+        assert np.array_equal(dec.values[dec.block == j], dec.values[dec.block == 0])
+    check_leading_columns(dec)
+
+
+@pytest.mark.parametrize("form", LaplacianForm)
+def test_repeated_words_give_equal_eigenvalues_across_blocks(synth_corpus, synth_model, form):
+    # A word five times between commas: five blocks with the same
+    # eigenvalues, so every k among them cuts between copies.
+    _, gold = synth_corpus
+    word, other = gold[0][:2]
+    cfg = SegmenterConfig.for_recipe(EhrParams(), form=form)
+    dec = prepare_sentence(",".join([word] * 4 + [other, word]), synth_model, cfg).dec
+    copies = [j for j in range(dec.stack.shape[0]) if np.count_nonzero(dec.block == j) == len(word)]
+    assert len(copies) >= 5
+    same = [j for j in copies if np.array_equal(dec.values[dec.block == j], dec.values[dec.block == copies[0]])]
+    assert len(same) == 5
+    check_leading_columns(dec)

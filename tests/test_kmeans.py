@@ -257,32 +257,51 @@ def test_memory_stays_linear_in_n_times_k():
     assert peak < 4 * n * k * 8
 
 
-def _direct_run_costs(sums, sq, most, least):
-    """The run-cost table one run length at a time, from the prefix sums
-    without their leading zero rows; entries for runs that would start
-    before row 0 are NaN."""
-    sums, sq = sums[most:], sq[most:]
-    cost = np.full((most - least + 1, sq.size), np.nan)
-    for row, s in enumerate(range(most, least - 1, -1)):
-        d = sums[s:] - sums[:-s]
-        spread = np.einsum("ij,ij->i", d, d)
-        cost[row, s:] = np.maximum(sq[s:] - sq[:-s] - spread / s, 0.0)
+def _direct_run_costs(x, most):
+    """The run-cost table one run at a time, straight from the rows: entry
+    [most - l, e] is the squared error about its mean of rows e - l .. e - 1,
+    and NaN for runs that would start before row 0."""
+    n = x.shape[0]
+    cost = np.full((most, n + 1), np.nan)
+    for length in range(1, most + 1):
+        for end in range(length, n + 1):
+            run = x[end - length : end]
+            cost[most - length, end] = ((run - run.mean(axis=0)) ** 2).sum()
     return cost
 
 
-@pytest.mark.parametrize("budget", [1, 40, 200, kmeans._BATCH_FLOATS])
-def test_batched_run_costs_equal_a_direct_computation(monkeypatch, budget):
-    # Tables built in batches of every size, from one run length at a time
-    # to all at once, including the wider tables built when the band widens.
-    monkeypatch.setattr(kmeans, "_BATCH_FLOATS", budget)
-    run_costs, built = kmeans._run_costs, []
+def block_rows(rng, sizes, width):
+    """Rows of blocks of the given sizes, each block with its own columns
+    (up to width of them), as BlockRows and as the dense matrix they stand
+    for; rows come from a pool of two per block, so runs repeat and tie."""
+    n, m = sum(sizes), max(sizes)
+    counts = rng.integers(0, width + 1, len(sizes))
+    blocks = np.zeros((len(sizes), m + 1, int(counts.max())))
+    dense = np.zeros((n, int(counts.sum())))
+    rows = np.empty(n, dtype=int)
+    start = column = 0
+    for b, (size, count) in enumerate(zip(sizes, counts)):
+        pool = rng.normal(size=(2, count))
+        blocks[b, :size, :count] = pool[rng.integers(0, 2, size)]
+        # A row no line row maps to is ignored.
+        blocks[b, size:, :count] = rng.normal(size=(m + 1 - size, count))
+        dense[start : start + size, column : column + count] = blocks[b, :size, :count]
+        rows[start : start + size] = b * (m + 1) + np.arange(size)
+        start, column = start + size, column + count
+    return kmeans.BlockRows(blocks, rows), dense
 
-    def spy(sums, sq, most):
-        cost = run_costs(sums, sq, most)
-        built.append((sums.copy(), sq.copy(), most, cost.copy()))
+
+def test_band_cost_tables_equal_a_direct_computation(monkeypatch):
+    # Every table the DP reads, from an n×d matrix and from blocks, the
+    # wider tables built when the band widens included.
+    cost_table, built = kmeans._cost_table, []
+
+    def spy(band):
+        cost = cost_table(band)
+        built.append(cost.copy())
         return cost
 
-    monkeypatch.setattr(kmeans, "_run_costs", spy)
+    monkeypatch.setattr(kmeans, "_cost_table", spy)
     rng = np.random.default_rng(3)
     tables = []
     for _ in range(40):
@@ -292,18 +311,34 @@ def test_batched_run_costs_equal_a_direct_computation(monkeypatch, budget):
         pool = rng.normal(size=(2, int(rng.integers(1, 4))))
         x = np.repeat(pool[rng.integers(0, 2, k)], lengths, axis=0)
         x += 1e-3 * rng.normal(size=x.shape)
-        before = len(built)
-        kmeans_cluster(x, k)
-        tables.append(len(built) - before)
-        kmeans_cluster(rng.normal(size=(int(rng.integers(1, 30)), 3)), 1)
+        sizes = rng.integers(1, 9, int(rng.integers(1, 12)))
+        blocks, dense = block_rows(rng, sizes.tolist(), 3)
+        cases = [(x, x, k), (rng.normal(size=(int(rng.integers(1, 30)), 3)),) * 2 + (1,)]
+        cases.append((blocks, dense, int(rng.integers(1, dense.shape[0] + 1))))
+        for points, rows, k in cases:
+            before = len(built)
+            kmeans_cluster(points, k)
+            tables.append(len(built) - before)
+            norm = float((rows * rows).sum())
+            for cost in built[before:]:
+                want = _direct_run_costs(rows, cost.shape[0])
+                valid = ~np.isnan(want)
+                # Rounding stays far below the tie tolerance, 1e-12 of the
+                # total squared norm.
+                assert np.abs(cost[valid] - want[valid]).max(initial=0.0) <= 1e-15 * max(norm, 1.0)
+                # Runs that would start before row 0 are finite, so the DP's
+                # infinities alone rule them out.
+                assert np.isfinite(cost).all()
     # Some calls widen the band twice.
     assert 3 in tables
-    for sums, sq, most, cost in built:
-        # The prefix sums start with most zero rows, the prefix before row 0.
-        assert not sums[:most].any() and not sq[:most].any()
-        want = _direct_run_costs(sums, sq, most, 1)
-        valid = ~np.isnan(want)
-        assert cost[valid].tobytes() == want[valid].tobytes()
-        # Runs that would start before row 0 are finite, so the DP's
-        # infinities alone rule them out.
-        assert np.isfinite(cost).all()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=20), st.integers(1, 4))
+def test_block_rows_give_the_labels_of_their_dense_matrix(seed, sizes, width):
+    rng = np.random.default_rng(seed)
+    blocks, dense = block_rows(rng, sizes, width)
+    for k in {1, dense.shape[0], int(rng.integers(1, dense.shape[0] + 1))}:
+        labels = kmeans_cluster(blocks, k)
+        assert np.array_equal(labels, full_table_labels(dense, k)), (sizes, k)
+        assert np.array_equal(labels, kmeans_cluster(dense, k)), (sizes, k)

@@ -1,4 +1,6 @@
 import math
+import re
+import string
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -25,7 +27,7 @@ from segspectral import (
     spectral_embed,
     trace_document,
 )
-from segspectral import pipeline
+from segspectral import kmeans, pipeline
 from segspectral.graph import build_w_ehr, build_w_vocab
 from segspectral.ngram import iter_corpus_lines
 from segspectral.pipeline import DATA_ERRORS, build_w, labels_to_words, postprocess_merge
@@ -301,7 +303,7 @@ class TestClusteringReuse:
 
             monkeypatch.setattr(pipeline, name, counted)
 
-        stages = ("spectral_embed", "kmeans_cluster", "labels_to_words", "postprocess_merge")
+        stages = ("embed_blocks", "kmeans_cluster", "labels_to_words", "postprocess_merge")
         for name in ("choose_k", *stages):
             count(name)
         lines, _ = synth_corpus
@@ -341,6 +343,22 @@ class TestClusteringReuse:
                     embedding = spectral_embed(prep.dec, t.k, prep.form)
                     assert embedding.shape == (len(line), t.k)
                     assert np.array_equal(kmeans_cluster(embedding, t.k), t.labels)
+
+    def test_kmeans_is_called_with_k_second(self, synth_corpus, synth_model, monkeypatch):
+        # bench/run.py's kmeans_cluster span reads k from args[1] and n
+        # from the labels it returns.
+        lines, _ = synth_corpus
+        seen = []
+
+        def recording(*args):
+            labels = kmeans_cluster(*args)
+            seen.append((args[1], len(labels)))
+            return labels
+
+        monkeypatch.setattr(pipeline, "kmeans_cluster", recording)
+        cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5)
+        traces = [segment_prepared(prepare_sentence(line, synth_model, cfg), cfg) for line in lines[:5]]
+        assert seen == [(t.k, len(t.text)) for t in traces]
 
     def test_form_mismatch_is_a_caller_bug(self, synth_corpus, synth_model):
         lines, _ = synth_corpus
@@ -387,6 +405,86 @@ class TestSegmentDocument:
         bad_cfg = SegmenterConfig(EhrParams(), "sym", 0.3)
         with pytest.raises(TypeError, match="unknown Laplacian form 'sym'"):
             segment_document(["天安", ""], synth_model, bad_cfg)
+
+
+def test_every_stage_the_bench_traces_is_a_pipeline_name():
+    # bench/run.py wraps pipeline stages by name, and wrapping a name the
+    # module lacks raises AttributeError; the file is read as text, not
+    # imported.
+    text = (Path(__file__).resolve().parents[1] / "bench" / "run.py").read_text(encoding="utf-8")
+    names = re.findall(r'tracer\.wrap\(\s*p,\s*"(\w+)"', text)
+    assert "kmeans_cluster" in names and "spectral_embed" in names
+    for name in names:
+        assert callable(getattr(pipeline, name, None)), name
+
+
+_SEPARATORS = string.ascii_letters + string.digits + string.punctuation
+
+
+@st.composite
+def block_rich_lines(draw, corpus):
+    """A synthetic line as it is (one block), the same with Latin letters,
+    digits and punctuation put between its characters (each a block of
+    its own), or 50-80 of the corpus's words run together."""
+    lines, gold = corpus
+    kind = draw(st.sampled_from(["one block", "many blocks", "long"]))
+    if kind == "long":
+        words = [word for line in gold for word in line]
+        count = draw(st.integers(50, 80))
+        start = draw(st.integers(0, len(words) - count))
+        return "".join(words[start : start + count])
+    chars = list(draw(st.sampled_from(lines)))
+    if kind == "many blocks":
+        for _ in range(draw(st.integers(1, 2 * len(chars)))):
+            chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(_SEPARATORS)))
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("form", LaplacianForm)
+def test_labels_from_the_blocks_equal_those_of_the_dense_embedding(synth_corpus, synth_model, form):
+    # The pipeline hands k-means the embedding's rows block by block; the
+    # n×k matrix of the same rows gives the same labels, on lines of one
+    # block and of many, and at cuts where the k-means band widens.
+    cfg = SegmenterConfig.for_recipe(EhrParams(), form=form)
+    cut_lists = st.lists(st.sampled_from([0.005, 0.02, 0.05, 0.15, 0.5, 1.5]), min_size=1, max_size=3)
+
+    @settings(deadline=None, max_examples=60, database=None, print_blob=True)
+    @given(block_rich_lines(synth_corpus), cut_lists)
+    def check(line, cuts):
+        prep = prepare_sentence(line, synth_model, cfg)
+        for cut in cuts:
+            trace = segment_prepared(prep, replace(cfg, eig_cut=cut))
+            want = kmeans_cluster(spectral_embed(prep.dec, trace.k, form), trace.k)
+            assert np.array_equal(trace.labels, want), (line, cut)
+
+    check()
+
+
+@pytest.mark.parametrize("form,cut", [(LaplacianForm.UNNORMALIZED, 0.05), (LaplacianForm.SYMMETRIC_NORMALIZED, 0.02)])
+def test_long_lines_at_a_fine_cut_widen_the_band(synth_corpus, synth_model, monkeypatch, form, cut):
+    # 50-80 words at these cuts: the first band of twice n/k rows is too
+    # narrow for some line, so the widened tables are among those the
+    # previous test compares.
+    _, gold = synth_corpus
+    words = [word for line in gold for word in line]
+    lines = ["".join(words[start : start + 50 + start % 31]) for start in range(0, len(words) - 80, 350)]
+    builds = []
+    gram_band = kmeans._gram_band
+
+    def counted(x, most):
+        builds.append(most)
+        return gram_band(x, most)
+
+    monkeypatch.setattr(kmeans, "_gram_band", counted)
+    cfg = SegmenterConfig.for_recipe(EhrParams(), form=form, eig_cut=cut)
+    widened = 0
+    for line in lines:
+        before = len(builds)
+        prep = prepare_sentence(line, synth_model, cfg)
+        trace = segment_prepared(prep, cfg)
+        widened += len(builds) - before > 1
+        assert np.array_equal(trace.labels, kmeans_cluster(spectral_embed(prep.dec, trace.k, form), trace.k))
+    assert widened >= len(lines) // 2, (widened, len(lines))
 
 
 # Everything str.splitlines() breaks on except "\n", some whitespace, two

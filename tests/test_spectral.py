@@ -20,6 +20,7 @@ from segspectral import (
     zero_eig_multiplicity,
 )
 from segspectral.eigen import SymmetricBands
+from segspectral.spectral import embed_blocks
 
 from dense import (
     brute_force_best_contiguous,
@@ -96,7 +97,8 @@ def block_sizes(w):
 def solved_sizes(dec):
     """The sizes of the blocks a decomposition was solved in: each block's
     rows of the line."""
-    return np.count_nonzero(dec.rows < dec.n, axis=1).tolist()
+    b, m, _ = dec.stack.shape
+    return np.bincount(dec.row // m, minlength=b).tolist()
 
 
 def check_block_solve(w, form):
@@ -124,6 +126,7 @@ def check_block_solve(w, form):
         got = kmeans_cluster(spectral_embed(dec, k, form), k)
         want = kmeans_cluster(spectral_embed(ref, k, form), k)
         assert np.array_equal(got, want), k
+        assert np.array_equal(kmeans_cluster(embed_blocks(dec, k, form), k), want), k
 
 
 @settings(deadline=None, max_examples=150)
@@ -296,18 +299,22 @@ class TestEmbedding:
         dec = EigenDecomposition(
             values=np.array([0.0, 1.0]),
             stack=np.array([[[0.0, 0.0], [1.0, 0.0]]]),
-            rows=np.array([[0, 1]]),
+            row=np.array([0, 1]),
             block=np.array([0, 0]),
             column=np.array([0, 1]),
         )
         emb = spectral_embed(dec, 1, LaplacianForm.SYMMETRIC_NORMALIZED)
         assert np.array_equal(emb, [[0.0], [1.0]])
+        rows = embed_blocks(dec, 1, LaplacianForm.SYMMETRIC_NORMALIZED)
+        assert np.array_equal(rows.blocks, [[[0.0], [1.0]]])
 
     def test_k_out_of_range(self):
         dec = eigh_symmetric(SymmetricBands(np.tile([0.0, 0.0, 1.0], (3, 1))))
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 spectral_embed(dec, k, LaplacianForm.UNNORMALIZED)
+            with pytest.raises(ValueError, match="out of range"):
+                embed_blocks(dec, k, LaplacianForm.UNNORMALIZED)
 
 
 class TestZeroEigenspace:
