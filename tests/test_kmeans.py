@@ -333,6 +333,28 @@ def test_band_cost_tables_equal_a_direct_computation(monkeypatch):
     assert 3 in tables
 
 
+@pytest.mark.parametrize("budget", [1, 40, 200, 32768])
+def test_batched_run_costs_equal_a_direct_computation(budget):
+    # One table batches every run length up to its band's height: from one
+    # run length (height 1) to every length the line allows, at heights the
+    # DP's own widening need not reach.
+    rng = np.random.default_rng(budget)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        x = rows_with_duplicates(rng, n, int(rng.integers(1, 4)))
+        sizes = rng.integers(1, 9, int(rng.integers(1, 12)))
+        blocks, dense = block_rows(rng, sizes.tolist(), 3)
+        for points, rows in [(kmeans.BlockRows(x[None], np.arange(n)), x), (blocks, dense)]:
+            most = min(budget, rows.shape[0])
+            cost = kmeans._cost_table(kmeans._gram_band(points, most))
+            assert cost.shape == (most, rows.shape[0] + 1)
+            want = _direct_run_costs(rows, most)
+            valid = ~np.isnan(want)
+            norm = float((rows * rows).sum())
+            assert np.abs(cost[valid] - want[valid]).max(initial=0.0) <= 1e-15 * max(norm, 1.0)
+            assert np.isfinite(cost).all()
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=20), st.integers(1, 4))
 def test_block_rows_give_the_labels_of_their_dense_matrix(seed, sizes, width):
