@@ -23,7 +23,7 @@ the stack, so no n×n eigenvector matrix is built. Values ascend within a
 block and the order of all of them is a stable sort, so a block's
 eigenpairs among the first k are its first k_B columns: leading(k) hands
 them over block by block, as k-means reads them, in b·m·max k_B entries,
-and columns(k) gathers them as an n×k matrix.
+with the k_B, and columns(k) gathers them as an n×k matrix.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ class EigenConvergenceError(RuntimeError):
 class EigenDecomposition:
     """Ascending eigenvalues with orthonormal eigenvectors, kept in their
     blocks. Eigenpair i is values[i] with column column[i] of
-    stack[block[i]]. Node t of the line is row row[t] of the stack viewed
-    as (b·m, m); the rows no node maps to are padding."""
+    stack[block[i]]. The blocks are in line order, block B holding the
+    next sizes[B] nodes: node t of the line is row row[t] of the stack
+    viewed as (b·m, m), and the rows no node maps to are padding."""
 
     values: np.ndarray  # (n,)
     stack: np.ndarray  # (b, m, m)
     row: np.ndarray  # (n,)
     block: np.ndarray  # (n,)
     column: np.ndarray  # (n,)
+    sizes: np.ndarray  # (b,)
 
     @property
     def n(self) -> int:
@@ -64,16 +66,18 @@ class EigenDecomposition:
         gathered = self.stack.reshape(b * m, m)[self.row[:, None], self.column[:k]]
         return np.where(np.equal.outer(self.row // m, self.block[:k]), gathered, 0.0)
 
-    def leading(self, k: int) -> np.ndarray:
-        """The first k eigenvectors block by block: a (b, m, j) array whose
-        block B holds, in its first k_B columns, the k_B of B's eigenpairs
-        among the first k, in order, and zeros after them; j is the largest
-        k_B. Row row[t] of it, viewed as (b·m, j), is node t's."""
+    def leading(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k eigenvectors block by block, and the counts k_B of
+        each block's eigenpairs among them: a (b, m, j) array whose block B
+        holds, in its first k_B columns, the k_B of B's eigenpairs among
+        the first k, in order, and zeros after them, and the (b,) array of
+        the k_B; j is the largest k_B. Row row[t] of the first, viewed as
+        (b·m, j), is node t's."""
         if not 0 <= k <= self.n:
             raise ValueError(f"k={k} out of range for n={self.n}")
         counts = np.bincount(self.block[:k], minlength=self.stack.shape[0])
         j = int(counts.max())
-        return self.stack[:, :, :j] * (np.arange(j) < counts[:, None, None])
+        return self.stack[:, :, :j] * (np.arange(j) < counts[:, None, None]), counts
 
 
 @dataclass
@@ -131,4 +135,4 @@ def eigh_symmetric(bands: SymmetricBands) -> EigenDecomposition:
     # ascending, equal ones in block order.
     order = np.argsort(values, axis=None, kind="stable")[:n]
     block, column = np.divmod(order, m)
-    return EigenDecomposition(values.reshape(-1)[order], vectors, row, block, column)
+    return EigenDecomposition(values.reshape(-1)[order], vectors, row, block, column, sizes)

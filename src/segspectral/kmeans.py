@@ -33,12 +33,37 @@ O(n·L·d) time and O(n·(L + d)) memory. For b blocks of at most m rows and j c
 takes O(b·m·min(L + 1, m)·j) time and O(b·m·(j + min(L + 1, m)) + n·L)
 memory, and no n×j matrix is built. The DP then takes O(k·n·L) time and
 O(n·L + k·n) memory.
+
+Its k steps are sequential, so where the graph falls apart the DP first
+contracts the runs that are forced. A component's lowest eigenvector is
+constant on it (von Luxburg, "A Tutorial on Spectral Clustering", 2007),
+so a block whose only eigenpair among the first k is that one has equal
+rows, and the full DP gives it one run. With f such blocks (counts[B] = 1
+in BlockRows), each is taken as one whole run and the DP splits only the
+other n' rows into k' = k - f runs, reading the columns of the same cost
+table at their ends: O(k'·n'·L) time. The result costs E_c, the DP's
+error plus the whole blocks' own errors (0 in the symmetric normalized
+form, rounding in the unnormalized one). Every split the full DP's
+traceback can reach costs at most E_c + M, M = k·tol, so two checks make
+the labels the full DP's, ties included:
+- No run crosses a gap between blocks: rows of different blocks are
+  orthogonal and a run never costs less than a run inside it, so such a
+  run costs at least the cheapest two rows across a gap, half their
+  squared norms, which must exceed E_c + M.
+- No whole block is split: then the other rows lie in at most k' - 1
+  runs, and the least of the DP's error for k' - 1 runs and the cheapest
+  run of L + 1 of those rows must exceed E_c + M.
+Within the one shape left, each tie test of the full traceback is the
+reduced one, the same whole blocks lying before a run's start and its end.
+When a check fails, or fewer than _LEAST_FIXED blocks could be kept whole,
+the DP splits all n rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,17 +71,27 @@ import numpy as np
 # the rows' total squared norm, are ties; rounding stays far below it.
 _TIE_RTOL = 1e-12
 
+# Keeping a block of one chosen eigenpair whole saves the DP a step, but
+# finding such blocks, gathering the other rows' table and certifying the
+# result costs about as much as 5.5 steps on 40-character lines; with
+# fewer blocks to keep than this, the DP splits all rows.
+_LEAST_FIXED = 6
+
 
 @dataclass
 class BlockRows:
-    """n rows kept block by block: row t is row rows[t] of blocks viewed
-    as a (b·m, d) matrix. A block's first rows are consecutive rows of
-    the line, in order, and its rows after them are ignored. Rows of
-    different blocks are orthogonal, so their inner products are 0 and
-    never formed."""
+    """n rows kept block by block, the blocks in line order: block B
+    holds the next sizes[B] rows of the line in its first sizes[B] rows,
+    in order, and its rows after them are ignored. Row t is row rows[t]
+    of blocks viewed as a (b·m, d) matrix. Rows of different blocks are
+    orthogonal, so their inner products are 0 and never formed. counts[B]
+    is how many of block B's leading columns may be non-zero; k-means
+    tries to keep each block with counts[B] = 1 as one whole run."""
 
     blocks: np.ndarray  # (b, m, d)
     rows: np.ndarray  # (n,)
+    sizes: np.ndarray  # (b,)
+    counts: np.ndarray  # (b,)
 
 
 def kmeans_cluster(points, k: int) -> np.ndarray:
@@ -69,7 +104,9 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     tolerance of the least error up to its end. Takes O(k·n·L) time and
     O(n·L + k·n) memory besides the Gram band (see the module docstring),
     where L is a bound on run length that starts at twice n/k and doubles
-    while the result cannot be certified.
+    while the result cannot be certified; O(k'·n'·L) time where blocks of
+    one column are kept whole and the DP splits the n' rows outside them
+    into the k' runs left.
     """
     if isinstance(points, BlockRows):
         rows, norm = points, None
@@ -85,7 +122,7 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
         # do. Rows that are not finite fail below.
         if math.isfinite(norm) and x.size:
             x = x - np.sort(x, axis=0)[(x.shape[0] - 1) // 2]
-        rows = BlockRows(x[None], np.arange(x.shape[0]))
+        rows = BlockRows(x[None], np.arange(x.shape[0]), np.array([x.shape[0]]), np.array([x.shape[1]]))
     n = rows.rows.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
@@ -102,16 +139,73 @@ def kmeans_cluster(points, k: int) -> np.ndarray:
     if not math.isfinite(norm):
         raise ValueError("rows must be finite")
     tol = _TIE_RTOL * norm
+    cost = _cost_table(band)
+    labels = _contracted_split(rows, cost, k, tol)
+    if labels is not None:
+        return labels
     while True:
-        cost = _cost_table(band)
-        labels, error = _banded_split(cost, k, tol)
+        lengths, error, _ = _banded_split(cost, k, tol)
         # A longer run costs at least as much as each run of longest + 1
         # rows inside it, so when those all cost more than the error found
         # plus k tie tolerances, no split the full DP could pick has one.
         if longest == w or cost[0, longest + 1 :].min() > error + k * tol:
-            return labels
+            return np.repeat(np.arange(k), lengths)
         longest = min(w, 2 * longest)
-        band = _gram_band(rows, longest + 1)
+        cost = _cost_table(_gram_band(rows, longest + 1))
+
+
+def _contracted_split(x: BlockRows, cost: np.ndarray, k: int, tol: float) -> np.ndarray | None:
+    """kmeans_cluster's labels when every block of x with counts[B] = 1
+    is one whole run of them and both checks of the module docstring
+    certify it, from the first band's cost table; None when they do not,
+    or when fewer than _LEAST_FIXED blocks have counts[B] = 1.
+
+    A run the reduced DP reads across a whole block is read as the run of
+    as many rows before its end, which crosses a gap: the first check
+    prices it out too, so no masking is needed."""
+    # No more blocks can be kept whole than there are.
+    if x.counts.size < _LEAST_FIXED:
+        return None
+    kept = x.counts == 1
+    f = int(np.count_nonzero(kept))
+    free_k = k - f
+    # Each other block needs a run of its own, as no run crosses a gap.
+    if f < _LEAST_FIXED or not kept.size - f <= free_k:
+        return None
+    sizes, n, most = x.sizes, x.rows.size, cost.shape[0]
+    kept_sizes = sizes[kept]
+    if np.maximum.reduce(kept_sizes) > most:
+        return None
+    ends = np.add.accumulate(sizes)
+    error = float(np.add.reduce(cost[most - kept_sizes, ends[kept]]))
+    # A run of two rows ending at row e + 1 is rows e - 1 and e.
+    cross = np.minimum.reduce(cost[most - 2, 1:][ends[:-1]], initial=np.inf)
+    fewer = np.inf
+    if free_k:
+        # The free rows' table: column j is the full table's at the end of
+        # the j-th free row, column 0 at row 0.
+        keep = np.ones(n + 1, dtype=bool)
+        keep[1:] = np.repeat(~kept, sizes)
+        cols = keep.nonzero()[0]
+        free_n = cols.size - 1
+        if free_k > free_n:
+            return None
+        band = min(most - 1, free_n - free_k + 1)
+        table = cost[most - 1 - band :].take(cols, axis=1)
+        lengths, free_error, fewer = _banded_split(table, free_k, tol)
+        error += free_error
+        if band < free_n:
+            fewer = min(fewer, np.minimum.reduce(table[0, band + 1 :]))
+    bound = error + k * tol
+    if not (cross > bound and fewer > bound):
+        return None
+    # Row t's label counts the runs that start at rows 1 .. t: every block
+    # but the first, and the free rows' runs.
+    start = np.zeros(n, dtype=bool)
+    start[ends[:-1]] = True
+    if free_k:
+        start[cols[list(accumulate(lengths[:-1]))]] = True
+    return np.add.accumulate(start, dtype=np.intp)
 
 
 def _gram_band(x: BlockRows, most: int) -> np.ndarray:
@@ -174,29 +268,35 @@ def _cost_table(band: np.ndarray) -> np.ndarray:
     return np.maximum(cost, 0.0, out=cost)
 
 
-def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, float]:
-    """Labels of the best split into k runs of at most L rows (cost has
-    rows for runs of L + 1 .. 1 rows, see _cost_table), and its error; ties
-    go as in kmeans_cluster, so the labels are the full DP's."""
+def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[list[int], float, float]:
+    """Run lengths, in order, of the best split into k runs of at most L
+    rows (cost has rows for runs of L + 1 .. 1 rows, see _cost_table), its
+    error, and the least error of k - 1 such runs (inf for k = 1); ties go
+    as in kmeans_cluster, so the runs are the full DP's."""
     band, n = cost.shape[0] - 1, cost.shape[1] - 1
     w = n - k + 1
     # The first m + 1 runs hold a row each and leave one for each run after
-    # them, so they end (exclusive) at m + 1 .. m + w. best[m, band - 1 + t]:
-    # least error of rows 0 .. m + t in m + 1 runs; the band - 1 infinities
-    # in front rule out a last run starting before row m.
-    best = np.full((k, band - 1 + w), np.inf)
+    # them, so they end (exclusive) at m + 1 .. m + w; one more column, at
+    # m + w + 1, leaves none, so that row k - 2 ends with all n rows in
+    # k - 1 runs. best[m, band - 1 + t]: least error of rows 0 .. m + t in
+    # m + 1 runs; the band - 1 infinities in front rule out a last run
+    # starting before row m.
+    best = np.full((k, band + w), np.inf)
     # The runs of 1 .. band rows from row 0: cost[band - t, 1 + t].
     best[0, band - 1 : 2 * band - 1] = cost[band:0:-1].diagonal(1)
     # Step m sums windows[m - 1] and runs[m]: with windows[m, r, t] =
     # best[m, r + t] and runs[m, r, t] = cost[1 + r, m + 1 + t], that is the
     # error of m + 1 runs, the last of band - r rows ending at row m + t.
-    windows = np.ndarray((k, band, w), float, best, strides=(*best.strides, best.itemsize))
+    windows = np.ndarray((k, band, w + 1), float, best, strides=(*best.strides, best.itemsize))
     row, col = cost.strides
-    runs = np.ndarray((k, band, w), float, cost, row + col, (col, row, col))
-    total = np.empty((band, w))
-    for before, run, least in zip(windows, runs[1:], best[1:, band - 1 :]):
+    runs = np.ndarray((k - 1, band, w + 1), float, cost, row + col, (col, row, col))
+    total = np.empty((band, w + 1))
+    for before, run, least in zip(windows, runs[1:], best[1:-1, band - 1 :]):
         np.add(before, run, out=total)
         np.minimum.reduce(total, axis=0, out=least)
+    if k > 1:
+        # The last run ends at row n.
+        best[-1, -2] = np.minimum.reduce(windows[-2, :, w - 1] + cost[1:, n])
 
     # Each run starts as early as it can: at the first candidate within
     # tol of the least error, summed as the forward pass summed it.
@@ -211,4 +311,5 @@ def _banded_split(cost: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, flo
         lengths.append(band - r)
         end -= band - r
     lengths.append(end)
-    return np.repeat(np.arange(k), lengths[::-1]), best.item(-1, -1)
+    fewer = best.item(-2, -1) if k > 1 else np.inf
+    return lengths[::-1], best.item(-1, -2), fewer

@@ -82,10 +82,13 @@ def spectral_embed(dec: EigenDecomposition, k: int, form: LaplacianForm) -> np.n
 def embed_blocks(dec: EigenDecomposition, k: int, form: LaplacianForm) -> BlockRows:
     """The rows of spectral_embed(dec, k, form), left in the blocks of the
     eigendecomposition: b·m·max k_B entries, where k_B is how many of the
-    first k eigenpairs are block B's, instead of n·k."""
+    first k eigenpairs are block B's, instead of n·k. The BlockRows carry
+    the blocks' sizes and their k_B, with which k-means takes each block
+    of one eigenpair as one run."""
     if not 1 <= k <= dec.n:
         raise ValueError(f"k={k} out of range for n={dec.n}")
-    return BlockRows(_normalized(dec.leading(k), form), dec.row)
+    slab, counts = dec.leading(k)
+    return BlockRows(_normalized(slab, form), dec.row, dec.sizes, counts)
 
 
 def _normalized(u: np.ndarray, form: LaplacianForm) -> np.ndarray:

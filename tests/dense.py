@@ -45,7 +45,9 @@ def dense_eigh(a) -> EigenDecomposition:
     EigenDecomposition."""
     values, vectors = np.linalg.eigh(a)
     n = values.size
-    return EigenDecomposition(values, vectors[None], np.arange(n), np.zeros(n, dtype=int), np.arange(n))
+    return EigenDecomposition(
+        values, vectors[None], np.arange(n), np.zeros(n, dtype=int), np.arange(n), np.array([n])
+    )
 
 
 def _full_cost_table(x):

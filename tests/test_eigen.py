@@ -195,7 +195,8 @@ def check_leading_columns(dec):
         counts = np.bincount(block, minlength=b)
         for j in range(b):
             assert np.array_equal(column[block == j], np.arange(counts[j])), (k, j)
-        slab = dec.leading(k)
+        slab, got = dec.leading(k)
+        assert np.array_equal(got, counts)
         assert slab.shape == (b, m, counts.max(initial=0))
         for j in range(b):
             assert np.array_equal(slab[j, :, : counts[j]], dec.stack[j, :, : counts[j]])

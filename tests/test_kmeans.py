@@ -1,10 +1,11 @@
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segspectral import kmeans
 from segspectral import (
@@ -12,12 +13,17 @@ from segspectral import (
     LaplacianForm,
     Lexicon,
     SegmenterConfig,
+    SynthSpec,
     WordStats,
+    choose_k,
+    generate_synthetic,
+    ingest_corpus,
     kmeans_cluster,
     prepare_sentence,
     segment_prepared,
     spectral_embed,
 )
+from segspectral.spectral import embed_blocks
 from dense import contiguous_partitions, full_table_labels
 
 
@@ -233,6 +239,47 @@ def test_matches_full_table_dp_on_pipeline_embeddings(synth_corpus, synth_model)
                     x = spectral_embed(prep.dec, k, prep.form)
                     want = full_table_labels(x, k)
                     assert np.array_equal(kmeans_cluster(x, k), want), (line, cfg, cut)
+                    blocks = embed_blocks(prep.dec, k, prep.form)
+                    assert np.array_equal(kmeans_cluster(blocks, k), want), (line, cfg, cut)
+
+
+def test_kept_blocks_shorten_the_dp_on_long_lines():
+    # On lines of 50-80 words of a 200-word vocabulary, at cut 1.5, most
+    # blocks are one word with one eigenpair among the first k, kept whole,
+    # so the DP splits fewer than k runs. When a certificate is refused,
+    # here by overstating the reduced DP's error, the DP splits all n rows
+    # into k runs. Either way the labels are the full DP's.
+    lines, _ = generate_synthetic(SynthSpec(vocab_size=200, sentence_len=(50, 80), sentences=100))
+    model = ingest_corpus(lines, source="synthetic")
+    cfg = SegmenterConfig.for_recipe(EhrParams(), eig_cut=1.5)
+    banded_split, calls, overstate = kmeans._banded_split, [], []
+
+    def spy(cost, k, tol):
+        lengths, error, fewer = banded_split(cost, k, tol)
+        calls.append((k, cost.shape[1] - 1))
+        return lengths, (np.inf if k in overstate else error), fewer
+
+    shorter = 0
+    with mock.patch.object(kmeans, "_banded_split", spy):
+        for line in lines[:30]:
+            prep = prepare_sentence(line, model, cfg)
+            k = choose_k(prep.dec.values, cfg.eig_cut)
+            want = full_table_labels(spectral_embed(prep.dec, k, cfg.form), k)
+            full = (k, len(line))
+            calls.clear()
+            assert np.array_equal(kmeans_cluster(embed_blocks(prep.dec, k, cfg.form), k), want), line
+            # A reduced DP, if any, comes first, and every DP after it
+            # splits all rows.
+            assert all(call == full for call in calls[1:]), calls
+            if calls[0] != full:
+                shorter += 1
+                reduced = calls[0]
+                overstate.append(reduced[0])
+                calls.clear()
+                assert np.array_equal(kmeans_cluster(embed_blocks(prep.dec, k, cfg.form), k), want), line
+                overstate.clear()
+                assert calls[:2] == [reduced, full] and set(calls[1:]) == {full}, calls
+    assert shorter >= 0.8 * 30
 
 
 def test_memory_stays_linear_in_n_times_k():
@@ -270,25 +317,38 @@ def _direct_run_costs(x, most):
     return cost
 
 
-def block_rows(rng, sizes, width):
-    """Rows of blocks of the given sizes, each block with its own columns
-    (up to width of them), as BlockRows and as the dense matrix they stand
-    for; rows come from a pool of two per block, so runs repeat and tie."""
+SPREADS = (1.0, 1e-16, 0.0)
+
+
+def block_rows(rng, sizes, counts, spreads):
+    """Rows of blocks of the given sizes, block B with counts[B] columns of
+    its own, as BlockRows and as the dense matrix they stand for. Block
+    B's rows come from a pool of two, the second moved to the first but
+    for spreads[B] of their difference: at 1 runs repeat and tie, at 0 the
+    rows are equal, as a one-column block's are in the symmetric
+    normalized form, and at 1e-16 they are equal but for rounding, as in
+    the unnormalized form."""
     n, m = sum(sizes), max(sizes)
-    counts = rng.integers(0, width + 1, len(sizes))
-    blocks = np.zeros((len(sizes), m + 1, int(counts.max())))
-    dense = np.zeros((n, int(counts.sum())))
+    blocks = np.zeros((len(sizes), m + 1, max(counts)))
+    dense = np.zeros((n, sum(counts)))
     rows = np.empty(n, dtype=int)
     start = column = 0
-    for b, (size, count) in enumerate(zip(sizes, counts)):
+    for b, (size, count, spread) in enumerate(zip(sizes, counts, spreads)):
         pool = rng.normal(size=(2, count))
+        if spread < 1.0:
+            pool[1] = pool[0] + spread * (pool[1] - pool[0])
         blocks[b, :size, :count] = pool[rng.integers(0, 2, size)]
         # A row no line row maps to is ignored.
         blocks[b, size:, :count] = rng.normal(size=(m + 1 - size, count))
         dense[start : start + size, column : column + count] = blocks[b, :size, :count]
         rows[start : start + size] = b * (m + 1) + np.arange(size)
         start, column = start + size, column + count
-    return kmeans.BlockRows(blocks, rows), dense
+    return kmeans.BlockRows(blocks, rows, np.array(sizes), np.array(counts)), dense
+
+
+def random_block_rows(rng, sizes):
+    """block_rows with 0-3 columns per block and pools of two."""
+    return block_rows(rng, sizes, rng.integers(0, 4, len(sizes)).tolist(), [1.0] * len(sizes))
 
 
 def test_band_cost_tables_equal_a_direct_computation(monkeypatch):
@@ -312,7 +372,7 @@ def test_band_cost_tables_equal_a_direct_computation(monkeypatch):
         x = np.repeat(pool[rng.integers(0, 2, k)], lengths, axis=0)
         x += 1e-3 * rng.normal(size=x.shape)
         sizes = rng.integers(1, 9, int(rng.integers(1, 12)))
-        blocks, dense = block_rows(rng, sizes.tolist(), 3)
+        blocks, dense = random_block_rows(rng, sizes.tolist())
         cases = [(x, x, k), (rng.normal(size=(int(rng.integers(1, 30)), 3)),) * 2 + (1,)]
         cases.append((blocks, dense, int(rng.integers(1, dense.shape[0] + 1))))
         for points, rows, k in cases:
@@ -343,8 +403,9 @@ def test_batched_run_costs_equal_a_direct_computation(budget):
         n = int(rng.integers(1, 60))
         x = rows_with_duplicates(rng, n, int(rng.integers(1, 4)))
         sizes = rng.integers(1, 9, int(rng.integers(1, 12)))
-        blocks, dense = block_rows(rng, sizes.tolist(), 3)
-        for points, rows in [(kmeans.BlockRows(x[None], np.arange(n)), x), (blocks, dense)]:
+        blocks, dense = random_block_rows(rng, sizes.tolist())
+        whole = kmeans.BlockRows(x[None], np.arange(n), np.array([n]), np.array([x.shape[1]]))
+        for points, rows in [(whole, x), (blocks, dense)]:
             most = min(budget, rows.shape[0])
             cost = kmeans._cost_table(kmeans._gram_band(points, most))
             assert cost.shape == (most, rows.shape[0] + 1)
@@ -356,11 +417,30 @@ def test_batched_run_costs_equal_a_direct_computation(budget):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 9), min_size=1, max_size=20), st.integers(1, 4))
-def test_block_rows_give_the_labels_of_their_dense_matrix(seed, sizes, width):
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(1, 9), st.integers(0, 4), st.sampled_from(SPREADS)), min_size=1, max_size=20),
+)
+# Every block kept whole, k = b: the DP has no rows left.
+@example(0, [(3, 1, 0.0), (2, 1, 1e-16), (4, 1, 0.0)])
+# At k = 4, two runs left for the one row between the kept blocks.
+@example(0, [(2, 1, 0.0), (1, 4, 1.0), (2, 1, 0.0)])
+# At k = 6, a block longer than the first band's L + 1 = 7 rows.
+@example(0, [(9, 1, 0.0)] + [(1, 1, 0.0)] * 5)
+# At k = 3, 10 zero rows beside a kept block whose rows fall in two runs:
+# splitting that block and keeping the zero rows whole is cheaper, but
+# the DP of k' - 1 = 1 run of at most L = 9 rows cannot price it.
+@example(13, [(10, 0, 1.0), (4, 1, 1.0)])
+def test_block_rows_give_the_labels_of_their_dense_matrix(seed, blocks):
     rng = np.random.default_rng(seed)
-    blocks, dense = block_rows(rng, sizes, width)
-    for k in {1, dense.shape[0], int(rng.integers(1, dense.shape[0] + 1))}:
-        labels = kmeans_cluster(blocks, k)
-        assert np.array_equal(labels, full_table_labels(dense, k)), (sizes, k)
-        assert np.array_equal(labels, kmeans_cluster(dense, k)), (sizes, k)
+    sizes, counts, spreads = zip(*blocks)
+    points, dense = block_rows(rng, sizes, counts, spreads)
+    b, n = len(sizes), dense.shape[0]
+    # k = b .. b + 3 leaves few runs for the blocks not kept whole.
+    ks = {1, n, int(rng.integers(1, n + 1)), *range(b, min(b + 3, n) + 1)}
+    # Blocks of one column are kept whole however few they are.
+    with mock.patch.object(kmeans, "_LEAST_FIXED", 1):
+        for k in sorted(ks):
+            labels = kmeans_cluster(points, k)
+            assert np.array_equal(labels, full_table_labels(dense, k)), (blocks, k)
+            assert np.array_equal(labels, kmeans_cluster(dense, k)), (blocks, k)

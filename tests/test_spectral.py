@@ -113,6 +113,7 @@ def check_block_solve(w, form):
     dec = eigh_symmetric(lap)
     sizes = solved_sizes(dec)
     assert sizes == block_sizes(w)
+    assert dec.sizes.tolist() == sizes
     assert dec.stack.shape == (len(sizes), max(sizes), max(sizes))
     scale = max(1.0, np.abs(dense).sum(axis=1).max())
     assert np.abs(dec.values - np.linalg.eigvalsh(dense)).max() <= 1e-12 * scale
@@ -302,6 +303,7 @@ class TestEmbedding:
             row=np.array([0, 1]),
             block=np.array([0, 0]),
             column=np.array([0, 1]),
+            sizes=np.array([2]),
         )
         emb = spectral_embed(dec, 1, LaplacianForm.SYMMETRIC_NORMALIZED)
         assert np.array_equal(emb, [[0.0], [1.0]])
