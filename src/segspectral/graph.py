@@ -17,18 +17,21 @@ Three recipes fill the bands:
 - train words: like lexicon but driven by the words of a pre-segmented
   training corpus, damping by a count-based divisor.
 
-Each vocabulary recipe hands the builder its two tables, built once with
-the recipe: the bigrams to boost and each damped character's divisor.
+Each recipe hands the builder sorted key tables (ngram.ngram_table),
+built once with the recipe at first use: the ehr weaken sets' characters;
+a vocabulary recipe's bigrams to boost, and its damped characters beside
+their divisors.
 
-This module is the one home of the bond formulas. Conditional transition
-probabilities are maximum-likelihood ratios of the model's n-gram counts,
-with no smoothing: an unseen bigram genuinely carries zero connection
-strength, and a ratio whose context was never seen is 0. A standardized
-log-count divides ln(count) by the model's sd of ln(count) over the
-distinct stored keys of the same order, and is 0 for an unseen n-gram.
-Each builder looks every character, adjacent pair and triple of the
-sentence up in one NGramModel.lookup, a single search of the model's
-sorted integer keys, and computes its bands with array arithmetic.
+This module is the one home of the bond formulas. They read the
+conditional transition probabilities and standardized log-counts that
+the model works out once, per stored n-gram, in its bigram and trigram
+tables (ngram.py): with no smoothing, an unseen bigram genuinely carries
+zero connection strength, and a ratio whose context was never seen is 0.
+A builder takes the tagged keys of a sentence's characters, adjacent
+pairs and triples from one code-point decode, searches the pairs in the
+bigram table and the triples in the trigram table once each, and
+computes its bands from the rows it finds with array arithmetic; the
+recipe's tables are searched the same way.
 
 All builders are pure functions of immutable inputs.
 
@@ -49,7 +52,7 @@ from operator import add
 
 import numpy as np
 
-from .ngram import NGramModel, iter_corpus_lines
+from .ngram import NGramModel, find, holds, iter_corpus_lines, line_keys, ngram_table
 
 # Characters that often stand alone as one-character words; bonds touching
 # them get weakened when building the ehr-style matrix.
@@ -120,6 +123,13 @@ def _require_finite(params, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_characters(params, *names: str) -> None:
+    for name in names:
+        for entry in getattr(params, name):
+            if not (isinstance(entry, str) and len(entry) == 1):
+                raise ValueError(f"{name} entries must be single characters, got {entry!r}")
+
+
 @dataclass
 class EhrParams:
     """Knobs for the dictionary-free recipe."""
@@ -132,14 +142,37 @@ class EhrParams:
     def __post_init__(self):
         self.weaken_set_1 = frozenset(self.weaken_set_1)
         self.weaken_set_2 = frozenset(self.weaken_set_2)
+        _require_characters(self, "weaken_set_1", "weaken_set_2")
         _require_finite(self, "factor_1", "factor_2")
         for name in ("factor_1", "factor_2"):
             if (value := getattr(self, name)) < 1.0:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
 
+    @cached_property
+    def weaken_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The key tables of weaken sets 1 and 2."""
+        return ngram_table(self.weaken_set_1, 1), ngram_table(self.weaken_set_2, 1)
+
+
+class _Vocabulary:
+    """The two tables a Lexicon or WordStats hands the builder, from its
+    frequent_bigrams and divisors."""
+
+    @cached_property
+    def boost_table(self) -> np.ndarray:
+        """The key table of frequent_bigrams."""
+        return ngram_table(self.frequent_bigrams, 2)
+
+    @cached_property
+    def divisor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The key table of the damped characters, and their divisors then
+        1.0, the divisor of every other character, which is exact."""
+        chars = sorted(self.divisors)  # code-point order, as their keys sort
+        return ngram_table(chars, 1), np.array([*map(self.divisors.__getitem__, chars), 1.0])
+
 
 @dataclass
-class Lexicon:
+class Lexicon(_Vocabulary):
     """Frequency-ranked vocabulary (rank 1 = most frequent)."""
 
     entries: dict[str, int]
@@ -153,6 +186,7 @@ class Lexicon:
 
     def __post_init__(self):
         self.single_char_set = frozenset(self.single_char_set)
+        _require_characters(self, "single_char_set")
         _require_finite(self, "boost", "rank_scale", "rank_floor")
         for name in ("boost", "rank_scale", "rank_floor"):
             if (value := getattr(self, name)) <= 0.0:
@@ -194,7 +228,7 @@ class Lexicon:
 
 
 @dataclass
-class WordStats:
+class WordStats(_Vocabulary):
     """Word frequencies from a pre-segmented training corpus."""
 
     words: dict[str, int]
@@ -227,15 +261,10 @@ class WordStats:
         return frozenset(pair for word in self.words for pair in map(add, word, word[1:]))
 
 
-def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den per position, and 0 where den is 0: a context never seen
-    in the corpus carries no probability mass."""
-    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
-
-
 def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Base strength for each adjacent character pair, plus the line's
-    unigram and trigram counts and its standardized trigram log-counts.
+    character and pair keys and the rows of its triples in the model's
+    trigram table.
 
     The strength is the largest of the transition probabilities that are
     defined at this position, scaled by the standardized bigram log-count.
@@ -243,18 +272,14 @@ def _adjacent_bonds(s: str, model: NGramModel) -> tuple[np.ndarray, np.ndarray, 
     the pair and P(a | b c) one after it, so those two drop out at the
     first and last pair.
     """
-    n = len(s)
-    counts, logs = model.lookup(s)
-    uni, bi, tri = counts[:n], counts[n : 2 * n - 1], counts[2 * n - 1 :]
-    p = _ratio(bi, uni[:-1])
-    p[1:] = np.maximum(p[1:], _ratio(tri, bi[:-1]))
-    p[:-1] = np.maximum(p[:-1], _ratio(tri, bi[1:]))
-    return p * logs[n : 2 * n - 1], uni, tri, logs[2 * n - 1 :]
-
-
-def _members(s: str, chars: frozenset) -> np.ndarray:
-    """Boolean mask of the characters of s that are in chars."""
-    return np.fromiter(map(chars.__contains__, s), bool, len(s))
+    chars, pairs, triples = line_keys(s)
+    bi_keys, given_first, bi_logs = model.bigram_table
+    tri_keys, given_pair, given_tail, _ = model.trigram_table
+    bi, tri = find(bi_keys, pairs), find(tri_keys, triples)
+    p = given_first[bi]
+    np.maximum(p[1:], given_pair[tri], out=p[1:])
+    np.maximum(p[:-1], given_tail[tri], out=p[:-1])
+    return p * bi_logs[bi], chars, pairs, tri
 
 
 def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> ConnectionMatrix:
@@ -266,13 +291,12 @@ def build_w_ehr(s: str, model: NGramModel, params: EhrParams | None = None) -> C
     """
     if params is None:
         params = EhrParams()
-    off1, uni, tri, tri_logs = _adjacent_bonds(s, model)
-    weak1, weak2 = _members(s, params.weaken_set_1), _members(s, params.weaken_set_2)
+    off1, chars, _, tri = _adjacent_bonds(s, model)
+    weak1, weak2 = (holds(table, chars) for table in params.weaken_tables)
     # Both weakenings stack when a pair hits both sets.
     off1 = np.where(weak1[:-1] | weak1[1:], off1 / params.factor_1, off1)
     off1 = np.where(weak2[:-1] | weak2[1:], off1 / params.factor_2, off1)
-    off2 = _ratio(tri, uni[:-2]) * tri_logs
-    off2 = np.where(weak2[:-2] | weak2[1:-1] | weak2[2:], 0.0, off2)
+    off2 = np.where(weak2[:-2] | weak2[1:-1] | weak2[2:], 0.0, model.trigram_table[3][tri])
     return ConnectionMatrix(np.ones(len(s)), off1, off2)
 
 
@@ -283,15 +307,13 @@ def build_w_vocab(s: str, model: NGramModel, vocab: Lexicon | WordStats) -> Conn
     others are damped once per character that is a single-character word,
     so a pair of two standalone words is divided twice. Boost and damping
     are mutually exclusive, boost first. A Lexicon and WordStats each hand
-    the builder their two tables: frequent_bigrams and divisors.
+    the builder their two tables: boost_table and divisor_table.
     """
     n = len(s)
-    off1 = _adjacent_bonds(s, model)[0]
-    bigrams, divisors = vocab.frequent_bigrams, vocab.divisors
-    boosted = np.array([pair in bigrams for pair in map(add, s, s[1:])], dtype=bool)
-    # Every other character divides by 1.0, which is exact.
-    divisor = np.array([divisors.get(ch, 1.0) for ch in s])
-    off1 = np.where(boosted, off1 * vocab.boost, off1 / divisor[:-1] / divisor[1:])
+    off1, chars, pairs, _ = _adjacent_bonds(s, model)
+    damped, divisors = vocab.divisor_table
+    divisor = divisors[find(damped, chars)]
+    off1 = np.where(holds(vocab.boost_table, pairs), off1 * vocab.boost, off1 / divisor[:-1] / divisor[1:])
     return ConnectionMatrix(np.ones(n), off1, np.zeros(max(n - 2, 0)))
 
 

@@ -19,7 +19,7 @@ orders never collide, and sorted keys hold the trigrams, then the
 bigrams, then the unigrams, each in code-point order of their n-grams.
 Every other bit is zero. NGramModel checks these rules, like all its
 others, when it is built, so no model breaks them; model_io checks the file.
-_keys alone builds tagged keys, for ingest, lookups and from_counts.
+_keys alone builds tagged keys, for ingest, line_keys and from_counts.
 
 ingest_corpus reads lines lazily, in chunks of whole lines of at most
 _CHUNK_CHARS characters (a longer line comes alone), joins a chunk's lines
@@ -28,18 +28,27 @@ counts them with one sort. Chunk counts are merged by key, so memory
 stays O(chunk + distinct n-grams), and the merged keys and counts are the
 model.
 
-NGramModel.lookup reads counts from NGramModel.key_table, 24 bytes per
-stored n-gram: the keys, each beside its float count and standardized
-log-count, then a sentinel key of all ones, with both 0, that answers
-every miss. The table is worked out from the keys and counts at first
-use (not at ingest or load), and so are log_sd_bi and log_sd_tri, the
-bigram and trigram sds that standardize it: one np.unique per order
-serves both. An sd is the population sd of ln(count) over the stored
-keys of its order, summed with math.fsum, so it depends neither on key
-order nor on the Python version. Neither the table, the sds nor the uni,
-bi and tri count dicts are model state: the dicts stay only as a view
-decoded from the keys when read, for tests and the bench tracer, and
-nothing in the package reads them.
+The bond formulas (graph.py) read the model through two tables, worked
+out from the keys and counts at first use (not at ingest or load), with
+log_sd_bi and log_sd_tri, the bigram and trigram sds that standardize
+their log-counts. Each table holds one row per stored n-gram of its
+order, in key order, then a row for the sentinel key, all ones, whose
+values are 0 and answer every miss (find gives its row). The conditional
+probabilities in them are maximum-likelihood ratios of the stored counts,
+with no smoothing, and 0 where the context was never seen:
+
+- bigram_table: each bigram ab's key, P(b | a) and standardized log-count;
+- trigram_table: each trigram abc's key, P(c | a b), P(a | b c), and
+  P(b c | a) times its standardized log-count.
+
+A standardized log-count divides ln(count) by the sd of its order: the
+population sd of ln(count) over the stored keys of that order. Its sums
+are exact and rounded once, as math.fsum rounds, so it depends neither
+on key order nor on the Python version. Neither the tables, the sds nor
+the uni, bi and tri count dicts are model state: the dicts stay only as a
+view decoded from the keys when read, for tests and the bench tracer, and
+nothing in the package reads them. line_keys gives a line's tagged keys, ngram_table a sorted key
+table of given n-grams, and find and holds search a table.
 
 iter_corpus_lines is the one line reader: train, segment, sweep, eval and
 the lexicon and word-stats loaders all read through it. It decodes and
@@ -52,7 +61,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -210,38 +218,88 @@ class NGramModel:
     tri = cached_property(lambda self: self._dict(3))
 
     @cached_property
-    def _derived(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float, float]:
-        """key_table, log_sd_bi and log_sd_tri, worked out together."""
-        logs, sds, orders = np.zeros(len(self.keys) + 1), {}, _orders(self.keys)
-        for order in (2, 3):
-            logs[orders[order]], sds[order] = _standardized(self.counts[orders[order]])
-        # Float counts are exact below 2**53.
-        return (np.append(self.keys, _SENTINEL), np.append(self.counts.astype(float), 0.0), logs), sds[2], sds[3]
+    def _tables(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], float, float]:
+        """bigram_table, trigram_table, log_sd_bi and log_sd_tri, worked
+        out together."""
+        at = _orders(self.keys)
+        # Each order's keys, then the sentinel, and float counts (exact
+        # below 2**53), then 0, which makes every ratio 0 in its row.
+        keys = {order: np.append(self.keys[part], _SENTINEL) for order, part in at.items()}
+        counts = {order: np.append(self.counts[part].astype(float), 0.0) for order, part in at.items()}
+
+        def given(order: int, lower: int, contexts: np.ndarray) -> np.ndarray:
+            """P(n-gram | context) for each n-gram of order, from the keys of
+            their contexts, n-grams of order lower."""
+            return _ratio(counts[order], counts[lower][find(keys[lower], contexts)])
+
+        bi_logs, sd_bi = _standardized(self.counts[at[2]])
+        tri_logs, sd_tri = _standardized(self.counts[at[3]])
+        bi, tri = keys[2], keys[3]
+        return (
+            (bi, given(2, 1, bi >> _SHIFT & _POINT | _TAGS[1]), np.append(bi_logs, 0.0)),
+            (
+                tri,
+                given(3, 2, tri >> _SHIFT | _TAGS[2]),
+                given(3, 2, tri & (_POINT << _SHIFT | _POINT) | _TAGS[2]),
+                given(3, 1, tri >> _SHIFT * np.uint64(2) | _TAGS[1]) * np.append(tri_logs, 0.0),
+            ),
+            sd_bi,
+            sd_tri,
+        )
 
     @property
-    def key_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sorted keys, float counts and standardized log-counts (0 for
-        unigrams), ending in the sentinel."""
-        return self._derived[0]
+    def bigram_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted keys of the stored bigrams ab, P(b | a) and the
+        standardized log-count of each, then the sentinel's row of 0s."""
+        return self._tables[0]
+
+    @property
+    def trigram_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted keys of the stored trigrams abc, P(c | a b), P(a | b c)
+        and P(b c | a) times the standardized log-count of each, then the
+        sentinel's row of 0s."""
+        return self._tables[1]
 
     @property
     def log_sd_bi(self) -> float:
         """The sd that standardizes the bigram log-counts."""
-        return self._derived[1]
+        return self._tables[2]
 
     @property
     def log_sd_tri(self) -> float:
         """The sd that standardizes the trigram log-counts."""
-        return self._derived[2]
+        return self._tables[3]
 
-    def lookup(self, s: str) -> tuple[np.ndarray, np.ndarray]:
-        """Counts and standardized log-counts of the n characters, n - 1
-        adjacent pairs and n - 2 triples of s, in that order."""
-        queries = np.concatenate(_keys(_code_points(s)))
-        keys, counts, logs = self.key_table
-        at = np.searchsorted(keys, queries)
-        at[keys[at] != queries] = -1
-        return counts[at], logs[at]
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per position, and 0 where den is 0: a context never seen
+    in the corpus carries no probability mass."""
+    return np.divide(num, den, out=np.zeros(num.shape), where=den > 0)
+
+
+def line_keys(s: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tagged keys of the n characters, n - 1 adjacent pairs and n - 2
+    triples of s."""
+    return _keys(_code_points(s))
+
+
+def ngram_table(ngrams, order: int) -> np.ndarray:
+    """The tagged keys of distinct n-grams of one order, sorted, then the
+    sentinel: a table for find and holds."""
+    return np.append(np.sort(_encode(list(ngrams), order)), _SENTINEL)
+
+
+def find(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The row of each query in table, sorted keys ending in the sentinel;
+    a query the table does not hold gets the sentinel's row, -1."""
+    at = np.searchsorted(table, queries)
+    at[table[at] != queries] = -1
+    return at
+
+
+def holds(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether table, sorted keys ending in the sentinel, holds each query."""
+    return table[np.searchsorted(table, queries)] == queries
 
 
 def _standardized(counts: np.ndarray) -> tuple[np.ndarray, float]:
@@ -256,16 +314,28 @@ def _standardized(counts: np.ndarray) -> tuple[np.ndarray, float]:
     # Counts repeat, so each distinct one is logged and squared once, with
     # math.log, not np.log: the two differ in the last bit for some counts.
     # Each sum still adds one value per key, a distinct count's value once
-    # for every key that holds it, and fsum rounds it correctly.
-    distinct, inverse, repeats = np.unique(counts, return_inverse=True, return_counts=True)
+    # for every key that holds it, and _exact_sum rounds it correctly.
+    ordered = np.sort(counts)
+    starts = np.flatnonzero(np.diff(ordered, prepend=np.uint64(0)))  # a count is at least 1
+    distinct = ordered[starts]
     logs = [math.log(c) for c in distinct.astype(float).tolist()]
-    times = repeats.tolist()
+    times = np.diff(starts, append=len(counts)).tolist()
     sd = 1.0
     if len(counts) > 1:
-        mean = math.fsum(chain.from_iterable(map(repeat, logs, times))) / len(counts)
+        mean = _exact_sum(logs, times) / len(counts)
         squares = [(x - mean) ** 2 for x in logs]
-        sd = math.sqrt(math.fsum(chain.from_iterable(map(repeat, squares, times))) / len(counts)) or 1.0
-    return (np.array(logs) / sd)[inverse], sd
+        sd = math.sqrt(_exact_sum(squares, times) / len(counts)) or 1.0
+    return (np.array(logs) / sd)[np.searchsorted(distinct, counts)], sd
+
+
+def _exact_sum(values: list[float], times: list[int]) -> float:
+    """The sum of each of values repeated its times, rounded once to the
+    nearest float, ties to even: what math.fsum gives for them all."""
+    # A float is an integer over a power of two, so over the largest power
+    # every term is an integer, the sum is exact, and int division rounds it.
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max((den for _, den in ratios), default=1)
+    return sum(num * (scale // den) * t for (num, den), t in zip(ratios, times)) / scale
 
 
 def _chunks(lines):

@@ -139,6 +139,20 @@ class TestEhrRecipe:
         with pytest.raises(ValueError, match=r"^factor_2 must be >= 1, got 0.9$"):
             EhrParams(factor_2=0.9)
 
+    @pytest.mark.parametrize("field", ["weaken_set_1", "weaken_set_2"])
+    @pytest.mark.parametrize("entry", ["和是", "", 1])
+    def test_weaken_set_entries_must_be_single_characters(self, field, entry):
+        with pytest.raises(ValueError, match=rf"^{field} entries must be single characters, got {entry!r}$"):
+            EhrParams(**{field: [entry, "在"]})
+
+    def test_weaken_tables_are_built_at_first_use(self):
+        m = ingest_corpus(["和是在", "和是在"])
+        params = EhrParams(weaken_set_1=["和", "是", "在"])
+        assert "weaken_tables" not in vars(params)
+        w = build_w_ehr("和是在", m, params)
+        assert "weaken_tables" in vars(params)
+        assert w.off1 == pytest.approx([LN2 / 4, LN2 / 4], rel=1e-12)
+
     def test_non_chinese_text_has_zero_bonds(self, toy_model):
         w = build_w_ehr("ab1", toy_model)
         assert np.array_equal(w.off1, [0.0, 0.0])
@@ -305,20 +319,20 @@ def test_bands_match_per_position_reference(kind, lines, words, counts, rank_thr
                 assert np.array_equal(got, want), (s, recipe, got, want)
 
 
-def test_key_table_holds_each_stored_ngram_once():
+def test_tables_hold_each_stored_ngram_once():
     model = _hand_built_model()
-    keys, counts, logs = model.key_table
-    stored = [(key, count) for table in (model.uni, model.bi, model.tri) for key, count in table.items()]
-    # one entry per stored n-gram, then the sentinel
-    assert keys.size == counts.size == logs.size == len(stored) + 1
-    assert np.all(keys[1:] > keys[:-1])
-    assert sorted(counts[:-1].tolist()) == sorted(float(count) for _, count in stored)
-    assert (counts[-1], logs[-1]) == (0.0, 0.0)
+    for order, table in ((2, model.bigram_table), (3, model.trigram_table)):
+        keys = table[0]
+        # one row per stored n-gram, in key order, then the sentinel's row of 0s
+        assert all(column.size == model.of_order(order)[0].size + 1 for column in table)
+        assert np.array_equal(keys[:-1], model.of_order(order)[0])
+        assert keys[-1] == 2**64 - 1
+        assert [column[-1] for column in table[1:]] == [0.0] * (len(table) - 1)
 
 
-def test_key_table_is_not_model_state():
-    # The table and the sds are worked out at the first lookup, and
-    # neither equality nor the model file sees them.
+def test_tables_are_not_model_state():
+    # The tables and the sds are worked out at first use, and neither
+    # equality nor the model file sees them.
     model, twin = _hand_built_model(), _hand_built_model()
     saved = io.BytesIO()
     save_model(model, saved)
@@ -330,6 +344,43 @@ def test_key_table_is_not_model_state():
     again = io.BytesIO()
     save_model(model, again)
     assert again.getvalue() == saved.getvalue()
+
+
+def reference_tables(model):
+    """The columns of the bigram and trigram tables, but for their keys and
+    sentinel rows, worked out per stored n-gram from the decoded count dicts
+    in float arithmetic, as README states the bond formulas."""
+    uni, bi, tri = model.uni, model.bi, model.tri
+
+    def given(count, context):
+        return float(count) / float(context) if context else 0.0
+
+    def standardized(count, sd):
+        return math.log(float(count)) / sd
+
+    bigrams = [(given(c, uni.get(ab[0], 0)), standardized(c, model.log_sd_bi)) for ab, c in bi.items()]
+    trigrams = [
+        (
+            given(c, bi.get(abc[:2], 0)),
+            given(c, bi.get(abc[1:], 0)),
+            given(c, uni.get(abc[0], 0)) * standardized(c, model.log_sd_tri),
+        )
+        for abc, c in tri.items()
+    ]
+    return [np.array(rows, float).reshape(-1, width).T for rows, width in ((bigrams, 2), (trigrams, 3))]
+
+
+@pytest.mark.parametrize("kind", ["ingested", "hand-built"])
+@settings(deadline=None, max_examples=60)
+@given(lines=_LINES)
+def test_tables_match_ratios_of_the_decoded_counts(kind, lines):
+    # The hand-built model stores n-grams whose sub-n-grams it lacks
+    # (their ratios are 0), counts past 2**53, NUL and astral-plane keys.
+    model = ingest_corpus(lines) if kind == "ingested" else _hand_built_model()
+    for table, want in zip((model.bigram_table, model.trigram_table), reference_tables(model)):
+        for got, column in zip(table[1:], want):
+            assert got.dtype == np.float64
+            assert np.array_equal(got[:-1], column), (got, column)
 
 
 class TestLexiconRecipe:
@@ -389,6 +440,11 @@ class TestLexiconRecipe:
             Lexicon(entries={"": 1})
         with pytest.raises(ValueError, match="boost"):
             Lexicon(entries={}, boost=0.0)
+
+    @pytest.mark.parametrize("entry", ["的了", "", None])
+    def test_single_char_set_entries_must_be_single_characters(self, entry):
+        with pytest.raises(ValueError, match=rf"^single_char_set entries must be single characters, got {entry!r}$"):
+            Lexicon(entries={}, single_char_set=[entry, "的"])
 
     def test_rank_that_underflows_rank_scale_is_refused(self):
         Lexicon(entries={"的": 10**300}, rank_scale=1e-10)  # a subnormal ratio has a log

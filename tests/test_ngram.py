@@ -194,14 +194,14 @@ def test_ingest_matches_per_character_reference(lines):
         assert m.log_sd_tri.hex() == reference_log_sd(list(tri.values())).hex()
 
 
-def test_train_save_load_and_lookup_build_no_dicts(tmp_path, capsys):
-    # The model is its key table; the count dicts are decoded only when read.
+def test_train_save_load_and_tables_build_no_dicts(tmp_path, capsys):
+    # The model is its keys and counts; the count dicts are decoded only when read.
     trained = ingest_corpus(["天安门广场", "天安门"])
     buf = io.BytesIO()
     save_model(trained, buf)
     loaded = load_model(io.BytesIO(buf.getvalue()))
     for m in (trained, loaded):
-        m.lookup("天安门")
+        m.bigram_table, m.trigram_table
         assert not {"uni", "bi", "tri"} & vars(m).keys()
     assert loaded.bi == {"天安": 2, "安门": 2, "门广": 1, "广场": 1}
     assert "bi" in vars(loaded)
@@ -223,10 +223,10 @@ def test_train_save_load_and_lookup_build_no_dicts(tmp_path, capsys):
         max_size=8,
     )
 )
-def test_key_table_matches_the_table_of_the_decoded_counts(lines):
+def test_tables_match_the_tables_of_the_decoded_counts(lines):
     m = ingest_corpus(lines)
     twin = NGramModel.from_counts(m.uni, m.bi, m.tri)
-    for got, want in zip(m.key_table, twin.key_table):
+    for got, want in zip(m.bigram_table + m.trigram_table, twin.bigram_table + twin.trigram_table):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
